@@ -44,6 +44,7 @@ from .fem import (
     interpolate_p1,
     lp_norm,
     p1_zero_trace,
+    poisson_solve,
     project_rhs,
     solve_bvp,
     solve_projected,

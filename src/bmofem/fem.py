@@ -24,7 +24,6 @@ from .coeff import (
 )
 from .errors import (
     AssemblyError,
-    GeometryError,
     InvariantError,
     IterationLimitError,
     NotSPDError,
@@ -127,22 +126,8 @@ def interpolate_p1(mesh: Mesh, func, zero_trace: bool = False) -> P1Function:
 
 def hat_gradients(mesh: Mesh):
     """Gradients of the three local hat functions per cell, (m, 3, 2), and
-    the cell areas."""
-    coords = mesh.cell_coordinates()
-    areas = cell_areas(mesh)
-    if np.any(areas <= 0.0):
-        bad = int(np.argmax(areas <= 0.0))
-        raise GeometryError(f"cell {bad} is degenerate or negatively oriented")
-    g = np.empty((mesh.num_cells, 3, 2))
-    for a in range(3):
-        # grad of the hat that is 1 at vertex a: rotate the opposite edge.
-        pb = coords[:, (a + 1) % 3]
-        pc = coords[:, (a + 2) % 3]
-        edge = pc - pb
-        g[:, a, 0] = -edge[:, 1]
-        g[:, a, 1] = edge[:, 0]
-    g /= 2.0 * areas[:, None, None]
-    return g, areas
+    the cell areas; both cached read-only on the mesh."""
+    return mesh.hat_gradients, cell_areas(mesh)
 
 
 def gradient(u: P1Function) -> PCVectorField:
@@ -212,28 +197,77 @@ def assemble_rhs(mesh: Mesh, f_h: PCVectorField) -> np.ndarray:
     return b_full[interior_vertex_indices(mesh)]
 
 
-def solve_spd(system: SparseSPDSystem, rel_residual_tol: float = DEFAULT_SOLVER_TOL) -> np.ndarray:
-    """Diagonally preconditioned conjugate gradients, deterministic.
-
-    Zero initial guess, fixed iteration order, iteration cap 50 n.  Raises
-    NotSPDError on nonpositive curvature and IterationLimitError at the
-    cap, reporting the final relative residual.
-    """
+def _require_solver_tol(tol: float):
     lo, hi = SOLVER_TOL_RANGE
-    if not (lo <= rel_residual_tol <= hi):
+    if not (lo <= tol <= hi):
         raise ValueError(f"solver tolerance must be in [{lo}, {hi}]")
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Unnormalised type-I sine transform along the last axis,
+    y_k = sum_j x_j sin(pi j k / (m + 1)), from the FFT of the odd
+    extension [0, x, 0, -reversed(x)]."""
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    ext[..., 1 : m + 1] = x
+    ext[..., m + 2 :] = -x[..., ::-1]
+    return -0.5 * np.fft.rfft(ext, axis=-1)[..., 1 : m + 1].imag
+
+
+def poisson_solve(mesh: Mesh, b: np.ndarray) -> np.ndarray:
+    """Exact inverse of the interior identity-coefficient stiffness matrix.
+
+    On the structured family that matrix is the 5-point Laplacian (4 on
+    the diagonal, -1 to grid neighbours), which the 2-D type-I sine
+    transform diagonalises (Buzbee, Golub and Nielson 1970): with
+    S_jk = sin(pi j k / n) and S^2 = (n / 2) I, the solution is
+    (2 / n)^2 S [(S B S) / (lambda_j + lambda_k)] S,
+    lambda_k = 4 sin^2(pi k / (2 n)).  b is indexed like
+    interior_vertex_indices.  Raises InvariantError for any other mesh.
+    """
+    if not mesh.is_uniform:
+        raise InvariantError(
+            f"the sine-transform Poisson solve needs the structured mesh; "
+            f"this level-{mesh.level} mesh is not build_uniform_mesh({mesh.level})"
+        )
+    n = 2**mesh.level
+    lam = 4.0 * np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
+    coef = _dst1(_dst1(np.reshape(b, (n - 1, n - 1))).T).T
+    coef /= lam[:, None] + lam[None, :]
+    return (_dst1(_dst1(coef).T).T * (2.0 / n) ** 2).ravel()
+
+
+def solve_spd(
+    system: SparseSPDSystem,
+    rel_residual_tol: float = DEFAULT_SOLVER_TOL,
+    precondition=None,
+) -> np.ndarray:
+    """Preconditioned conjugate gradients, deterministic.
+
+    precondition(r) applies a symmetric positive definite approximation of
+    the inverse matrix to a residual; the default is diagonal (Jacobi)
+    scaling.  Zero initial guess, fixed iteration order, iteration cap
+    50 n.  Raises NotSPDError on nonpositive curvature and
+    IterationLimitError at the cap, reporting the final relative residual.
+    """
+    _require_solver_tol(rel_residual_tol)
     A = system.matrix
     b = system.rhs
     n = b.size
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
-    d = A.diagonal()
-    if np.any(d <= 0.0):
-        raise NotSPDError("nonpositive diagonal entry; system is not SPD")
+    if precondition is None:
+        d = A.diagonal()
+        if np.any(d <= 0.0):
+            raise NotSPDError("nonpositive diagonal entry; system is not SPD")
+
+        def precondition(r):
+            return r / d
+
     x = np.zeros(n)
     r = b.copy()
-    z = r / d
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     threshold = rel_residual_tol * b_norm
@@ -247,7 +281,7 @@ def solve_spd(system: SparseSPDSystem, rel_residual_tol: float = DEFAULT_SOLVER_
         r -= alpha * Ap
         if float(np.linalg.norm(r)) <= threshold:
             return x
-        z = r / d
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -282,11 +316,19 @@ def solve_projected(
     f_h: PCVectorField,
     solver_tol: float = DEFAULT_SOLVER_TOL,
 ) -> P1Function:
-    """Solve with already projected data (shared by studies and solve_bvp)."""
+    """Solve with already projected data (shared by studies and solve_bvp).
+
+    CG is preconditioned by the exact identity-coefficient inverse
+    (poisson_solve), so the condition number is bounded by the spread of
+    the eigenvalues of A_h rather than growing like h^-2.  Raises
+    InvariantError for a mesh outside the structured family.
+    """
     system = assemble_stiffness(mesh, A_h)
     b = assemble_rhs(mesh, f_h)
     x = solve_spd(
-        SparseSPDSystem(system.matrix, b, system.interior, mesh), solver_tol
+        SparseSPDSystem(system.matrix, b, system.interior, mesh),
+        solver_tol,
+        precondition=lambda r: poisson_solve(mesh, r),
     )
     return p1_zero_trace(mesh, x)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,9 @@ class Mesh:
     boundary_vertex_flags: (n,) bool, True on the boundary.
     level: refinement depth within the structured family.
     cell_diameters: (m,) per-cell diameter, the local mesh size.
+
+    Derived geometry (cell coordinates, areas, hat gradients) is computed
+    once per instance on first use and cached read-only on it.
     """
 
     vertices: np.ndarray
@@ -48,7 +52,52 @@ class Mesh:
 
     def cell_coordinates(self) -> np.ndarray:
         """Vertex coordinates per cell, shape (m, 3, 2)."""
-        return self.vertices[self.cells]
+        return self._cell_coordinates
+
+    @cached_property
+    def _cell_coordinates(self) -> np.ndarray:
+        return _freeze(self.vertices[self.cells])
+
+    @cached_property
+    def _cell_areas(self) -> np.ndarray:
+        coords = self.cell_coordinates()
+        d1 = coords[:, 1] - coords[:, 0]
+        d2 = coords[:, 2] - coords[:, 0]
+        return _freeze(0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+
+    @cached_property
+    def hat_gradients(self) -> np.ndarray:
+        """Gradients of the three local hat functions per cell, (m, 3, 2).
+
+        Raises GeometryError naming the first degenerate or negatively
+        oriented cell.
+        """
+        coords = self.cell_coordinates()
+        areas = self._cell_areas
+        if np.any(areas <= 0.0):
+            bad = int(np.argmax(areas <= 0.0))
+            raise GeometryError(f"cell {bad} is degenerate or negatively oriented")
+        g = np.empty((self.num_cells, 3, 2))
+        for a in range(3):
+            # grad of the hat that is 1 at vertex a: rotate the opposite edge.
+            edge = coords[:, (a + 2) % 3] - coords[:, (a + 1) % 3]
+            g[:, a, 0] = -edge[:, 1]
+            g[:, a, 1] = edge[:, 0]
+        g /= 2.0 * areas[:, None, None]
+        return _freeze(g)
+
+    @cached_property
+    def is_uniform(self) -> bool:
+        """True when this mesh is exactly build_uniform_mesh(level), the
+        structure the sine-transform Poisson solve relies on."""
+        if not 0 <= self.level <= MAX_LEVEL:
+            return False
+        vertices, cells, boundary = _uniform_arrays(self.level)
+        return (
+            np.array_equal(self.vertices, vertices)
+            and np.array_equal(self.cells, cells)
+            and np.array_equal(self.boundary_vertex_flags, boundary)
+        )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -56,16 +105,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_uniform_mesh(level: int) -> Mesh:
-    """Build the structured mesh at the given refinement level.
-
-    Produces (2^level + 1)^2 vertices on a uniform grid and 2 * 4^level
-    cells.  Raises MeshBoundsError for level outside [0, 12].
-    """
-    if not 0 <= level <= MAX_LEVEL:
-        raise MeshBoundsError(
-            f"refinement level must be in [0, {MAX_LEVEL}], got {level}"
-        )
+def _uniform_arrays(level: int):
+    """Vertices, cells and boundary flags of the structured mesh."""
     n = 2**level
     h = 1.0 / n
     side = np.arange(n + 1) * h
@@ -92,8 +133,21 @@ def build_uniform_mesh(level: int) -> Mesh:
     x = vertices[:, 0]
     y = vertices[:, 1]
     boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
+    return vertices, cells, boundary
 
-    diameters = np.full(cells.shape[0], math.sqrt(2.0) * h)
+
+def build_uniform_mesh(level: int) -> Mesh:
+    """Build the structured mesh at the given refinement level.
+
+    Produces (2^level + 1)^2 vertices on a uniform grid and 2 * 4^level
+    cells.  Raises MeshBoundsError for level outside [0, 12].
+    """
+    if not 0 <= level <= MAX_LEVEL:
+        raise MeshBoundsError(
+            f"refinement level must be in [0, {MAX_LEVEL}], got {level}"
+        )
+    vertices, cells, boundary = _uniform_arrays(level)
+    diameters = np.full(cells.shape[0], math.sqrt(2.0) / 2**level)
     return Mesh(
         vertices=_freeze(vertices),
         cells=_freeze(cells),
@@ -109,11 +163,8 @@ def refine(mesh: Mesh) -> Mesh:
 
 
 def cell_areas(mesh: Mesh) -> np.ndarray:
-    """Signed cell areas (positive for valid meshes)."""
-    coords = mesh.cell_coordinates()
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    """Signed cell areas (positive for valid meshes), cached read-only."""
+    return mesh._cell_areas
 
 
 def shape_regularity_ratio(mesh: Mesh) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +210,66 @@ def test_solver_iteration_cap():
     with pytest.raises(IterationLimitError) as err:
         F.solve_spd(system, 1e-14)
     assert 0.0 < err.value.relative_residual < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# sine-transform Poisson solve and the preconditioned coefficient solve
+
+
+def _direct(mesh, A_h, b):
+    return spla.spsolve(F.assemble_stiffness(mesh, A_h).matrix.tocsc(), b)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_poisson_solve_matches_direct_solve(level, rng):
+    mesh = build_uniform_mesh(level)
+    b = rng.standard_normal(interior_vertex_indices(mesh).size)
+    x = F.poisson_solve(mesh, b)
+    expected = _direct(mesh, _identity_projected(mesh), b)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_poisson_solve_rejects_mesh_outside_family(perturbed_mesh):
+    with pytest.raises(InvariantError, match="level-1"):
+        F.poisson_solve(perturbed_mesh, np.ones(1))
+
+
+_FIXTURES = {
+    "log": lambda: C.log_singular_coefficient(0.5),
+    "checkerboard": lambda: C.checkerboard_coefficient(100.0),
+    "smooth": C.smooth_coefficient,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURES))
+@pytest.mark.parametrize("level", range(3, 8))
+def test_preconditioned_solve_matches_direct_solve(name, level, rng):
+    mesh = build_uniform_mesh(level)
+    A_h = C.project_coefficient(_FIXTURES[name](), mesh)
+    f_h = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    u = F.solve_projected(mesh, A_h, f_h)
+    expected = _direct(mesh, A_h, F.assemble_rhs(mesh, f_h))
+    err = np.max(np.abs(u.values[interior_vertex_indices(mesh)] - expected))
+    assert err <= 1e-9 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("level", range(5, 9))
+def test_preconditioner_bounds_cg_iterations(level, monkeypatch, rng):
+    # one kernel call per CG iteration plus the initial one; Jacobi CG
+    # needs hundreds to thousands of iterations at these levels
+    mesh = build_uniform_mesh(level)
+    A_h = C.project_coefficient(C.log_singular_coefficient(0.5), mesh)
+    f_h = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    calls = []
+    kernel = F.poisson_solve
+
+    def counted(mesh_, r):
+        calls.append(1)
+        return kernel(mesh_, r)
+
+    monkeypatch.setattr(F, "poisson_solve", counted)
+    F.solve_projected(mesh, A_h, f_h)
+    assert 0 < len(calls) <= 30
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmofem import coeff as C
 from bmofem import fem as F
 from bmofem import hodge as H
-from bmofem.errors import DegenerateFieldError, MeshTooCoarseError
+from bmofem.errors import (
+    DegenerateFieldError,
+    InvariantError,
+    IterationLimitError,
+    MeshTooCoarseError,
+)
 from bmofem.mesh import build_uniform_mesh, interior_vertex_indices
 
 
@@ -114,6 +120,63 @@ def test_too_coarse_mesh_error(meshes):
     s = F.PCVectorField(meshes[0], np.ones((2, 2)))
     with pytest.raises(MeshTooCoarseError):
         H.hodge_decompose(s, meshes[0])
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_potential_matches_direct_solve(level, rng):
+    mesh = build_uniform_mesh(level)
+    s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    split = H.hodge_decompose(s, mesh)
+    identity = C.project_coefficient(C.identity_coefficient(), mesh)
+    K = F.assemble_stiffness(mesh, identity).matrix.tocsc()
+    expected = spla.spsolve(K, F.assemble_rhs(mesh, s))
+    got = split.potential.values[interior_vertex_indices(mesh)]
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_tightest_tolerance_passes_at_level8(rng):
+    mesh = build_uniform_mesh(8)
+    s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    split = H.hodge_decompose(s, mesh, solver_tol=1e-14)
+    b = F.assemble_rhs(mesh, s)
+    residual = b - F.assemble_rhs(mesh, F.gradient(split.potential))
+    assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_correction_solves_recover_a_slightly_inexact_kernel(rng, monkeypatch):
+    # each correction shrinks the residual by the kernel's relative error,
+    # so 1e-5 needs both correction solves to reach 1e-13
+    mesh = build_uniform_mesh(5)
+    s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    exact = H.hodge_decompose(s, mesh, solver_tol=1e-13)
+    calls = []
+    kernel = H.poisson_solve
+
+    def inexact(mesh_, r):
+        calls.append(1)
+        return (1.0 + 1e-5) * kernel(mesh_, r)
+
+    monkeypatch.setattr(H, "poisson_solve", inexact)
+    split = H.hodge_decompose(s, mesh, solver_tol=1e-13)
+    assert len(calls) == 1 + H.REFINEMENT_STEPS
+    scale = np.max(np.abs(exact.potential.values))
+    assert np.max(np.abs(split.potential.values - exact.potential.values)) <= 1e-12 * scale
+
+
+def test_inexact_kernel_raises_naming_level(rng, monkeypatch):
+    mesh = build_uniform_mesh(5)
+    s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    kernel = H.poisson_solve
+    monkeypatch.setattr(H, "poisson_solve", lambda mesh_, r: 1.5 * kernel(mesh_, r))
+    with pytest.raises(IterationLimitError, match="level 5") as err:
+        H.hodge_decompose(s, mesh)
+    assert err.value.relative_residual > 1e-3
+
+
+def test_mesh_outside_family_is_refused(perturbed_mesh):
+    s = F.PCVectorField(perturbed_mesh, np.tile([1.0, 2.0], (perturbed_mesh.num_cells, 1)))
+    with pytest.raises(InvariantError, match="level-1"):
+        H.hodge_decompose(s, perturbed_mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -168,6 +170,41 @@ def test_mesh_is_immutable():
         m.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         m.cells[0, 0] = 7
+
+
+def test_geometry_cached_read_only_per_mesh():
+    m = build_uniform_mesh(2)
+    arrays = (m.cell_coordinates(), cell_areas(m), m.hat_gradients)
+    assert m.cell_coordinates() is arrays[0]
+    assert cell_areas(m) is arrays[1]
+    assert m.hat_gradients is arrays[2]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    # the cache lives on the instance: another mesh of the same level gets
+    # its own arrays, and they are freed with their mesh
+    other = build_uniform_mesh(2)
+    assert cell_areas(other) is not arrays[1]
+    refs = [weakref.ref(other.cell_coordinates()), weakref.ref(other.hat_gradients)]
+    del other
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_is_uniform_only_for_the_structured_family(perturbed_mesh):
+    for level in range(4):
+        assert build_uniform_mesh(level).is_uniform
+    assert not perturbed_mesh.is_uniform
+    base = build_uniform_mesh(2)
+    mislabelled = Mesh(
+        vertices=base.vertices,
+        cells=base.cells,
+        boundary_vertex_flags=base.boundary_vertex_flags,
+        level=3,
+        cell_diameters=base.cell_diameters,
+    )
+    assert not mislabelled.is_uniform
 
 
 def test_mesh_export_format():
