@@ -206,8 +206,7 @@ def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
     x0 = np.asarray(x0, dtype=float)
 
     def evaluate(points):
-        r = np.linalg.norm(points - x0, axis=1)
-        return np.log(1.0 / r)
+        return -np.log(np.hypot(points[:, 0] - x0[0], points[:, 1] - x0[1]))
 
     return ScalarField(evaluate, name="log-reciprocal")
 
@@ -391,7 +390,8 @@ def _generation_grid(level: int):
 
 def generation_oscillation_means(w: ScalarField, level: int, tol=DEFAULT_OSC_TOL):
     """For every generation-`level` dyadic square Q: (average of w on Q,
-    average of |w - w_Q| on Q)."""
+    average of |w - w_Q| on Q), by per-square quadrature.  The reference
+    that dyadic_oscillations is tested against."""
     los, size = _generation_grid(level)
     means = quadrature.square_means_batch(lambda p, i: w.evaluate(p), los, size, tol)
 
@@ -400,6 +400,20 @@ def generation_oscillation_means(w: ScalarField, level: int, tol=DEFAULT_OSC_TOL
 
     oscs = quadrature.square_means_batch(osc, los, size, tol)
     return means, oscs
+
+
+def dyadic_oscillations(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL):
+    """For every dyadic generation j = 0..depth: the averages of w on each
+    generation-j square Q, the averages of |w - w_Q| on Q (both indexed
+    ix + iy * 2^j), and the number of generation-j squares the pyramid
+    handed to the per-square rule (both passes together)."""
+    means, fb_means = quadrature.dyadic_means(w.evaluate, depth, tol)
+
+    def oscillation(values, ids, j):
+        return np.abs(values - means[j][ids])
+
+    oscs, fb_oscs = quadrature.dyadic_means(w.evaluate, depth, tol, oscillation)
+    return means, oscs, [a + b for a, b in zip(fb_means, fb_oscs)]
 
 
 def generation_abs_means(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> np.ndarray:
@@ -411,16 +425,26 @@ def generation_abs_means(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> 
     )
 
 
+def abs_means_pyramid(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> list[np.ndarray]:
+    """Averages of |w| over the dyadic squares of generations 0..level,
+    listed by generation: square quadrature on generation `level`
+    (generation_abs_means), then each coarser square as the exact mean of
+    its four children."""
+    means = [generation_abs_means(w, level, tol)]
+    for j in range(level, 0, -1):
+        half = 2 ** (j - 1)
+        children = means[0].reshape(half, 2, half, 2)
+        means.insert(0, children.mean(axis=(1, 3)).ravel())
+    return means
+
+
 def bmo_seminorm_estimate(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL) -> float:
     """Max mean oscillation over all dyadic squares of generations
     0..depth; a lower bound for the BMO seminorm, nondecreasing in depth."""
     if not (1 <= depth <= MAX_BMO_DEPTH):
         raise ValueError(f"depth must be in [1, {MAX_BMO_DEPTH}], got {depth}")
-    best = 0.0
-    for j in range(depth + 1):
-        _, oscs = generation_oscillation_means(w, j, tol)
-        best = max(best, float(oscs.max()))
-    return best
+    _, oscs, _ = dyadic_oscillations(w, depth, tol)
+    return max(float(o.max()) for o in oscs)
 
 
 def john_nirenberg_check(
@@ -429,27 +453,34 @@ def john_nirenberg_check(
     """Fraction of the square where |w - w_Q| exceeds each lambda.
 
     Estimated by sampling w at the centers of a 2^depth x 2^depth grid on
-    the square.  Non-finite samples are skipped; more than 0.1% skipped is
-    an error.  The result is monotone nonincreasing in lambda.
+    the square, in row strips of at most quadrature.STRIP_POINTS points.
+    Non-finite samples are skipped; more than 0.1% skipped is an error.
+    The result is monotone nonincreasing in lambda.
     """
     if not (1 <= depth <= 12):
         raise ValueError(f"depth must be in [1, 12], got {depth}")
+    lambdas = [float(lam) for lam in lambdas]
+    if any(lam <= 0 for lam in lambdas):
+        raise ValueError("lambdas must be positive")
     w_q = square_average(w, square)
     n = 2**depth
     t = (np.arange(n) + 0.5) * (square.size / n)
-    xx, yy = np.meshgrid(square.lo[0] + t, square.lo[1] + t, indexing="xy")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    vals = np.asarray(w.evaluate(pts), dtype=float)
-    finite = np.isfinite(vals)
-    skipped = vals.size - int(finite.sum())
-    if skipped > 1e-3 * vals.size:
+    xs = square.lo[0] + t
+    ys = square.lo[1] + t
+    rows = max(1, quadrature.STRIP_POINTS // n)
+    exceed = [0] * len(lambdas)
+    finite_count = 0
+    for r0 in range(0, n, rows):
+        y = ys[r0 : r0 + rows]
+        pts = np.column_stack([np.tile(xs, y.size), np.repeat(y, n)])
+        vals = np.asarray(w.evaluate(pts), dtype=float)
+        dev = np.abs(vals[np.isfinite(vals)] - w_q)
+        finite_count += dev.size
+        for i, lam in enumerate(lambdas):
+            exceed[i] += int(np.count_nonzero(dev > lam))
+    skipped = n * n - finite_count
+    if skipped > 1e-3 * n * n:
         raise SingularityError(
-            f"{skipped} of {vals.size} sample points were non-finite", point=None
+            f"{skipped} of {n * n} sample points were non-finite", point=None
         )
-    dev = np.abs(vals[finite] - w_q)
-    out = []
-    for lam in lambdas:
-        if lam <= 0:
-            raise ValueError("lambdas must be positive")
-        out.append((float(lam), float(np.mean(dev > lam))))
-    return out
+    return [(lam, c / finite_count) for lam, c in zip(lambdas, exceed)]

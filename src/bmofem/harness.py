@@ -520,19 +520,20 @@ def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
     return StudyReport(rows=tuple(rows), metadata=meta)
 
 
-def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL):
+def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
     """Verify mesh_maximal <= 2 * dyadic_maximal + tol on a 17x17 grid.
 
     The constant 2 is the measure ratio between a cell and its containing
     grid square, which for this mesh family is itself a dyadic square, so
-    the dyadic family at depth = level always contains it.  Returns
-    (violations, worst_margin).
+    the dyadic family at depth = level always contains it.  gen_means[j]
+    holds the |w| averages of the generation-j squares for j = 0..level (or
+    deeper), as coeff.abs_means_pyramid builds them; by default that
+    pyramid is built for this level.  Returns (violations, worst_margin).
     """
     mesh = build_uniform_mesh(level)
     cell_means = coeff_mod.cell_abs_means(w, mesh)
-    gen_means = {
-        j: coeff_mod.generation_abs_means(w, j) for j in range(level + 1)
-    }
+    if gen_means is None:
+        gen_means = coeff_mod.abs_means_pyramid(w, level)
     grid = np.linspace(0.0, 1.0, MAXIMAL_GRID)
     violations = 0
     worst = -np.inf
@@ -558,20 +559,18 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     cfg = cfg.validate()
     A = coefficient_fixture(cfg)
     w = diagnostic_scalar(cfg)
-    osc_max_per_gen = []
-    for j in range(BMO_DIAG_DEPTH + 1):
-        _, oscs = coeff_mod.generation_oscillation_means(w, j)
-        osc_max_per_gen.append(float(oscs.max()))
-    seminorm_by_depth = [float(v) for v in np.maximum.accumulate(osc_max_per_gen)]
+    _, oscs, fallbacks = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
+    seminorm_by_depth = [float(v) for v in np.maximum.accumulate([o.max() for o in oscs])]
     jn_table = coeff_mod.john_nirenberg_check(
         w, coeff_mod.DyadicSquare(0, 0, 0), JN_LAMBDAS, JN_DEPTH
     )
+    abs_means = coeff_mod.abs_means_pyramid(w, cfg.levels[-1])
     rows = []
     lemma = []
     for level in cfg.levels:
         mesh = build_uniform_mesh(level)
         A_h = coeff_mod.project_coefficient(A, mesh, cfg.projection_tol)
-        violations, worst = maximal_bound_check(w, level)
+        violations, worst = maximal_bound_check(w, level, gen_means=abs_means)
         lemma.append({"level": level, "violations": violations, "worst_margin": worst})
         rows.append(
             ReportRow(
@@ -587,6 +586,7 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
         "seminorm_by_depth": seminorm_by_depth,
         "john_nirenberg": [list(t) for t in jn_table],
         "maximal_bound": lemma,
+        "dyadic_fallbacks": fallbacks,
     }
     return StudyReport(rows=tuple(rows), metadata=meta)
 

@@ -15,6 +15,13 @@ All integration in the package goes through a small number of entry points:
   doubling the grid until the Richardson extrapolations of successive
   grid pairs agree, and returning the last extrapolation.
 
+* ``dyadic_means`` averages a scalar over every dyadic square of
+  generations 0..depth at once.  It samples the field once on each global
+  midpoint grid 2^g x 2^g, in bounded row strips, and block sums give each
+  square the 16/32/64-per-side grid means ``square_means_batch`` would
+  compute; only squares that do not settle on those three grids go to
+  ``square_means_batch``.
+
 Midpoint nodes are strictly interior to their subcells, so fields with an
 integrable singularity at a mesh vertex are only evaluated at finite
 points.  Any non-finite evaluation raises SingularityError.
@@ -35,6 +42,12 @@ MIN_SQUARE_GRID = 16
 MAX_SQUARE_GRID = 1024
 STALL_RATIO = 0.45
 ADAPTIVE_NODE_CAP = 200_000
+STRIP_POINTS = 1 << 18
+# the shared ladder's grids are 16, 32 and 64 = MIN_SQUARE_GRID * 2^k per
+# square side, k < _RUNGS; one row of the finest grid must fit a strip
+_RUNG0 = MIN_SQUARE_GRID.bit_length() - 1
+_RUNGS = 3
+MAX_LADDER_DEPTH = STRIP_POINTS.bit_length() - 1 - (_RUNG0 + _RUNGS - 1)
 _CHUNK = 1 << 21
 
 
@@ -364,3 +377,90 @@ def square_mean(f, lo, size, tol=1e-8):
     """Mean of scalar f(points (N,2)) -> (N,) over one square."""
     lo = np.asarray(lo, dtype=float)
     return float(square_means_batch(lambda p, i: f(p), lo[None, :], size, tol)[0])
+
+
+def _ladder_strips(f, g):
+    """Samples of f on the global midpoint grid 2^g x 2^g of the unit
+    square, in row strips of at most STRIP_POINTS points: yields (first row,
+    points, values with shape (rows, 2^g))."""
+    n = 2**g
+    t = (np.arange(n) + 0.5) / n
+    rows = min(n, STRIP_POINTS // n)
+    for r0 in range(0, n, rows):
+        y = t[r0 : r0 + rows]
+        pts = np.column_stack([np.tile(t, y.size), np.repeat(y, n)])
+        values = np.asarray(f(pts), dtype=float)
+        _check_finite(values, pts)
+        yield r0, pts, values.reshape(y.size, n)
+
+
+def _raw_samples(values, square_ids, j):
+    return values
+
+
+def dyadic_means(f, depth, tol, transform=None):
+    """Means over every dyadic square of generations 0..depth.
+
+    f(points (N,2)) -> (N,) is sampled once on each global midpoint grid
+    2^g x 2^g, g = 4..depth+6.  A generation-j square holds a 2^(g-j)-point
+    per side block of grid g, so block sums give it the 16, 32 and 64 per
+    side grid means of ``square_means_batch`` on the same nodes.  A square
+    settles by that function's first test: equal 16 and 32 means, or
+    Richardson extrapolations agreeing within tol * max(1, |mean|).  The
+    rest go to ``square_means_batch``, which redoes them from its first
+    grid.
+
+    transform(values, square_ids, j), if given, maps the samples of f in
+    generation-j squares (square_ids: ix + iy * 2^j, same shape as values)
+    to the integrand of that generation; the raw samples are reused for
+    every generation they serve.
+
+    Returns (means, fallbacks): means[j] is indexed ix + iy * 2^j, and
+    fallbacks[j] counts the generation-j squares finished by
+    ``square_means_batch``.
+    """
+    if not (0 <= depth <= MAX_LADDER_DEPTH):
+        raise ValueError(f"depth must be in [0, {MAX_LADDER_DEPTH}], got {depth}")
+    transform = transform or _raw_samples
+    # sums[j][k]: sums over the (16 * 2^k)^2 ladder nodes of each generation-j square
+    sums = [np.zeros((_RUNGS, 2**j, 2**j)) for j in range(depth + 1)]
+    for g in range(_RUNG0, depth + _RUNG0 + _RUNGS):
+        n = 2**g
+        gens = range(max(0, g - _RUNG0 - _RUNGS + 1), min(depth, g - _RUNG0) + 1)
+        for r0, pts, values in _ladder_strips(f, g):
+            rows = values.shape[0]
+            for j in gens:
+                b = 2 ** (g - j)  # nodes per square side
+                ids = (r0 + np.arange(rows))[:, None] // b * 2**j + np.arange(n) // b
+                vals = np.asarray(transform(values, ids, j), dtype=float)
+                _check_finite(vals.ravel(), pts)
+                per_row = vals.reshape(rows, 2**j, b).sum(axis=2)
+                # a strip holds whole squares, or lies inside one row of them
+                k = min(rows, b)
+                first = r0 // b
+                sums[j][g - j - _RUNG0, first : first + rows // k] += (
+                    per_row.reshape(rows // k, k, 2**j).sum(axis=1)
+                )
+    means = []
+    fallbacks = []
+    for j in range(depth + 1):
+        m16, m32, m64 = (sums[j][k].ravel() / 4.0 ** (k + _RUNG0) for k in range(_RUNGS))
+        exact = m32 == m16
+        e32 = (4.0 * m32 - m16) / 3.0
+        e64 = (4.0 * m64 - m32) / 3.0
+        done = (m64 == m32) | (np.abs(e64 - e32) <= tol * np.maximum(1.0, np.abs(e64)))
+        out = np.where(exact, m32, e64)
+        rest = np.flatnonzero(~exact & ~done)
+        if rest.size:
+            n = 2**j
+            los = np.column_stack([rest % n, rest // n]) * (1.0 / n)
+            out[rest] = square_means_batch(
+                lambda p, ids, j=j: transform(np.asarray(f(p), dtype=float), ids, j),
+                los,
+                1.0 / n,
+                tol,
+                square_ids=rest,
+            )
+        means.append(out)
+        fallbacks.append(int(rest.size))
+    return means, fallbacks

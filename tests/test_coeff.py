@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmofem import coeff as C
+from bmofem import quadrature as Q
 from bmofem.errors import InvariantError, SingularityError
 from bmofem.mesh import build_uniform_mesh
 
@@ -318,8 +319,8 @@ def test_bmo_constant_zero():
 def test_bmo_half_indicator():
     # w_Q = 1/2 on the unit square and |w - 1/2| = 1/2 everywhere
     w = C.ScalarField(lambda p: (p[:, 0] < 0.5).astype(float), "half")
-    est = C.bmo_seminorm_estimate(w, 1)
-    assert est == pytest.approx(0.5, abs=1e-12)
+    # every sum on the shared ladder is exact for 0/1 data
+    assert C.bmo_seminorm_estimate(w, 1) == 0.5
 
 
 def test_bmo_log_matches_closed_form_and_saturates():
@@ -338,6 +339,130 @@ def test_bmo_monotone_in_depth():
     )
     estimates = [C.bmo_seminorm_estimate(w, d) for d in (1, 2, 3, 4)]
     assert all(b >= a - 1e-15 for a, b in zip(estimates, estimates[1:]))
+
+
+class RecordingField:
+    """Scalar field that records the size of every evaluate batch."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.batches = []
+
+    def evaluate(self, points):
+        self.batches.append(points.shape[0])
+        return self.fn(points)
+
+
+def _wave(p):
+    return np.sin(3.0 * p[:, 0]) + np.cos(2.0 * p[:, 1])
+
+
+PYRAMID_FIELDS = {
+    "log": C.log_reciprocal_scalar(),
+    "half": C.ScalarField(lambda p: (p[:, 0] < 0.5).astype(float), "half"),
+    "checkerboard": C.coefficient_entry(C.checkerboard_coefficient(5.0)),
+    "wave": C.ScalarField(_wave, "wave"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PYRAMID_FIELDS))
+def test_dyadic_oscillations_match_per_square_quadrature(name):
+    w = PYRAMID_FIELDS[name]
+    tol = C.DEFAULT_OSC_TOL
+    ref_means, ref_oscs = zip(*(C.generation_oscillation_means(w, j, tol) for j in range(5)))
+    for depth in range(5):
+        means, oscs, fallbacks = C.dyadic_oscillations(w, depth, tol)
+        assert len(means) == len(oscs) == len(fallbacks) == depth + 1
+        for j in range(depth + 1):
+            for got, want in ((means[j], ref_means[j]), (oscs[j], ref_oscs[j])):
+                assert got.shape == want.shape == (4**j,)
+                assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+def test_dyadic_oscillations_fall_back_only_where_squares_do_not_settle():
+    # log(1/|x|) leaves the pyramid only at the singular corner and where
+    # |w - w_Q| has a kink; the half indicator never leaves it
+    _, _, fallbacks = C.dyadic_oscillations(PYRAMID_FIELDS["log"], 3)
+    assert 1 <= sum(fallbacks) < sum(4**j for j in range(4))
+    _, _, fallbacks = C.dyadic_oscillations(PYRAMID_FIELDS["half"], 3)
+    assert fallbacks == [0, 0, 0, 0]
+
+
+def _fine_grid_abs_mean(w, lo, size, n=4096):
+    """|w| averaged on an n x n midpoint grid, in strips."""
+    t = (np.arange(n) + 0.5) * (size / n)
+    total = 0.0
+    for r0 in range(0, n, 256):
+        y = lo[1] + t[r0 : r0 + 256]
+        pts = np.column_stack([np.tile(lo[0] + t, y.size), np.repeat(y, n)])
+        total += np.abs(w.evaluate(pts)).sum()
+    return total / (n * n)
+
+
+@pytest.mark.parametrize("name", ["log", "checkerboard", "smooth"])
+def test_abs_means_pyramid_matches_direct_quadrature(name):
+    w = {
+        "log": C.log_reciprocal_scalar(),
+        "checkerboard": C.coefficient_entry(C.checkerboard_coefficient(5.0)),
+        "smooth": C.coefficient_entry(C.smooth_coefficient()),
+    }[name]
+    tol = C.DEFAULT_SQUARE_TOL
+    pyramid = C.abs_means_pyramid(w, 4, tol)
+    assert len(pyramid) == 5
+    # the finest generation is square quadrature itself
+    assert np.array_equal(pyramid[4], C.generation_abs_means(w, 4, tol))
+    disputed = 0
+    for j, got in enumerate(pyramid):
+        want = C.generation_abs_means(w, j, tol)
+        bound = 2.0 * tol * np.maximum(1.0, np.abs(want))
+        for k in np.flatnonzero(np.abs(got - want) > bound):
+            # The direct rule can miss its tolerance where |w| has a kink
+            # (|log r| at r = 1); there the pyramid must match a 4096^2
+            # midpoint mean, itself within 1e-9 of the exact value.
+            disputed += 1
+            n = 2**j
+            lo = np.array([k % n, k // n]) / n
+            fine = _fine_grid_abs_mean(w, lo, 1.0 / n)
+            assert abs(got[k] - fine) <= tol * max(1.0, abs(fine))
+    assert disputed <= 2
+
+
+def test_dyadic_means_evaluates_each_grid_once_in_bounded_strips():
+    rec = RecordingField(_wave)
+    means, fallbacks = Q.dyadic_means(rec.evaluate, 6, C.DEFAULT_OSC_TOL)
+    assert fallbacks == [0] * 7
+    assert max(rec.batches) <= Q.STRIP_POINTS
+    assert sum(rec.batches) == sum(4**g for g in range(4, 13))
+    assert means[0][0] == pytest.approx(
+        (1.0 - math.cos(3.0)) / 3.0 + math.sin(2.0) / 2.0, abs=C.DEFAULT_OSC_TOL
+    )
+
+
+def test_dyadic_means_do_not_depend_on_the_strip_size(monkeypatch):
+    w = PYRAMID_FIELDS["log"]
+    means, oscs, fallbacks = C.dyadic_oscillations(w, 3)
+    # 2^10-point strips: from 64 rows down to 2 rows, inside one square
+    monkeypatch.setattr(Q, "STRIP_POINTS", 1 << 10)
+    s_means, s_oscs, s_fallbacks = C.dyadic_oscillations(w, 3)
+    assert s_fallbacks == fallbacks
+    for got, want in zip(s_means + s_oscs, means + oscs):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_dyadic_oscillations_name_a_singular_ladder_node():
+    # non-finite at (1/32, 1/32), the first node of the 16 x 16 grid
+    c = 1.0 / 32.0
+    w = C.ScalarField(lambda p: np.log(np.hypot(p[:, 0] - c, p[:, 1] - c)), "shifted-log")
+    with pytest.raises(SingularityError) as info, np.errstate(divide="ignore"):
+        C.dyadic_oscillations(w, 2)
+    assert info.value.point == (c, c)
+
+
+def test_dyadic_means_depth_range():
+    with pytest.raises(ValueError):
+        Q.dyadic_means(_wave, -1, 1e-5)
+    with pytest.raises(ValueError):
+        Q.dyadic_means(_wave, Q.MAX_LADDER_DEPTH + 1, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -426,3 +551,41 @@ def test_sampled_rejects_bad_header(tmp_path):
     p.write_text("# alpha=1.0\nx,y,a11,a22\n")
     with pytest.raises(InvariantError, match="header"):
         C.load_sampled_coefficient(p)
+
+
+def _jn_all_at_once(w, square, lambdas, depth):
+    """Reference: every sample point evaluated in one batch."""
+    w_q = C.square_average(w, square)
+    n = 2**depth
+    t = (np.arange(n) + 0.5) * (square.size / n)
+    xx, yy = np.meshgrid(square.lo[0] + t, square.lo[1] + t, indexing="xy")
+    vals = np.asarray(w.evaluate(np.column_stack([xx.ravel(), yy.ravel()])))
+    dev = np.abs(vals[np.isfinite(vals)] - w_q)
+    return [(float(lam), float(np.mean(dev > lam))) for lam in lambdas]
+
+
+@pytest.mark.parametrize(
+    "w, square",
+    [
+        (C.log_reciprocal_scalar(), C.DyadicSquare(0, 0, 0)),
+        (C.log_reciprocal_scalar((0.5, 0.5)), C.DyadicSquare(1, 1, 0)),
+        (C.ScalarField(_wave, "wave"), C.DyadicSquare(2, 1, 3)),
+        # one column of 1024 is non-finite and skipped
+        (C.ScalarField(lambda p: np.where(p[:, 0] < 1e-3, np.nan, _wave(p)), "holed"),
+         C.DyadicSquare(0, 0, 0)),
+    ],
+)
+def test_jn_strips_match_all_at_once_table(w, square):
+    lambdas = [0.05, 1.0, 2.0, 3.0, 4.0]
+    table = C.john_nirenberg_check(w, square, lambdas, 10)
+    assert table == _jn_all_at_once(w, square, lambdas, 10)
+
+
+def test_jn_depth_12_samples_in_bounded_strips():
+    rec = RecordingField(lambda p: p[:, 0] + p[:, 1])
+    w = C.ScalarField(rec.evaluate, "x+y")
+    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.5], 12)
+    assert max(rec.batches) <= Q.STRIP_POINTS
+    assert sum(rec.batches) >= 4**12
+    # |x + y - 1| > 1/2 on two corner triangles of total area 1/4
+    assert table[0][1] == pytest.approx(0.25, abs=1e-3)

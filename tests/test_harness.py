@@ -297,6 +297,16 @@ def test_bmo_diagnostics_study_constant_scalar():
     assert report.metadata["maximal_bound"][0]["violations"] == 0
     jn = report.metadata["john_nirenberg"]
     assert all(frac == 0.0 for _, frac in jn)
+    # a constant settles on the shared ladder in every generation
+    assert report.metadata["dyadic_fallbacks"] == [0] * (X.BMO_DIAG_DEPTH + 1)
+
+
+def test_maximal_bound_check_accepts_a_deeper_pyramid():
+    w = C.log_reciprocal_scalar()
+    own = X.maximal_bound_check(w, 2)
+    shared = X.maximal_bound_check(w, 2, gen_means=C.abs_means_pyramid(w, 4))
+    assert shared[0] == own[0] == 0
+    assert shared[1] == pytest.approx(own[1], abs=2 * X.MAXIMAL_BOUND_TOL)
 
 
 def test_study_csv_bytes_reproducible(tmp_path):
