@@ -266,32 +266,37 @@ def coercivity_of_projection(A_h: PiecewiseConstantMatrixField) -> float:
     return float(np.min(_min_eigenvalues(v)))
 
 
+def lp_misfit(f, consts: np.ndarray, mesh: Mesh, p: float, rel_tol: float) -> float:
+    """||f - c||_{L^p} for a callable field f against cell constants c.
+
+    f(points (N, 2)) returns scalar, vector or matrix values, and consts
+    holds one value of the same shape per cell; the pointwise norm is
+    Euclidean over the value axes.  Quadrature tolerance is relative to the
+    global scale of the misfit, so cells where f is nearly constant do not
+    force needless refinement.
+    """
+    verts = mesh.cell_coordinates()
+
+    def integrand(pts, ids):
+        d = np.asarray(f(pts), dtype=float) - consts[ids]
+        d *= d  # in place: one chunk-sized temporary fewer at the peak
+        return np.sqrt(np.sum(d, axis=tuple(range(1, d.ndim)))) ** p
+
+    floor = quadrature.global_scale_floor(integrand, verts)
+    means = quadrature.triangle_means(integrand, verts, rel_tol, abs_floor=floor)
+    return float(np.sum(np.abs(cell_areas(mesh)) * means) ** (1.0 / p))
+
+
 def coefficient_error(
     A: CoefficientField,
     A_h: PiecewiseConstantMatrixField,
     r: float,
     rel_tol: float = 1e-4,
 ) -> float:
-    """Entrywise-Frobenius L^r norm of A - A_h.
-
-    r must lie in [1.1, 10].  Quadrature tolerance is relative to the
-    global error scale, so cells where the projection is nearly exact do
-    not force needless refinement.
-    """
+    """Entrywise-Frobenius L^r norm of A - A_h; r must lie in [1.1, 10]."""
     if not (1.1 <= r <= 10.0):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
-    mesh = A_h.mesh
-    verts = mesh.cell_coordinates()
-    consts = A_h.values
-
-    def integrand(pts, ids):
-        d = A.evaluate(pts) - consts[ids]
-        return np.sqrt(np.sum(d * d, axis=(1, 2))) ** r
-
-    floor = quadrature.global_scale_floor(integrand, verts)
-    means = quadrature.triangle_means(integrand, verts, rel_tol, abs_floor=floor)
-    areas = np.abs(cell_areas(mesh))
-    return float(np.sum(areas * means) ** (1.0 / r))
+    return lp_misfit(A.evaluate, A_h.values, A_h.mesh, r, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +311,33 @@ def _point_in_domain(x):
 
 
 def cells_containing(mesh: Mesh, x) -> list[int]:
-    """Indices of all (closed) cells containing x, via barycentric tests on
-    the grid squares around x."""
+    """Indices of all (closed) cells of the structured mesh containing x.
+
+    Grid square (i, j) holds the lower cell 2 (j 2^level + i) and the upper
+    cell after it; with local coordinates (xi, eta) in [0, 1]^2 the lower
+    cell is xi >= eta and the upper one eta >= xi, both up to 1e-12.
+    Raises InvariantError for a mesh that is not build_uniform_mesh(level).
+    """
     x = _point_in_domain(x)
+    if not mesh.is_uniform:
+        raise InvariantError(
+            f"cells_containing needs the structured mesh; "
+            f"this level-{mesh.level} mesh is not build_uniform_mesh({mesh.level})"
+        )
     n = 2**mesh.level
-    h = 1.0 / n
-    gx, gy = x / h
-    cand_i = {int(math.floor(gx)), int(math.ceil(gx)) - 1}
-    cand_j = {int(math.floor(gy)), int(math.ceil(gy)) - 1}
+    gx, gy = x * n
     out = []
-    coords = mesh.vertices
-    for i in cand_i:
-        for j in cand_j:
+    for i in {math.floor(gx), math.ceil(gx) - 1}:
+        for j in {math.floor(gy), math.ceil(gy) - 1}:
             if not (0 <= i < n and 0 <= j < n):
                 continue
-            for cell in (2 * (j * n + i), 2 * (j * n + i) + 1):
-                tri = coords[mesh.cells[cell]]
-                d = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-                ab = np.linalg.solve(d, x - tri[0])
-                if ab[0] >= -1e-12 and ab[1] >= -1e-12 and ab.sum() <= 1 + 1e-12:
-                    out.append(cell)
-    return sorted(set(out))
+            xi, eta = gx - i, gy - j
+            cell = 2 * (j * n + i)
+            if xi >= eta - 1e-12:
+                out.append(cell)
+            if eta >= xi - 1e-12:
+                out.append(cell + 1)
+    return sorted(out)
 
 
 def cell_abs_means(w: ScalarField, mesh: Mesh, cells=None, rel_tol=1e-6) -> np.ndarray:

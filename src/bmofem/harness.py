@@ -17,15 +17,15 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 from typing import Callable
 
 import numpy as np
 
 from . import coeff as coeff_mod
-from . import fem, hodge, quadrature
+from . import fem, hodge
 from .errors import ConfigError, LineageError
-from .mesh import MAX_LEVEL, Mesh, build_uniform_mesh, cell_areas
+from .mesh import MAX_LEVEL, Mesh, build_uniform_mesh
 from .fem import P1Function, PCVectorField
 
 CSV_HEADER = (
@@ -147,21 +147,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "kind": cfg.kind,
-        "coeff": cfg.coeff,
-        "beta": cfg.beta,
-        "kappa": cfg.kappa,
-        "coeff_csv": cfg.coeff_csv,
-        "rhs": cfg.rhs,
-        "p": cfg.p,
-        "p_hat": cfg.p_hat,
-        "levels": list(cfg.levels),
-        "seed": cfg.seed,
-        "solver_tol": cfg.solver_tol,
-        "projection_tol": cfg.projection_tol,
-        "out": cfg.out,
-    }
+    return dict(asdict(cfg), levels=list(cfg.levels))
 
 
 def config_echo(cfg: ExperimentConfig) -> str:
@@ -304,34 +290,12 @@ def prolong(u: P1Function, fine: Mesh) -> P1Function:
 
 def data_oscillation(f, f_h: PCVectorField, p: float, rel_tol=1e-4) -> float:
     """||f - f_h||_{L^p} for a callable f against its cell averages."""
-    mesh = f_h.mesh
-    verts = mesh.cell_coordinates()
-    consts = f_h.values
-
-    def integrand(pts, ids):
-        d = np.asarray(f(pts), dtype=float) - consts[ids]
-        return np.linalg.norm(d, axis=1) ** p
-
-    floor = quadrature.global_scale_floor(integrand, verts)
-    means = quadrature.triangle_means(integrand, verts, rel_tol, abs_floor=floor)
-    areas = np.abs(cell_areas(mesh))
-    return float(np.sum(areas * means) ** (1.0 / p))
+    return coeff_mod.lp_misfit(f, f_h.values, f_h.mesh, p, rel_tol)
 
 
 def gradient_error_against(grad_exact, u: P1Function, p: float, rel_tol=1e-4) -> float:
     """||grad_exact - grad u||_{L^p} with grad_exact a callable field."""
-    mesh = u.mesh
-    gu = fem.gradient(u).values
-    verts = mesh.cell_coordinates()
-
-    def integrand(pts, ids):
-        d = np.asarray(grad_exact(pts), dtype=float) - gu[ids]
-        return np.linalg.norm(d, axis=1) ** p
-
-    floor = quadrature.global_scale_floor(integrand, verts)
-    means = quadrature.triangle_means(integrand, verts, rel_tol, abs_floor=floor)
-    areas = np.abs(cell_areas(mesh))
-    return float(np.sum(areas * means) ** (1.0 / p))
+    return coeff_mod.lp_misfit(grad_exact, fem.gradient(u).values, u.mesh, p, rel_tol)
 
 
 def _solve_level(cfg: ExperimentConfig, A, f, level: int):

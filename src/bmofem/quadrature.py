@@ -1,26 +1,29 @@
 """Composite midpoint quadrature with adaptive refinement.
 
-All integration in the package goes through a small number of entry points:
+Every mean in the package settles by one rule (``_refine``).  Composite
+midpoint means are taken at successive levels, each with four times the
+nodes of the last.  A mean is done when two successive levels agree
+exactly, or when the Richardson extrapolations (4 I_l - I_{l-1}) / 3 of
+two successive level pairs agree within tol * max(|extrapolation|, floor).
+A mean whose extrapolations stop contracting by STALL_RATIO twice in a row
+stalls.  Stalled means, and those still unsettled at the last level, are
+finished by a worst-first locally adaptive rule.  The entry points differ
+only in their levels:
 
-* ``triangle_means`` computes cell averages over batches of triangles by
-  uniform composite midpoint quadrature on 4^m congruent subtriangles,
-  increasing m until two successive levels agree to the requested
-  tolerance.  Cells that are still contracting at the uniform cap keep
-  doubling a few extra levels; stalled cells (point singularities,
-  interfaces not aligned with the subdivision) fall back to a worst-first
-  locally adaptive rule.
+* ``triangle_means``: cell averages over batches of triangles on 4^m
+  congruent subtriangles, m = 0..EXTENDED_CAP, floor given by the caller;
+  stalls count only above UNIFORM_CAP, so cells that still contract there
+  keep doubling a few extra levels.
 
-* ``square_mean`` / ``square_means_batch`` average scalars over axis
-  aligned squares with tensor midpoint grids of at least 16x16 points,
-  doubling the grid until the Richardson extrapolations of successive
-  grid pairs agree, and returning the last extrapolation.
+* ``square_mean`` / ``square_means_batch``: averages of scalars over axis
+  aligned squares on tensor midpoint grids of 16..MAX_SQUARE_GRID points
+  per side, floor 1.
 
-* ``dyadic_means`` averages a scalar over every dyadic square of
+* ``dyadic_means``: averages of a scalar over every dyadic square of
   generations 0..depth at once.  It samples the field once on each global
   midpoint grid 2^g x 2^g, in bounded row strips, and block sums give each
-  square the 16/32/64-per-side grid means ``square_means_batch`` would
-  compute; only squares that do not settle on those three grids go to
-  ``square_means_batch``.
+  square its 16/32/64-per-side grid means; the rule runs on those three
+  levels, and only squares it leaves in rest go to ``square_means_batch``.
 
 Midpoint nodes are strictly interior to their subcells, so fields with an
 integrable singularity at a mesh vertex are only evaluated at finite
@@ -115,83 +118,81 @@ def _uniform_tri_means(f, verts, cell_ids, m):
     return np.concatenate(chunks, axis=0)
 
 
-def triangle_means(
-    f,
-    verts,
-    rel_tol,
-    cell_ids=None,
-    abs_floor=0.0,
-    uniform_cap=UNIFORM_CAP,
-):
+def _refine(means_at, count, levels, tol, floor, stall_after):
+    """Run the module's refinement rule over `levels` for `count` items.
+
+    means_at(level, idx) returns the means of items idx at that level, one
+    row per item, of any value shape; norms are Euclidean over the value
+    axes.  Exact agreement keeps the finer mean, the Richardson test the
+    later extrapolation.  Stalls count only at levels above stall_after.
+
+    Returns (means, rest): rest holds the items that stalled or were still
+    unsettled at the last level; their rows of means are left unset.
+    """
+    active = np.arange(count)
+    if count == 0:
+        return np.empty(0), active
+    means = None
+    prev = extrap_prev = d_prev = None
+    streak = np.zeros(count, dtype=int)
+    stalled = []
+    for level in levels:
+        cur = means_at(level, active)
+        if means is None:
+            means = np.empty((count,) + cur.shape[1:])
+        if prev is None:
+            prev = cur
+            continue
+        extrap = (4.0 * cur - prev) / 3.0
+        exact = np.all((cur == prev).reshape(active.size, -1), axis=1)
+        if extrap_prev is None:
+            d, done = None, exact
+        else:
+            d = _flat_norm(extrap - extrap_prev)
+            done = exact | (d <= tol * np.maximum(_flat_norm(extrap), max(floor, 1e-300)))
+        means[active[exact]] = cur[exact]
+        means[active[done & ~exact]] = extrap[done & ~exact]
+        keep = ~done
+        if level > stall_after and d_prev is not None:
+            bad = d > STALL_RATIO * d_prev
+            streak[active[bad]] += 1
+            streak[active[~bad]] = 0
+            stall = keep & (streak[active] >= 2)
+            stalled.append(active[stall])
+            keep &= ~stall
+        active = active[keep]
+        if active.size == 0:
+            break
+        prev = cur[keep]
+        extrap_prev = extrap[keep]
+        d_prev = None if d is None else d[keep]
+    return means, np.concatenate(stalled + [active])
+
+
+def triangle_means(f, verts, rel_tol, cell_ids=None, abs_floor=0.0):
     """Mean of f over each triangle, entrywise to tolerance rel_tol.
 
     f(points (N,2), cell_ids (N,)) -> (N, ...) values; the value shape may
     be scalar, vector or matrix.  verts has shape (ncells, 3, 2).
 
-    Uniform levels that agree exactly stop immediately (constants, affine
-    integrands, and fields resolved by the dyadic subdivision).  Otherwise
-    a cell is converged once the Richardson extrapolations of successive
-    level pairs agree within rel_tol * max(value norm, abs_floor); the
-    extrapolated value is returned.  Cells still unsettled past the
-    uniform cap either keep doubling (while contracting) or switch to the
-    locally adaptive rule.
+    Uniform levels m = 0..EXTENDED_CAP refine by the rule of ``_refine``
+    with floor abs_floor; stalls count only above UNIFORM_CAP, so cells
+    that still contract keep doubling.  Stalled and unsettled cells finish
+    with the locally adaptive rule.
     """
     verts = np.asarray(verts, dtype=float)
-    nc = verts.shape[0]
-    if cell_ids is None:
-        cell_ids = np.arange(nc)
-    cell_ids = np.asarray(cell_ids)
-    if nc == 0:
-        return np.empty(0)
-    result = None
-    active = np.arange(nc)
-    i_prev = None
-    e_prev = None
-    d_prev = None
-    bad_streak = np.zeros(nc, dtype=int)
-
-    def finish(idx_array):
-        for idx in idx_array:
-            result[idx] = _adaptive_tri_mean(
-                f, verts[idx], int(cell_ids[idx]), rel_tol, abs_floor
-            )
-
-    for m in range(EXTENDED_CAP + 1):
-        vals = _uniform_tri_means(f, verts[active], cell_ids[active], m)
-        if result is None:
-            result = np.empty((nc,) + vals.shape[1:], dtype=float)
-        if i_prev is None:
-            i_prev = vals
-            continue
-        exact = _flat_norm(vals - i_prev) == 0.0
-        extrap = (4.0 * vals - i_prev) / 3.0
-        if e_prev is not None:
-            d = _flat_norm(extrap - e_prev)
-            scale = np.maximum(_flat_norm(extrap), abs_floor)
-            done = exact | (d <= rel_tol * np.maximum(scale, 1e-300))
-        else:
-            d = None
-            done = exact
-        result[active[done]] = extrap[done]
-        if m > uniform_cap and d is not None and d_prev is not None:
-            # A cell whose extrapolations stop contracting twice in a row is
-            # not going to settle by doubling; hand it to the local rule.
-            bad = d > STALL_RATIO * d_prev
-            bad_streak[active[bad]] += 1
-            bad_streak[active[~bad]] = 0
-            stalled = ~done & (bad_streak[active] >= 2)
-            finish(active[stalled])
-            keep = ~done & ~stalled
-        else:
-            keep = ~done
-        active = active[keep]
-        if active.size == 0:
-            return result
-        i_prev = vals[keep]
-        e_prev = extrap[keep]
-        d_prev = d[keep] if d is not None else None
-    finish(active)
-    return result
+    cell_ids = np.arange(verts.shape[0]) if cell_ids is None else np.asarray(cell_ids)
+    means, rest = _refine(
+        lambda m, idx: _uniform_tri_means(f, verts[idx], cell_ids[idx], m),
+        verts.shape[0],
+        range(EXTENDED_CAP + 1),
+        rel_tol,
+        abs_floor,
+        stall_after=UNIFORM_CAP,
+    )
+    for i in rest:
+        means[i] = _adaptive_tri_mean(f, verts[i], int(cell_ids[i]), rel_tol, abs_floor)
+    return means
 
 
 def global_scale_floor(f, verts, cell_ids=None) -> float:
@@ -309,68 +310,33 @@ def _square_grid_means(f, los, size, n, square_ids):
 def square_means_batch(f, los, size, tol, square_ids=None):
     """Means of scalar f over a batch of equal-size axis-aligned squares.
 
-    f(points (N,2), square_ids (N,)) -> (N,).  Doubles the tensor midpoint
-    grid from 16 points per side and tracks the Richardson extrapolation of
-    successive grids; a square is done once consecutive extrapolations
-    agree within tol * max(1, |mean|).  Squares whose extrapolations are
-    not contracting at fourth order (kinked or singular integrands) switch
-    to the locally adaptive rule instead of refining globally.
+    f(points (N,2), square_ids (N,)) -> (N,).  Tensor midpoint grids of
+    16..MAX_SQUARE_GRID points per side refine by the rule of ``_refine``
+    with floor 1, stalls counting from the start; kinked or singular
+    integrands that stall or stay unsettled switch to the locally adaptive
+    rule instead of refining globally.
     """
     los = np.asarray(los, dtype=float).reshape(-1, 2)
-    k = los.shape[0]
-    if square_ids is None:
-        square_ids = np.arange(k)
-    square_ids = np.asarray(square_ids)
-    result = np.empty(k)
-
-    def run_adaptive(idx):
-        val = _adaptive_mean(
-            lambda pts, i=idx: f(pts, np.full(pts.shape[0], square_ids[i])),
-            ((float(los[idx, 0]), float(los[idx, 1])), float(size)),
+    square_ids = np.arange(los.shape[0]) if square_ids is None else np.asarray(square_ids)
+    grids = [MIN_SQUARE_GRID << k for k in range((MAX_SQUARE_GRID // MIN_SQUARE_GRID).bit_length())]
+    means, rest = _refine(
+        lambda n, idx: _square_grid_means(f, los[idx], size, n, square_ids[idx]),
+        los.shape[0],
+        grids,
+        tol,
+        1.0,
+        stall_after=0,
+    )
+    for i in rest:
+        means[i] = _adaptive_mean(
+            lambda pts, i=i: f(pts, np.full(pts.shape[0], square_ids[i])),
+            ((float(los[i, 0]), float(los[i, 1])), float(size)),
             _square_children,
             _square_center,
             tol,
             1.0,
         )
-        result[idx] = float(val)
-
-    n = MIN_SQUARE_GRID
-    prev = _square_grid_means(f, los, size, n, square_ids)
-    cur = _square_grid_means(f, los, size, 2 * n, square_ids)
-    exact = cur == prev  # integrand resolved exactly by the dyadic grid
-    result[exact] = cur[exact]
-    active = np.flatnonzero(~exact)
-    extrap_prev = ((4.0 * cur - prev) / 3.0)[~exact]
-    i_cur = cur[~exact]
-    d_prev = None
-    bad_streak = np.zeros(k, dtype=int)
-    n = 2 * n
-    while active.size:
-        if 2 * n > MAX_SQUARE_GRID:
-            for idx in active:
-                run_adaptive(idx)
-            return result
-        i_next = _square_grid_means(f, los[active], size, 2 * n, square_ids[active])
-        extrap = (4.0 * i_next - i_cur) / 3.0
-        d = np.abs(extrap - extrap_prev)
-        done = (i_next == i_cur) | (d <= tol * np.maximum(1.0, np.abs(extrap)))
-        result[active[done]] = extrap[done]
-        if d_prev is not None:
-            bad = d > STALL_RATIO * d_prev
-            bad_streak[active[bad]] += 1
-            bad_streak[active[~bad]] = 0
-            stalled = ~done & (bad_streak[active] >= 2)
-            for idx in active[stalled]:
-                run_adaptive(idx)
-            keep = ~done & ~stalled
-        else:
-            keep = ~done
-        d_prev = d[keep]
-        active = active[keep]
-        extrap_prev = extrap[keep]
-        i_cur = i_next[keep]
-        n *= 2
-    return result
+    return means
 
 
 def square_mean(f, lo, size, tol=1e-8):
@@ -404,11 +370,10 @@ def dyadic_means(f, depth, tol, transform=None):
     f(points (N,2)) -> (N,) is sampled once on each global midpoint grid
     2^g x 2^g, g = 4..depth+6.  A generation-j square holds a 2^(g-j)-point
     per side block of grid g, so block sums give it the 16, 32 and 64 per
-    side grid means of ``square_means_batch`` on the same nodes.  A square
-    settles by that function's first test: equal 16 and 32 means, or
-    Richardson extrapolations agreeing within tol * max(1, |mean|).  The
-    rest go to ``square_means_batch``, which redoes them from its first
-    grid.
+    side grid means of ``square_means_batch`` on the same nodes.  Those
+    three levels refine by the rule of ``_refine`` with floor 1; squares
+    that do not settle on them go to ``square_means_batch``, which redoes
+    them from its first grid.
 
     transform(values, square_ids, j), if given, maps the samples of f in
     generation-j squares (square_ids: ix + iy * 2^j, same shape as values)
@@ -444,13 +409,10 @@ def dyadic_means(f, depth, tol, transform=None):
     means = []
     fallbacks = []
     for j in range(depth + 1):
-        m16, m32, m64 = (sums[j][k].ravel() / 4.0 ** (k + _RUNG0) for k in range(_RUNGS))
-        exact = m32 == m16
-        e32 = (4.0 * m32 - m16) / 3.0
-        e64 = (4.0 * m64 - m32) / 3.0
-        done = (m64 == m32) | (np.abs(e64 - e32) <= tol * np.maximum(1.0, np.abs(e64)))
-        out = np.where(exact, m32, e64)
-        rest = np.flatnonzero(~exact & ~done)
+        ladder = [sums[j][k].ravel() / 4.0 ** (k + _RUNG0) for k in range(_RUNGS)]
+        out, rest = _refine(
+            lambda k, idx: ladder[k][idx], 4**j, range(_RUNGS), tol, 1.0, stall_after=0
+        )
         if rest.size:
             n = 2**j
             los = np.column_stack([rest % n, rest // n]) * (1.0 / n)

@@ -236,6 +236,51 @@ def test_coefficient_error_r_range(meshes):
 # maximal functions
 
 
+def _cells_containing_barycentric(mesh, x):
+    """The former cells_containing: a 2x2 barycentric solve per candidate
+    cell in the grid squares around x."""
+    x = np.asarray(x, dtype=float)
+    n = 2**mesh.level
+    h = 1.0 / n
+    gx, gy = x / h
+    cand_i = {int(math.floor(gx)), int(math.ceil(gx)) - 1}
+    cand_j = {int(math.floor(gy)), int(math.ceil(gy)) - 1}
+    out = []
+    for i in cand_i:
+        for j in cand_j:
+            if not (0 <= i < n and 0 <= j < n):
+                continue
+            for cell in (2 * (j * n + i), 2 * (j * n + i) + 1):
+                tri = mesh.vertices[mesh.cells[cell]]
+                d = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
+                ab = np.linalg.solve(d, x - tri[0])
+                if ab[0] >= -1e-12 and ab[1] >= -1e-12 and ab.sum() <= 1 + 1e-12:
+                    out.append(cell)
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_cells_containing_matches_barycentric_tests(meshes, level):
+    mesh = meshes[level]
+    tri = mesh.cell_coordinates()
+    edge_midpoints = 0.5 * (tri + np.roll(tri, 1, axis=1)).reshape(-1, 2)
+    points = np.vstack(
+        [
+            mesh.vertices,
+            np.unique(edge_midpoints, axis=0),
+            tri.mean(axis=1),
+            np.random.default_rng(level).random((200, 2)),
+        ]
+    )
+    for x in points:
+        assert C.cells_containing(mesh, x) == _cells_containing_barycentric(mesh, x), x
+
+
+def test_cells_containing_refuses_unstructured_meshes(perturbed_mesh):
+    with pytest.raises(InvariantError, match="level-1"):
+        C.cells_containing(perturbed_mesh, (0.3, 0.3))
+
+
 def test_mesh_maximal_constant(meshes):
     w = C.ScalarField(lambda p: np.full(p.shape[0], -3.0), "const")
     for x in [(0.3, 0.3), (0.5, 0.5), (1.0, 1.0)]:

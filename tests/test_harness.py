@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -61,8 +62,9 @@ def test_config_echo_roundtrip():
     cfg = X.config_from_dict(
         {"kind": "stability", "coeff": "log", "beta": 0.25, "levels": "2..3", "p": 2.1}
     )
-    echoed = X.config_from_dict(json.loads(X.config_echo(cfg)))
-    assert echoed == cfg
+    echo = json.loads(X.config_echo(cfg))
+    assert set(echo) == {f.name for f in dataclasses.fields(X.ExperimentConfig)}
+    assert X.config_from_dict(echo) == cfg
 
 
 # ---------------------------------------------------------------------------
