@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import InvariantError, SingularityError
-from .mesh import Mesh, cell_areas
+from .mesh import Mesh, cell_areas, triangle_areas
 
 PROJECTION_TOL_RANGE = (1e-12, 1e-4)
 DEFAULT_PROJECTION_TOL = 1e-6
@@ -32,12 +32,17 @@ class CoefficientField:
     evaluate maps points (N, 2) to matrices (N, 2, 2); alpha is the
     declared coercivity constant (a lower bound on the pointwise minimal
     eigenvalue).  No upper eigenvalue bound is assumed anywhere.
+
+    breaks = (xs, ys) are the fixture's breaklines: the lines x = xs[i] and
+    y = ys[j], sorted, off which the field is smooth.  Cell quantities are
+    integrated piecewise between them (see project_coefficient).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     alpha: float
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
+    breaks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,10 @@ def load_sampled_coefficient(path) -> CoefficientField:
     """Read a grid-sampled coefficient from CSV.
 
     Format: a comment line `# alpha=<value>`, a header `x,y,a11,a12,a22`,
-    then one row per sample on a uniform grid covering the unit square,
-    row-major.  Evaluation interpolates bilinearly between samples.
+    then one row per sample on a rectilinear grid (any sorted abscissae
+    times any sorted ordinates) covering the unit square, row-major.
+    Evaluation interpolates bilinearly between samples, so the interior
+    sample lines are the field's breaklines.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -198,7 +205,8 @@ def load_sampled_coefficient(path) -> CoefficientField:
         out[:, 1, 1] = v[:, 2]
         return out
 
-    return CoefficientField(evaluate, alpha, "sampled-grid", {"path": str(path)})
+    breaks = (tuple(xs[1:-1].tolist()), tuple(ys[1:-1].tolist()))
+    return CoefficientField(evaluate, alpha, "sampled-grid", {"path": str(path)}, breaks)
 
 
 def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
@@ -230,19 +238,128 @@ def _validate_rel_tol(rel_tol):
         raise ValueError(f"rel_tol must be in [{lo}, {hi}], got {rel_tol}")
 
 
+def _clip(poly, count, axis, bound, sign):
+    """One Sutherland-Hodgman step: clip convex polygons poly (P, M, 2),
+    holding count (P,) vertices each, to the half-planes
+    sign * (x[axis] - bound) >= 0.
+    """
+    width = poly.shape[1]
+    valid = np.arange(width) < count[:, None]
+    nxt = np.where(np.arange(1, width + 1) < count[:, None], np.arange(1, width + 1), 0)
+    s = sign * (poly[..., axis] - bound[:, None])
+    s_next = np.take_along_axis(s, nxt, axis=1)
+    keep = valid & (s >= 0)
+    cross = valid & (((s > 0) & (s_next < 0)) | ((s < 0) & (s_next > 0)))
+    t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
+    hit = poly + t[..., None] * (np.take_along_axis(poly, nxt[..., None], axis=1) - poly)
+    # vertex k, then the crossing on the edge leaving it
+    mask = np.stack([keep, cross], axis=2).reshape(len(poly), 2 * width)
+    count = mask.sum(axis=1)
+    order = np.argsort(~mask, axis=1, kind="stable")[:, : count.max(initial=0)]
+    cand = np.stack([poly, hit], axis=2).reshape(len(poly), 2 * width, 2)
+    return np.take_along_axis(cand, order[..., None], axis=1), count
+
+
+def _grid_pieces(verts, breaks):
+    """Cut triangles along axis-parallel breaklines.
+
+    verts (N, 3, 2) are counterclockwise triangles and breaks = (xs, ys)
+    sorted breakline coordinates.  A triangle is cut when a breakline passes
+    strictly between its extreme coordinates; it is clipped against every
+    rectangle of the breakline grid that its bounding box overlaps (a convex
+    polygon of at most 7 vertices), and each polygon is fan-triangulated.
+    All (cell, rectangle) pairs are clipped at once, in coordinates relative
+    to each triangle's first vertex: there the crossing points and areas
+    are accurate to a few ulps of the triangle's size, not of the unit square.
+
+    Returns (pieces (K, 3, 2), parent (K,), areas (K,)), ordered by parent:
+    the pieces of the cut triangles only, each inside one rectangle.
+    """
+    verts = np.asarray(verts, dtype=float)
+    if not any(len(b) for b in breaks):
+        return np.empty((0, 3, 2)), np.empty(0, dtype=np.intp), np.empty(0)
+    lo = np.minimum(np.minimum(verts[:, 0], verts[:, 1]), verts[:, 2])
+    hi = np.maximum(np.maximum(verts[:, 0], verts[:, 1]), verts[:, 2])
+    first, span, lines = [], [], []
+    for axis in range(2):
+        b = np.asarray(breaks[axis], dtype=float)
+        first.append(np.searchsorted(b, lo[:, axis], side="right"))
+        span.append(np.searchsorted(b, hi[:, axis], side="left") - first[axis] + 1)
+        # rectangle i spans lines[i]..lines[i + 1]; the outer lines lie
+        # beyond every triangle, so clipping against them changes nothing
+        outer = np.array([lo[:, axis].min(initial=0.0) - 1.0, hi[:, axis].max(initial=0.0) + 1.0])
+        lines.append(np.concatenate([outer[:1], b, outer[1:]]))
+    cut = np.flatnonzero((span[0] > 1) | (span[1] > 1))
+    nx, ny = span[0][cut], span[1][cut]
+    pairs = nx * ny
+    cell = np.repeat(cut, pairs)
+    k = np.arange(cell.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    nx = nx.repeat(pairs)
+    rect = (first[0][cell] + k % nx, first[1][cell] + k // nx)
+    origin = verts[cell, 0]
+    poly = verts[cell] - origin[:, None, :]
+    count = np.full(cell.size, 3)
+    for axis in range(2):
+        for step, sign in ((0, 1.0), (1, -1.0)):
+            bound = lines[axis][rect[axis] + step] - origin[:, axis]
+            poly, count = _clip(poly, count, axis, bound, sign)
+    fan = np.stack(
+        [np.broadcast_to(poly[:, :1], poly[:, 2:].shape), poly[:, 1:-1], poly[:, 2:]], axis=2
+    )
+    areas = triangle_areas(fan)
+    ok = np.arange(2, poly.shape[1]) < count[:, None]
+    owner = np.broadcast_to(cell[:, None], ok.shape)[ok]
+    return fan[ok] + verts[owner, None, 0], owner, areas[ok]
+
+
+def _cut_cells(mesh: Mesh, breaks):
+    """The triangles cell quantities are integrated over: the cells no
+    breakline cuts, whole and in order, then the pieces of the cut cells.
+
+    Returns (tris, parent, areas, whole): parent[k] is the cell of tris[k],
+    areas[k] its unsigned area, and the first `whole` entries are the uncut
+    cells.  Without cut cells these are the mesh's own cells and areas.
+    """
+    verts = mesh.cell_coordinates()
+    areas = np.abs(cell_areas(mesh))
+    pieces, parent, piece_areas = _grid_pieces(verts, breaks)
+    if parent.size == 0:
+        return verts, np.arange(len(verts)), areas, len(verts)
+    uncut = np.ones(len(verts), dtype=bool)
+    uncut[parent] = False
+    whole = np.flatnonzero(uncut)
+    return (
+        np.concatenate([verts[whole], pieces]),
+        np.concatenate([whole, parent]),
+        np.concatenate([areas[whole], piece_areas]),
+        whole.size,
+    )
+
+
 def project_coefficient(
     A: CoefficientField, mesh: Mesh, rel_tol: float = DEFAULT_PROJECTION_TOL
 ) -> PiecewiseConstantMatrixField:
-    """Cell averages of A, entrywise to relative tolerance rel_tol.
+    """Cell averages of A, each to relative tolerance rel_tol in the
+    Frobenius norm of the cell's matrix.
 
     Composite midpoint quadrature on uniformly subdivided cells, refined
     until successive levels agree within rel_tol; see the quadrature
-    module for the refinement policy.  Raises SingularityError for
+    module for the refinement policy.  A cell that a breakline of A cuts is
+    integrated piece by piece (A is smooth on each piece) and its average
+    is the area-weighted mean of its pieces.  Raises SingularityError for
     non-finite evaluations and QuadratureError if refinement stalls.
     """
     _validate_rel_tol(rel_tol)
-    verts = mesh.cell_coordinates()
-    means = quadrature.triangle_means(lambda pts, ids: A.evaluate(pts), verts, rel_tol)
+    tris, parent, areas, whole = _cut_cells(mesh, A.breaks)
+    means = quadrature.triangle_means(lambda pts, ids: A.evaluate(pts), tris, rel_tol)
+    if whole < len(tris):
+        n = mesh.num_cells
+        sums = np.zeros((n, 2, 2))
+        np.add.at(sums, parent[whole:], areas[whole:, None, None] * means[whole:])
+        weights = np.bincount(parent[whole:], areas[whole:], minlength=n)
+        sums[parent[:whole]] = means[:whole]
+        weights[parent[:whole]] = 1.0
+        means = sums / weights[:, None, None]
     means = 0.5 * (means + means.transpose(0, 2, 1))
     return PiecewiseConstantMatrixField(mesh=mesh, values=means)
 
@@ -266,25 +383,28 @@ def coercivity_of_projection(A_h: PiecewiseConstantMatrixField) -> float:
     return float(np.min(_min_eigenvalues(v)))
 
 
-def lp_misfit(f, consts: np.ndarray, mesh: Mesh, p: float, rel_tol: float) -> float:
+def lp_misfit(
+    f, consts: np.ndarray, mesh: Mesh, p: float, rel_tol: float, breaks=((), ())
+) -> float:
     """||f - c||_{L^p} for a callable field f against cell constants c.
 
     f(points (N, 2)) returns scalar, vector or matrix values, and consts
     holds one value of the same shape per cell; the pointwise norm is
     Euclidean over the value axes.  Quadrature tolerance is relative to the
     global scale of the misfit, so cells where f is nearly constant do not
-    force needless refinement.
+    force needless refinement.  Cells that the breaklines breaks = (xs, ys)
+    of f cut are integrated piece by piece.
     """
-    verts = mesh.cell_coordinates()
+    tris, parent, areas, _ = _cut_cells(mesh, breaks)
 
     def integrand(pts, ids):
         d = np.asarray(f(pts), dtype=float) - consts[ids]
         d *= d  # in place: one chunk-sized temporary fewer at the peak
         return np.sqrt(np.sum(d, axis=tuple(range(1, d.ndim)))) ** p
 
-    floor = quadrature.global_scale_floor(integrand, verts)
-    means = quadrature.triangle_means(integrand, verts, rel_tol, abs_floor=floor)
-    return float(np.sum(np.abs(cell_areas(mesh)) * means) ** (1.0 / p))
+    floor = quadrature.global_scale_floor(integrand, mesh.cell_coordinates())
+    means = quadrature.triangle_means(integrand, tris, rel_tol, cell_ids=parent, abs_floor=floor)
+    return float(np.sum(areas * means) ** (1.0 / p))
 
 
 def coefficient_error(
@@ -293,10 +413,11 @@ def coefficient_error(
     r: float,
     rel_tol: float = 1e-4,
 ) -> float:
-    """Entrywise-Frobenius L^r norm of A - A_h; r must lie in [1.1, 10]."""
+    """L^r norm of the pointwise Frobenius norm of A - A_h, r in [1.1, 10];
+    cells that a breakline of A cuts are integrated piece by piece."""
     if not (1.1 <= r <= 10.0):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
-    return lp_misfit(A.evaluate, A_h.values, A_h.mesh, r, rel_tol)
+    return lp_misfit(A.evaluate, A_h.values, A_h.mesh, r, rel_tol, A.breaks)
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,7 @@ class Mesh:
 
     @cached_property
     def _cell_areas(self) -> np.ndarray:
-        coords = self.cell_coordinates()
-        d1 = coords[:, 1] - coords[:, 0]
-        d2 = coords[:, 2] - coords[:, 0]
-        return _freeze(0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+        return _freeze(triangle_areas(self.cell_coordinates()))
 
     @cached_property
     def hat_gradients(self) -> np.ndarray:
@@ -160,6 +157,13 @@ def build_uniform_mesh(level: int) -> Mesh:
 def refine(mesh: Mesh) -> Mesh:
     """Uniformly refine one level; equals build_uniform_mesh(level + 1)."""
     return build_uniform_mesh(mesh.level + 1)
+
+
+def triangle_areas(tris: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles (..., 3, 2), positive when counterclockwise."""
+    d1 = tris[..., 1, :] - tris[..., 0, :]
+    d2 = tris[..., 2, :] - tris[..., 0, :]
+    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
 
 
 def cell_areas(mesh: Mesh) -> np.ndarray:

@@ -170,7 +170,8 @@ def _refine(means_at, count, levels, tol, floor, stall_after):
 
 
 def triangle_means(f, verts, rel_tol, cell_ids=None, abs_floor=0.0):
-    """Mean of f over each triangle, entrywise to tolerance rel_tol.
+    """Mean of f over each triangle, to relative tolerance rel_tol in the
+    Euclidean norm over the value axes (the Frobenius norm of a matrix).
 
     f(points (N,2), cell_ids (N,)) -> (N, ...) values; the value shape may
     be scalar, vector or matrix.  verts has shape (ncells, 3, 2).

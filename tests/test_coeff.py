@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from bmofem import coeff as C
 from bmofem import quadrature as Q
 from bmofem.errors import InvariantError, SingularityError
-from bmofem.mesh import build_uniform_mesh
+from bmofem.mesh import build_uniform_mesh, triangle_areas
 
 # Frozen oracle: level-2 cell averages of (1 + 0.5 |log|x||), computed with
 # degree-10 Gauss (Duffy) on 4^8 subtriangles per cell before the build
@@ -634,3 +635,167 @@ def test_jn_depth_12_samples_in_bounded_strips():
     assert sum(rec.batches) >= 4**12
     # |x + y - 1| > 1/2 on two corner triangles of total area 1/4
     assert table[0][1] == pytest.approx(0.25, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# breaklines: cells cut along the sample lines
+
+# Barycentric rules (points, weights) on a triangle: the edge midpoints are
+# exact for degree 2, so for bilinear data; the 6-point Strang-Fix rule for
+# degree 4, so for squared bilinear misfits.
+EDGE_MIDPOINT_RULE = (
+    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+    np.full(3, 1.0 / 3.0),
+)
+_A4, _B4 = 0.445948490915965, 0.091576213509771
+DEGREE4_RULE = (
+    np.array([
+        [_A4, _A4, 1 - 2 * _A4], [_A4, 1 - 2 * _A4, _A4], [1 - 2 * _A4, _A4, _A4],
+        [_B4, _B4, 1 - 2 * _B4], [_B4, 1 - 2 * _B4, _B4], [1 - 2 * _B4, _B4, _B4],
+    ]),
+    np.array([0.223381589678011] * 3 + [0.109951743655322] * 3),
+)
+
+
+def _cell_integrals(g, A, mesh, rule):
+    """Integral of g(points, parent cells) over each cell by a fixed rule on
+    every integration triangle: the cells no breakline of A cuts, whole,
+    and the pieces of the cut ones."""
+    tris, parent, areas, _ = C._cut_cells(mesh, A.breaks)
+    bary, weights = rule
+    pts = np.einsum("qv,tvd->tqd", bary, tris).reshape(-1, 2)
+    vals = np.asarray(g(pts, np.repeat(parent, len(weights))))
+    vals = vals.reshape((len(tris), len(weights)) + vals.shape[1:])
+    means = np.tensordot(weights, vals, axes=(0, 1))
+    out = np.zeros((mesh.num_cells,) + means.shape[1:])
+    np.add.at(out, parent, areas.reshape((-1,) + (1,) * (means.ndim - 1)) * means)
+    return out
+
+
+def _exact_cell_means(A, mesh):
+    """Cell averages of a sampled (piecewise bilinear) field."""
+    integrals = _cell_integrals(lambda p, ids: A.evaluate(p), A, mesh, EDGE_MIDPOINT_RULE)
+    return integrals / np.abs(C.cell_areas(mesh))[:, None, None]
+
+
+def _cellwise_rel_error(values, exact):
+    return np.linalg.norm(values - exact, axis=(1, 2)) / np.linalg.norm(exact, axis=(1, 2))
+
+
+def test_sampled_breaks_are_the_interior_sample_lines(nondyadic_csv_path, sampled_grid_csv):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    assert A.breaks == (tuple(np.linspace(0, 1, 10)[1:-1]),) * 2
+    B = C.load_sampled_coefficient(sampled_grid_csv([0.0, 0.3, 1.0], [0.0, 0.55, 1.0]))
+    assert B.breaks == ((0.3,), (0.55,))
+    for A in (C.identity_coefficient(), C.smooth_coefficient(),
+              C.log_singular_coefficient(0.5), C.checkerboard_coefficient(5.0)):
+        assert A.breaks == ((), ())
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_grid_pieces_tile_each_cut_cell(meshes, nondyadic_csv_path, level):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    mesh = meshes[level]
+    verts = mesh.cell_coordinates()
+    pieces, parent, areas = C._grid_pieces(verts, A.breaks)
+    assert np.all(np.diff(parent) >= 0) and np.all(areas > 0)
+    assert np.allclose(areas, triangle_areas(pieces), rtol=1e-10, atol=0)
+    # the cut cells are those a sample line passes strictly through
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    crossed = np.zeros(mesh.num_cells, dtype=bool)
+    for axis, lines in enumerate(A.breaks):
+        lines = np.asarray(lines)
+        crossed |= ((lines > lo[:, axis, None]) & (lines < hi[:, axis, None])).any(axis=1)
+    assert np.array_equal(np.unique(parent), np.flatnonzero(crossed))
+    cell_area = np.abs(C.cell_areas(mesh))
+    for cell in np.flatnonzero(crossed):
+        total = math.fsum(areas[parent == cell])
+        assert abs(total - cell_area[cell]) <= 1e-15 * cell_area[cell]
+    # each piece lies inside its cell and inside one sample rectangle
+    side = np.linspace(0, 1, 10)
+    centroid = pieces.mean(axis=1)
+    i = np.searchsorted(side, centroid[:, 0]) - 1
+    j = np.searchsorted(side, centroid[:, 1]) - 1
+    assert np.all(pieces[..., 0] >= side[i][:, None] - 1e-14)
+    assert np.all(pieces[..., 0] <= side[i + 1][:, None] + 1e-14)
+    assert np.all(pieces[..., 1] >= side[j][:, None] - 1e-14)
+    assert np.all(pieces[..., 1] <= side[j + 1][:, None] + 1e-14)
+    v = verts[parent]
+    e1, e2, d = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], pieces - v[:, None, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    a = (d[..., 0] * e2[:, None, 1] - d[..., 1] * e2[:, None, 0]) / det[:, None]
+    b = (e1[:, None, 0] * d[..., 1] - e1[:, None, 1] * d[..., 0]) / det[:, None]
+    assert np.all(a >= -1e-12) and np.all(b >= -1e-12) and np.all(a + b <= 1 + 1e-12)
+
+
+def test_grid_pieces_without_breaks_cut_nothing(meshes):
+    pieces, parent, areas = C._grid_pieces(meshes[3].cell_coordinates(), ((), ()))
+    assert pieces.shape == (0, 3, 2) and parent.size == 0 and areas.size == 0
+    tris, parent, areas, whole = C._cut_cells(meshes[3], ((), ()))
+    assert tris is meshes[3].cell_coordinates() and whole == meshes[3].num_cells
+    assert np.array_equal(parent, np.arange(whole))
+    assert np.array_equal(areas, np.abs(C.cell_areas(meshes[3])))
+
+
+def test_cut_pieces_report_non_finite_samples(meshes, tmp_path):
+    path = tmp_path / "hole.csv"
+    lines = ["# alpha=1.0", "x,y,a11,a12,a22"]
+    for y in (0.0, 0.55, 1.0):
+        for x in (0.0, 0.3, 1.0):
+            a11 = "nan" if (x, y) == (0.3, 0.55) else "2.0"
+            lines.append(f"{x},{y},{a11},0.0,2.0")
+    path.write_text("\n".join(lines) + "\n")
+    A = C.load_sampled_coefficient(path)
+    with pytest.raises(SingularityError):
+        C.project_coefficient(A, meshes[2])
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_cut_projection_is_exact_for_sampled_data(meshes, nondyadic_csv_path, level):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    values = C.project_coefficient(A, meshes[level]).values
+    exact = _exact_cell_means(A, meshes[level])
+    assert _cellwise_rel_error(values, exact).max() <= 1e-13
+
+
+def test_uncut_cells_keep_their_own_means(meshes, nondyadic_csv_path):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    mesh = meshes[4]
+    _, parent, _, whole = C._cut_cells(mesh, A.breaks)
+    uncut = parent[:whole]
+    assert 0 < whole < mesh.num_cells
+    own = Q.triangle_means(lambda p, i: A.evaluate(p), mesh.cell_coordinates()[uncut], 1e-6)
+    own = 0.5 * (own + own.transpose(0, 2, 1))
+    assert np.array_equal(C.project_coefficient(A, mesh).values[uncut], own)
+
+
+@pytest.mark.parametrize("level", [0, 2, 4])
+def test_cut_coefficient_error_matches_degree4_rule(meshes, nondyadic_csv_path, level):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    mesh = meshes[level]
+    A_h = C.project_coefficient(A, mesh)
+
+    def misfit(p, ids):
+        return np.sum((A.evaluate(p) - A_h.values[ids]) ** 2, axis=(1, 2))
+
+    exact = math.sqrt(np.sum(_cell_integrals(misfit, A, mesh, DEGREE4_RULE)))
+    assert C.coefficient_error(A, A_h, 2.0) == pytest.approx(exact, rel=2e-4)
+
+
+@pytest.mark.parametrize("level, tol", [(2, 1e-8), (2, 1e-12), (3, 1e-6)])
+def test_sampled_projection_settles_fast_and_within_tol(meshes, nondyadic_csv_path, level, tol):
+    # kinks off the mesh lines used to drive every cut cell to m = 7..12:
+    # level 2 at 1e-8 took about 30 s, and level 3 at 1e-6 missed tol 11x
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    start = time.perf_counter()
+    values = C.project_coefficient(A, meshes[level], rel_tol=tol).values
+    assert time.perf_counter() - start < 2.0
+    assert np.all(_cellwise_rel_error(values, _exact_cell_means(A, meshes[level])) <= tol)
+
+
+def test_rectilinear_sample_grid_projection_is_exact(meshes, sampled_grid_csv):
+    A = C.load_sampled_coefficient(sampled_grid_csv([0.0, 0.3, 1.0], [0.0, 0.55, 1.0]))
+    for level in range(5):
+        values = C.project_coefficient(A, meshes[level]).values
+        exact = _exact_cell_means(A, meshes[level])
+        assert _cellwise_rel_error(values, exact).max() <= 1e-13
