@@ -7,9 +7,6 @@ from .mesh import (
     build_uniform_mesh,
     cell_areas,
     interior_vertex_indices,
-    mesh_to_text,
-    refine,
-    shape_regularity_ratio,
 )
 from .coeff import (
     CoefficientField,
@@ -38,7 +35,6 @@ from .fem import (
     SparseSPDSystem,
     assemble_rhs,
     assemble_stiffness,
-    dump_system,
     evaluate_p1,
     gradient,
     interpolate_p1,

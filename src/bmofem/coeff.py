@@ -437,14 +437,8 @@ def cells_containing(mesh: Mesh, x) -> list[int]:
     Grid square (i, j) holds the lower cell 2 (j 2^level + i) and the upper
     cell after it; with local coordinates (xi, eta) in [0, 1]^2 the lower
     cell is xi >= eta and the upper one eta >= xi, both up to 1e-12.
-    Raises InvariantError for a mesh that is not build_uniform_mesh(level).
     """
     x = _point_in_domain(x)
-    if not mesh.is_uniform:
-        raise InvariantError(
-            f"cells_containing needs the structured mesh; "
-            f"this level-{mesh.level} mesh is not build_uniform_mesh({mesh.level})"
-        )
     n = 2**mesh.level
     gx, gy = x * n
     out = []

@@ -9,10 +9,6 @@ class MeshBoundsError(BmofemError, ValueError):
     """Requested refinement level outside the supported range."""
 
 
-class GeometryError(BmofemError):
-    """Degenerate or inconsistent cell geometry."""
-
-
 class SingularityError(BmofemError):
     """A field evaluated to a non-finite value at a quadrature or sample point."""
 

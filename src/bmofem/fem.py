@@ -104,7 +104,7 @@ class SparseSPDSystem:
 
 
 def _same_mesh(a: Mesh, b: Mesh):
-    if a is not b and (a.level != b.level or a.num_cells != b.num_cells):
+    if a != b:
         raise InvariantError("fields live on different meshes")
 
 
@@ -223,13 +223,8 @@ def poisson_solve(mesh: Mesh, b: np.ndarray) -> np.ndarray:
     S_jk = sin(pi j k / n) and S^2 = (n / 2) I, the solution is
     (2 / n)^2 S [(S B S) / (lambda_j + lambda_k)] S,
     lambda_k = 4 sin^2(pi k / (2 n)).  b is indexed like
-    interior_vertex_indices.  Raises InvariantError for any other mesh.
+    interior_vertex_indices.
     """
-    if not mesh.is_uniform:
-        raise InvariantError(
-            f"the sine-transform Poisson solve needs the structured mesh; "
-            f"this level-{mesh.level} mesh is not build_uniform_mesh({mesh.level})"
-        )
     n = 2**mesh.level
     lam = 4.0 * np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
     coef = _dst1(_dst1(np.reshape(b, (n - 1, n - 1))).T).T
@@ -320,8 +315,7 @@ def solve_projected(
 
     CG is preconditioned by the exact identity-coefficient inverse
     (poisson_solve), so the condition number is bounded by the spread of
-    the eigenvalues of A_h rather than growing like h^-2.  Raises
-    InvariantError for a mesh outside the structured family.
+    the eigenvalues of A_h rather than growing like h^-2.
     """
     system = assemble_stiffness(mesh, A_h)
     b = assemble_rhs(mesh, f_h)
@@ -363,9 +357,3 @@ def evaluate_p1(u: P1Function, points: np.ndarray) -> np.ndarray:
     )
     return vals
 
-
-def dump_system(system: SparseSPDSystem) -> str:
-    """Debug export in coordinate format, one `i j value` line per entry."""
-    coo = system.matrix.tocoo()
-    lines = [f"{i} {j} {float(v)!r}" for i, j, v in zip(coo.row, coo.col, coo.data)]
-    return "\n".join(lines) + "\n"

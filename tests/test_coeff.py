@@ -1,4 +1,7 @@
 import math
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -275,11 +278,6 @@ def test_cells_containing_matches_barycentric_tests(meshes, level):
     )
     for x in points:
         assert C.cells_containing(mesh, x) == _cells_containing_barycentric(mesh, x), x
-
-
-def test_cells_containing_refuses_unstructured_meshes(perturbed_mesh):
-    with pytest.raises(InvariantError, match="level-1"):
-        C.cells_containing(perturbed_mesh, (0.3, 0.3))
 
 
 def test_mesh_maximal_constant(meshes):
@@ -597,6 +595,19 @@ def test_sampled_rejects_bad_header(tmp_path):
     p.write_text("# alpha=1.0\nx,y,a11,a22\n")
     with pytest.raises(InvariantError, match="header"):
         C.load_sampled_coefficient(p)
+
+
+def test_make_sampled_coefficient_script_writes_a_valid_file(tmp_path):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "make_sampled_coefficient.py"
+    out = tmp_path / "coeff.csv"
+    subprocess.run(
+        [sys.executable, str(script), "--n", "5", "--out", str(out)],
+        check=True, capture_output=True,
+    )
+    A = C.load_sampled_coefficient(out)
+    pts = np.random.default_rng(5).random((20_000, 2))
+    # the declared alpha bounds the bilinear interpolant's eigenvalues below
+    assert A.alpha <= np.min(C._min_eigenvalues(A.evaluate(pts)))
 
 
 def _jn_all_at_once(w, square, lambdas, depth):

@@ -229,11 +229,6 @@ def test_poisson_solve_matches_direct_solve(level, rng):
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_poisson_solve_rejects_mesh_outside_family(perturbed_mesh):
-    with pytest.raises(InvariantError, match="level-1"):
-        F.poisson_solve(perturbed_mesh, np.ones(1))
-
-
 _FIXTURES = {
     "log": lambda: C.log_singular_coefficient(0.5),
     "checkerboard": lambda: C.checkerboard_coefficient(100.0),
@@ -407,9 +402,3 @@ def test_field_mesh_mismatch(meshes):
     v = F.P1Function(meshes[2], np.zeros(meshes[2].num_vertices))
     with pytest.raises(InvariantError):
         _ = u + v
-
-
-def test_dump_system_format(meshes):
-    system = F.assemble_stiffness(meshes[1], _identity_projected(meshes[1]))
-    text = F.dump_system(system)
-    assert text == "0 0 4.0\n"

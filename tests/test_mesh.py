@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmofem.errors import GeometryError, MeshBoundsError
-from bmofem.mesh import (
-    Mesh,
-    build_uniform_mesh,
-    cell_areas,
-    interior_vertex_indices,
-    mesh_to_text,
-    refine,
-    shape_regularity_ratio,
-)
+from bmofem.errors import MeshBoundsError
+from bmofem.mesh import Mesh, build_uniform_mesh, cell_areas, interior_vertex_indices
 
 # diameter / inradius of a right isoceles triangle with legs h:
 # sqrt(2) h / ((2 - sqrt(2)) h / 2) = 2 + 2 sqrt(2)
 STRUCTURED_RATIO = 2.0 + 2.0 * math.sqrt(2.0)
+
+
+def _edge_lengths(mesh):
+    """(m, 3) edge lengths per cell."""
+    coords = mesh.cell_coordinates()
+    return np.linalg.norm(coords - np.roll(coords, 1, axis=1), axis=2)
+
+
+def _diameters(mesh):
+    return _edge_lengths(mesh).max(axis=1)
 
 
 def test_level0_base_decomposition():
@@ -59,24 +61,29 @@ def test_structured_counts(level):
 
 
 def test_level_bounds_error():
-    with pytest.raises(MeshBoundsError, match="12"):
-        build_uniform_mesh(13)
-    with pytest.raises(MeshBoundsError):
-        build_uniform_mesh(-1)
+    for make in (build_uniform_mesh, Mesh):
+        with pytest.raises(MeshBoundsError, match="12"):
+            make(13)
+        with pytest.raises(MeshBoundsError, match="-1"):
+            make(-1)
 
 
-def test_refine_matches_next_level():
-    coarse = build_uniform_mesh(0)
-    fine = refine(coarse)
-    direct = build_uniform_mesh(1)
-    assert np.array_equal(fine.vertices, direct.vertices)
-    assert np.array_equal(fine.cells, direct.cells)
-    assert np.array_equal(fine.boundary_vertex_flags, direct.boundary_vertex_flags)
+def test_mesh_is_its_level():
+    m = Mesh(3)
+    built = build_uniform_mesh(3)
+    assert m == built and hash(m) == hash(built)
+    assert m != Mesh(2)
+    assert np.array_equal(m.vertices, built.vertices)
+    assert np.array_equal(m.cells, built.cells)
+    assert (m.num_vertices, m.num_cells) == (81, 128)
+    assert m.vertices.shape == (m.num_vertices, 2)
+    assert m.cells.shape == (m.num_cells, 3)
+    assert m.boundary_vertex_flags.shape == (m.num_vertices,)
 
 
 def test_refine_nesting():
     coarse = build_uniform_mesh(2)
-    fine = refine(coarse)
+    fine = build_uniform_mesh(coarse.level + 1)
     # vertex set of the parent is a subset of the child vertex set
     coarse_set = {tuple(v) for v in coarse.vertices}
     fine_set = {tuple(v) for v in fine.vertices}
@@ -99,8 +106,8 @@ def test_refine_nesting():
 
 def test_refinement_scaling():
     coarse = build_uniform_mesh(1)
-    fine = refine(coarse)
-    assert np.allclose(fine.cell_diameters, coarse.cell_diameters[0] / 2.0)
+    fine = build_uniform_mesh(coarse.level + 1)
+    assert np.allclose(_diameters(fine), _diameters(coarse)[0] / 2.0)
     assert np.allclose(np.abs(cell_areas(fine)), np.abs(cell_areas(coarse))[0] / 4.0)
 
 
@@ -120,48 +127,9 @@ def test_conformity_edge_structure():
 
 def test_shape_regularity_structured_all_levels():
     for level in range(5):
-        ratio = shape_regularity_ratio(build_uniform_mesh(level))
-        assert ratio == pytest.approx(STRUCTURED_RATIO, rel=1e-12)
-
-
-def test_shape_regularity_equilateral():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    m = Mesh(
-        vertices=verts,
-        cells=np.array([[0, 1, 2]]),
-        boundary_vertex_flags=np.ones(3, dtype=bool),
-        level=0,
-        cell_diameters=np.array([1.0]),
-    )
-    assert shape_regularity_ratio(m) == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
-
-
-def test_shape_regularity_degrades_under_perturbation():
-    base = build_uniform_mesh(1)
-    verts = base.vertices.copy()
-    center = np.flatnonzero((verts[:, 0] == 0.5) & (verts[:, 1] == 0.5))[0]
-    verts[center] += [0.07, 0.03]
-    perturbed = Mesh(
-        vertices=verts,
-        cells=base.cells,
-        boundary_vertex_flags=base.boundary_vertex_flags,
-        level=base.level,
-        cell_diameters=base.cell_diameters,
-    )
-    assert shape_regularity_ratio(perturbed) > shape_regularity_ratio(base)
-
-
-def test_shape_regularity_degenerate_cell_error():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    m = Mesh(
-        vertices=verts,
-        cells=np.array([[0, 1, 2]]),
-        boundary_vertex_flags=np.ones(3, dtype=bool),
-        level=0,
-        cell_diameters=np.array([2.0]),
-    )
-    with pytest.raises(GeometryError, match="cell 0"):
-        shape_regularity_ratio(m)
+        m = build_uniform_mesh(level)
+        inradius = 2.0 * cell_areas(m) / _edge_lengths(m).sum(axis=1)
+        assert np.allclose(_diameters(m) / inradius, STRUCTURED_RATIO, rtol=1e-12, atol=0.0)
 
 
 def test_mesh_is_immutable():
@@ -170,6 +138,10 @@ def test_mesh_is_immutable():
         m.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         m.cells[0, 0] = 7
+    with pytest.raises(ValueError):
+        m.boundary_vertex_flags[0] = False
+    with pytest.raises(AttributeError):
+        m.level = 2
 
 
 def test_geometry_cached_read_only_per_mesh():
@@ -190,30 +162,3 @@ def test_geometry_cached_read_only_per_mesh():
     del other
     gc.collect()
     assert all(r() is None for r in refs)
-
-
-def test_is_uniform_only_for_the_structured_family(perturbed_mesh):
-    for level in range(4):
-        assert build_uniform_mesh(level).is_uniform
-    assert not perturbed_mesh.is_uniform
-    base = build_uniform_mesh(2)
-    mislabelled = Mesh(
-        vertices=base.vertices,
-        cells=base.cells,
-        boundary_vertex_flags=base.boundary_vertex_flags,
-        level=3,
-        cell_diameters=base.cell_diameters,
-    )
-    assert not mislabelled.is_uniform
-
-
-def test_mesh_export_format():
-    m = build_uniform_mesh(0)
-    text = mesh_to_text(m)
-    lines = text.strip().split("\n")
-    assert len(lines) == m.num_vertices + m.num_cells
-    assert lines[0].split() == ["v", "0.0", "0.0", "1"]
-    cell_lines = [l for l in lines if l.startswith("c ")]
-    assert len(cell_lines) == 2
-    first = cell_lines[0].split()
-    assert first[0] == "c" and all(tok.isdigit() for tok in first[1:])
