@@ -19,20 +19,18 @@ from .coeff import (
     coefficient_error,
     coercivity_of_projection,
     constant_coefficient,
-    dyadic_maximal,
     identity_coefficient,
     john_nirenberg_check,
     load_sampled_coefficient,
     log_reciprocal_scalar,
     log_singular_coefficient,
-    mesh_maximal,
     project_coefficient,
     smooth_coefficient,
 )
 from .fem import (
     P1Function,
     PCVectorField,
-    SparseSPDSystem,
+    SPDSystem,
     assemble_rhs,
     assemble_stiffness,
     evaluate_p1,

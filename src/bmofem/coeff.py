@@ -21,7 +21,6 @@ PROJECTION_TOL_RANGE = (1e-12, 1e-4)
 DEFAULT_PROJECTION_TOL = 1e-6
 DEFAULT_SQUARE_TOL = 1e-8
 DEFAULT_OSC_TOL = 1e-5
-MAX_DYADIC_DEPTH = 10
 MAX_BMO_DEPTH = 8
 
 
@@ -455,21 +454,12 @@ def cells_containing(mesh: Mesh, x) -> list[int]:
     return sorted(out)
 
 
-def cell_abs_means(w: ScalarField, mesh: Mesh, cells=None, rel_tol=1e-6) -> np.ndarray:
-    """Cell averages of |w| over the given cells (all cells by default)."""
-    cells = np.arange(mesh.num_cells) if cells is None else np.asarray(cells)
-    verts = mesh.cell_coordinates()[cells]
+def cell_abs_means(w: ScalarField, mesh: Mesh, rel_tol=1e-6) -> np.ndarray:
+    """Average of |w| over every cell."""
+    verts = mesh.cell_coordinates()
     return quadrature.triangle_means(
         lambda pts, ids: np.abs(w.evaluate(pts)), verts, rel_tol, abs_floor=1.0
     )
-
-
-def mesh_maximal(w: ScalarField, mesh: Mesh, x, rel_tol=1e-6) -> float:
-    """Max over cells containing x of the cell average of |w|."""
-    cells = cells_containing(mesh, x)
-    if not cells:
-        raise ValueError(f"no cell contains {x}")
-    return float(np.max(cell_abs_means(w, mesh, cells, rel_tol)))
 
 
 def dyadic_squares_containing(x, level: int) -> list[DyadicSquare]:
@@ -484,27 +474,6 @@ def dyadic_squares_containing(x, level: int) -> list[DyadicSquare]:
         for j in sorted(sy)
         if 0 <= i < n and 0 <= j < n
     ]
-
-
-def square_average(w: ScalarField, square: DyadicSquare, tol=DEFAULT_SQUARE_TOL) -> float:
-    """Average of w over one dyadic square."""
-    return quadrature.square_mean(w.evaluate, square.lo, square.size, tol)
-
-
-def dyadic_maximal(w: ScalarField, depth: int, x, tol=DEFAULT_SQUARE_TOL) -> float:
-    """Max over dyadic squares of generations 0..depth containing x of the
-    average of |w|.  A computable lower bound for the Hardy-Littlewood
-    maximal function."""
-    if not (1 <= depth <= MAX_DYADIC_DEPTH):
-        raise ValueError(f"depth must be in [1, {MAX_DYADIC_DEPTH}], got {depth}")
-    best = -np.inf
-    for j in range(depth + 1):
-        for sq in dyadic_squares_containing(x, j):
-            val = quadrature.square_mean(
-                lambda p: np.abs(w.evaluate(p)), sq.lo, sq.size, tol
-            )
-            best = max(best, val)
-    return float(best)
 
 
 def _generation_grid(level: int):
@@ -588,7 +557,9 @@ def john_nirenberg_check(
     lambdas = [float(lam) for lam in lambdas]
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
-    w_q = square_average(w, square)
+    w_q = quadrature.square_means_batch(
+        lambda p, i: w.evaluate(p), [square.lo], square.size, DEFAULT_SQUARE_TOL
+    )[0]
     n = 2**depth
     t = (np.arange(n) + 0.5) * (square.size / n)
     xs = square.lo[0] + t

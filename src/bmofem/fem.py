@@ -5,6 +5,10 @@ The discrete problem is posed on interior-vertex unknowns only
 projected to cell averages before assembly, so every assembled integral is
 exact: both the coefficient and the test-function gradients are constant
 per cell.
+
+On the structured mesh the gradient G is four slice differences on the
+vertex grid, assemble_rhs is its exact adjoint, and the stiffness matrix
+G^T diag(|K| A_K) G is applied unassembled (StiffnessOperator).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import quadrature
 from .coeff import (
@@ -94,13 +97,30 @@ class PCVectorField:
 
 
 @dataclass(frozen=True)
-class SparseSPDSystem:
-    """Symmetric positive definite system over interior-vertex unknowns."""
+class SPDSystem:
+    """Symmetric positive definite system over interior-vertex unknowns;
+    matrix is anything that applies by `matrix @ x`."""
 
-    matrix: sp.csr_matrix
+    matrix: object
     rhs: np.ndarray
-    interior: np.ndarray
-    mesh: Mesh
+
+
+@dataclass(frozen=True)
+class StiffnessOperator:
+    """x -> K x over interior vertices for a cell-wise constant coefficient,
+    unassembled.  Refuses a projected coefficient that is not coercive."""
+
+    A_h: PiecewiseConstantMatrixField
+
+    def __post_init__(self):
+        if float(np.min(_min_eigenvalues(self.A_h.values))) <= 0.0:
+            raise AssemblyError(
+                "projected coefficient is not positive definite; assembly refused"
+            )
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        mesh = self.A_h.mesh
+        return assemble_rhs(mesh, flux(self.A_h, gradient(p1_zero_trace(mesh, x))))
 
 
 def _same_mesh(a: Mesh, b: Mesh):
@@ -110,9 +130,10 @@ def _same_mesh(a: Mesh, b: Mesh):
 
 def p1_zero_trace(mesh: Mesh, interior_values: np.ndarray) -> P1Function:
     """Zero-trace P1 function from its interior vertex values."""
-    values = np.zeros(mesh.num_vertices)
-    values[interior_vertex_indices(mesh)] = interior_values
-    return P1Function(mesh, values, zero_trace=True)
+    n = 2**mesh.level
+    values = np.zeros((n + 1, n + 1))
+    values[1:-1, 1:-1] = np.reshape(interior_values, (n - 1, n - 1))
+    return P1Function(mesh, values.ravel(), zero_trace=True)
 
 
 def interpolate_p1(mesh: Mesh, func, zero_trace: bool = False) -> P1Function:
@@ -126,15 +147,32 @@ def interpolate_p1(mesh: Mesh, func, zero_trace: bool = False) -> P1Function:
 
 def hat_gradients(mesh: Mesh):
     """Gradients of the three local hat functions per cell, (m, 3, 2), and
-    the cell areas; both cached read-only on the mesh."""
-    return mesh.hat_gradients, cell_areas(mesh)
+    the cell areas: the reference for assemble_stiffness and the tests."""
+    coords = mesh.cell_coordinates()
+    edges = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]  # opposite each vertex
+    areas = cell_areas(mesh)
+    # grad of the hat that is 1 at vertex a: its opposite edge rotated
+    return edges[:, :, ::-1] * np.array([-1.0, 1.0]) / (2.0 * areas[:, None, None]), areas
 
 
 def gradient(u: P1Function) -> PCVectorField:
-    """Exact cell-wise constant gradient of a P1 function."""
-    g, _ = hat_gradients(u.mesh)
-    vals = np.einsum("ka,kad->kd", u.values[u.mesh.cells], g)
-    return PCVectorField(u.mesh, vals)
+    """Exact cell-wise constant gradient of a P1 function.  On a grid square
+    with corner values ll, lr, ul, ur it is n (lr - ll, ur - lr) on the
+    lower cell and n (ur - ul, ul - ll) on the upper one."""
+    n = 2**u.mesh.level
+    U = u.values.reshape(n + 1, n + 1)
+    ll, lr, ul, ur = U[:-1, :-1], U[:-1, 1:], U[1:, :-1], U[1:, 1:]
+    g = np.empty((n, n, 4))  # per square: lower x, lower y, upper x, upper y
+    for k, (a, b) in enumerate(((lr, ll), (ur, lr), (ur, ul), (ul, ll))):
+        np.subtract(a, b, out=g[:, :, k])
+    g *= n
+    return PCVectorField(u.mesh, g.reshape(-1, 2))
+
+
+def flux(A_h: PiecewiseConstantMatrixField, g: PCVectorField) -> PCVectorField:
+    """The cell-wise product A_K g_K."""
+    _same_mesh(A_h.mesh, g.mesh)
+    return PCVectorField(g.mesh, np.einsum("kij,kj->ki", A_h.values, g.values))
 
 
 def project_rhs(f, mesh: Mesh, rel_tol: float = 1e-8) -> PCVectorField:
@@ -156,45 +194,41 @@ def project_rhs(f, mesh: Mesh, rel_tol: float = 1e-8) -> PCVectorField:
     return PCVectorField(mesh, vals)
 
 
-def assemble_stiffness(mesh: Mesh, A_h: PiecewiseConstantMatrixField) -> SparseSPDSystem:
+def assemble_stiffness(mesh: Mesh, A_h: PiecewiseConstantMatrixField) -> SPDSystem:
     """Stiffness matrix over interior vertices for a cell-wise constant
-    coefficient; every entry is an exact integral.
+    coefficient, as a scipy CSR matrix; every entry is an exact integral.
 
     M[i, j] = sum_K |K| <A_K grad phi_j, grad phi_i>.  Refuses to assemble
-    when the projected coefficient is not coercive.
+    when the projected coefficient is not coercive.  The slow reference for
+    StiffnessOperator, which solve_projected uses instead.
     """
+    import scipy.sparse as sp
+
     _same_mesh(A_h.mesh, mesh)
-    if float(np.min(_min_eigenvalues(A_h.values))) <= 0.0:
-        raise AssemblyError(
-            "projected coefficient is not positive definite; assembly refused"
-        )
+    StiffnessOperator(A_h)  # the coercivity refusal
     g, areas = hat_gradients(mesh)
     local = np.einsum("k,kai,kij,kbj->kab", areas, g, A_h.values, g)
     local = 0.5 * (local + local.transpose(0, 2, 1))  # exact symmetry
-
+    rows = np.repeat(mesh.cells, 3, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, 3)).ravel()
+    shape = (mesh.num_vertices,) * 2
+    full = sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape)  # sums duplicates
     interior = interior_vertex_indices(mesh)
-    pos = -np.ones(mesh.num_vertices, dtype=np.int64)
-    pos[interior] = np.arange(interior.size)
-    cell_pos = pos[mesh.cells]  # (m, 3), -1 for boundary vertices
-
-    rows = np.repeat(cell_pos, 3, axis=1).ravel()
-    cols = np.tile(cell_pos, (1, 3)).ravel()
-    data = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    n = interior.size
-    matrix = sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
-    return SparseSPDSystem(matrix=matrix, rhs=np.zeros(n), interior=interior, mesh=mesh)
+    return SPDSystem(matrix=full[interior][:, interior], rhs=np.zeros(interior.size))
 
 
 def assemble_rhs(mesh: Mesh, f_h: PCVectorField) -> np.ndarray:
-    """b[i] = sum_K |K| <f_K, grad phi_i|K>, exactly."""
+    """b[i] = sum_K |K| <f_K, grad phi_i|K>, exactly: the adjoint of
+    gradient, scaled by |K| n = 1 / (2n), on the interior vertices."""
     _same_mesh(f_h.mesh, mesh)
-    g, areas = hat_gradients(mesh)
-    contrib = np.einsum("k,kad,kd->ka", areas, g, f_h.values)
-    b_full = np.zeros(mesh.num_vertices)
-    np.add.at(b_full, mesh.cells.ravel(), contrib.ravel())
-    return b_full[interior_vertex_indices(mesh)]
+    n = 2**mesh.level
+    lx, ly, ux, uy = np.moveaxis(f_h.values.reshape(n, n, 4), -1, 0)
+    b = np.zeros((n + 1, n + 1))
+    b[:-1, :-1] -= lx + uy  # ll
+    b[:-1, 1:] += lx - ly  # lr
+    b[1:, :-1] += uy - ux  # ul
+    b[1:, 1:] += ly + ux  # ur
+    return b[1:-1, 1:-1].ravel() * (0.5 / n)
 
 
 def _require_solver_tol(tol: float):
@@ -233,16 +267,16 @@ def poisson_solve(mesh: Mesh, b: np.ndarray) -> np.ndarray:
 
 
 def solve_spd(
-    system: SparseSPDSystem,
+    system: SPDSystem,
     rel_residual_tol: float = DEFAULT_SOLVER_TOL,
-    precondition=None,
+    *,
+    precondition,
 ) -> np.ndarray:
     """Preconditioned conjugate gradients, deterministic.
 
     precondition(r) applies a symmetric positive definite approximation of
-    the inverse matrix to a residual; the default is diagonal (Jacobi)
-    scaling.  Zero initial guess, fixed iteration order, iteration cap
-    50 n.  Raises NotSPDError on nonpositive curvature and
+    the inverse matrix to a residual.  Zero initial guess, fixed iteration
+    order, cap 50 n.  Raises NotSPDError on nonpositive curvature and
     IterationLimitError at the cap, reporting the final relative residual.
     """
     _require_solver_tol(rel_residual_tol)
@@ -252,14 +286,6 @@ def solve_spd(
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
-    if precondition is None:
-        d = A.diagonal()
-        if np.any(d <= 0.0):
-            raise NotSPDError("nonpositive diagonal entry; system is not SPD")
-
-        def precondition(r):
-            return r / d
-
     x = np.zeros(n)
     r = b.copy()
     z = precondition(r)
@@ -313,16 +339,16 @@ def solve_projected(
 ) -> P1Function:
     """Solve with already projected data (shared by studies and solve_bvp).
 
-    CG is preconditioned by the exact identity-coefficient inverse
+    CG applies the stiffness matrix unassembled (StiffnessOperator) and is
+    preconditioned by the exact identity-coefficient inverse
     (poisson_solve), so the condition number is bounded by the spread of
     the eigenvalues of A_h rather than growing like h^-2.
     """
-    system = assemble_stiffness(mesh, A_h)
+    _same_mesh(A_h.mesh, mesh)
+    K = StiffnessOperator(A_h)
     b = assemble_rhs(mesh, f_h)
     x = solve_spd(
-        SparseSPDSystem(system.matrix, b, system.interior, mesh),
-        solver_tol,
-        precondition=lambda r: poisson_solve(mesh, r),
+        SPDSystem(K, b), solver_tol, precondition=lambda r: poisson_solve(mesh, r)
     )
     return p1_zero_trace(mesh, x)
 
@@ -344,11 +370,9 @@ def evaluate_p1(u: P1Function, points: np.ndarray) -> np.ndarray:
     gy = np.clip(np.floor(pts[:, 1] * n).astype(np.int64), 0, n - 1)
     xi = pts[:, 0] * n - gx
     eta = pts[:, 1] * n - gy
-    stride = n + 1
-    v_ll = u.values[gy * stride + gx]
-    v_lr = u.values[gy * stride + gx + 1]
-    v_ul = u.values[(gy + 1) * stride + gx]
-    v_ur = u.values[(gy + 1) * stride + gx + 1]
+    U = u.values.reshape(n + 1, n + 1)
+    v_ll, v_lr = U[gy, gx], U[gy, gx + 1]
+    v_ul, v_ur = U[gy + 1, gx], U[gy + 1, gx + 1]
     lower = xi >= eta  # below the cell diagonal
     vals = np.where(
         lower,

@@ -485,7 +485,10 @@ def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
 
 
 def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
-    """Verify mesh_maximal <= 2 * dyadic_maximal + tol on a 17x17 grid.
+    """At every point x of a 17x17 grid, verify that the largest average of
+    |w| over the cells containing x is at most 2 times the largest average
+    of |w| over the dyadic squares of generations 0..level containing x,
+    plus tol.
 
     The constant 2 is the measure ratio between a cell and its containing
     grid square, which for this mesh family is itself a dyadic square, so

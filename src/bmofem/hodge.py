@@ -28,12 +28,13 @@ from .fem import (
     _require_p,
     _require_solver_tol,
     assemble_rhs,
+    flux,
     gradient,
     lp_norm,
     p1_zero_trace,
     poisson_solve,
 )
-from .mesh import Mesh, interior_vertex_indices
+from .mesh import Mesh
 
 REFINEMENT_STEPS = 2
 # Bound on the 2-norm of the 5-point Laplacian: its eigenvalues
@@ -73,7 +74,7 @@ def hodge_decompose(
     the level when REFINEMENT_STEPS correction solves do not get there.
     """
     _require_solver_tol(solver_tol)
-    if interior_vertex_indices(mesh).size == 0:
+    if mesh.level == 0:
         raise MeshTooCoarseError(
             "mesh has no interior vertices; refine at least once"
         )
@@ -116,11 +117,14 @@ def conjugate_field(u: P1Function, p: float) -> PCVectorField:
     to p) raised to q equals the L^p norm of grad u raised to p.
     """
     _require_p(p)
-    gu = gradient(u)
+    return _conjugate(gradient(u), p)
+
+
+def _conjugate(gu: PCVectorField, p: float) -> PCVectorField:
     mags = np.linalg.norm(gu.values, axis=1)
     with np.errstate(divide="ignore"):
         scale = np.where(mags > 0.0, mags ** (p - 2.0), 0.0)
-    return PCVectorField(u.mesh, scale[:, None] * gu.values)
+    return PCVectorField(gu.mesh, scale[:, None] * gu.values)
 
 
 def conjugate_gap(u: P1Function, p: float, mesh: Mesh, solver_tol: float = DEFAULT_SOLVER_TOL):
@@ -136,8 +140,7 @@ def conjugate_gap(u: P1Function, p: float, mesh: Mesh, solver_tol: float = DEFAU
     gu = gradient(u)
     if not np.any(gu.values):
         raise DegenerateFieldError("conjugate gap of a function with zero gradient")
-    s = conjugate_field(u, p)
-    split = hodge_decompose(s, mesh, solver_tol)
+    split = hodge_decompose(_conjugate(gu, p), mesh, solver_tol)
     q = p / (p - 1.0)
     g_norm = lp_norm(split.sigma, q)
     if p == 2.0:
@@ -164,7 +167,6 @@ def flux_decompose(
     gu_norm = lp_norm(gu, p)
     if gu_norm == 0.0:
         raise DegenerateFieldError("flux decomposition of a function with zero gradient")
-    flux = PCVectorField(u.mesh, np.einsum("kij,kj->ki", A_h.values, gu.values))
-    split = hodge_decompose(flux, u.mesh, solver_tol)
+    split = hodge_decompose(flux(A_h, gu), u.mesh, solver_tol)
     ratio = lp_norm(split.sigma, p) / gu_norm
     return split.potential, split.sigma, ratio

@@ -31,9 +31,9 @@ class Mesh:
     cells: (2 * 4^level, 3) vertex indices, positively oriented.
     boundary_vertex_flags: (num_vertices,) bool, True on the boundary.
 
-    These arrays and the derived geometry (cell coordinates, areas, hat
-    gradients) are computed once per instance on first use and cached
-    read-only on it.  Raises MeshBoundsError for level outside [0, 12].
+    These arrays and the derived geometry (cell coordinates, areas) are
+    computed once per instance on first use and cached read-only on it.
+    Raises MeshBoundsError for level outside [0, 12].
     """
 
     level: int
@@ -79,19 +79,6 @@ class Mesh:
     @cached_property
     def _cell_areas(self) -> np.ndarray:
         return _freeze(triangle_areas(self.cell_coordinates()))
-
-    @cached_property
-    def hat_gradients(self) -> np.ndarray:
-        """Gradients of the three local hat functions per cell, (m, 3, 2)."""
-        coords = self.cell_coordinates()
-        g = np.empty((self.num_cells, 3, 2))
-        for a in range(3):
-            # grad of the hat that is 1 at vertex a: rotate the opposite edge.
-            edge = coords[:, (a + 2) % 3] - coords[:, (a + 1) % 3]
-            g[:, a, 0] = -edge[:, 1]
-            g[:, a, 1] = edge[:, 0]
-        g /= 2.0 * self._cell_areas[:, None, None]
-        return _freeze(g)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -15,9 +15,8 @@ only in their levels:
   stalls count only above UNIFORM_CAP, so cells that still contract there
   keep doubling a few extra levels.
 
-* ``square_mean`` / ``square_means_batch``: averages of scalars over axis
-  aligned squares on tensor midpoint grids of 16..MAX_SQUARE_GRID points
-  per side, floor 1.
+* ``square_means_batch``: averages of scalars over axis aligned squares
+  on tensor midpoint grids of 16..MAX_SQUARE_GRID points per side, floor 1.
 
 * ``dyadic_means``: averages of a scalar over every dyadic square of
   generations 0..depth at once.  It samples the field once on each global
@@ -338,12 +337,6 @@ def square_means_batch(f, los, size, tol, square_ids=None):
             1.0,
         )
     return means
-
-
-def square_mean(f, lo, size, tol=1e-8):
-    """Mean of scalar f(points (N,2)) -> (N,) over one square."""
-    lo = np.asarray(lo, dtype=float)
-    return float(square_means_batch(lambda p, i: f(p), lo[None, :], size, tol)[0])
 
 
 def _ladder_strips(f, g):

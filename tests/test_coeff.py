@@ -280,77 +280,6 @@ def test_cells_containing_matches_barycentric_tests(meshes, level):
         assert C.cells_containing(mesh, x) == _cells_containing_barycentric(mesh, x), x
 
 
-def test_mesh_maximal_constant(meshes):
-    w = C.ScalarField(lambda p: np.full(p.shape[0], -3.0), "const")
-    for x in [(0.3, 0.3), (0.5, 0.5), (1.0, 1.0)]:
-        assert C.mesh_maximal(w, meshes[2], x) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_mesh_maximal_indicator_of_cell(meshes):
-    mesh = meshes[1]
-    # indicator of the lower triangle of grid square (0,0); its interior
-    # point sees average exactly 1
-    tri = mesh.vertices[mesh.cells[0]]
-
-    def ind(p):
-        d = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-        bary = np.linalg.solve(d, (p - tri[0]).T).T
-        inside = (bary[:, 0] >= 0) & (bary[:, 1] >= 0) & (bary.sum(axis=1) <= 1)
-        return inside.astype(float)
-
-    w = C.ScalarField(ind, "cell-indicator")
-    assert C.mesh_maximal(w, mesh, (0.3, 0.1)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_mesh_maximal_edge_point_takes_max(meshes):
-    # w = x on the level-1 mesh; cell averages are the centroid abscissae.
-    # The point (0.5, 0.25) lies on the edge between a cell with average
-    # 1/3 and one with average 2/3.
-    w = C.ScalarField(lambda p: p[:, 0], "x")
-    val = C.mesh_maximal(w, meshes[1], (0.5, 0.25))
-    assert val == pytest.approx(2.0 / 3.0, abs=1e-10)
-
-
-def test_dyadic_maximal_constant():
-    w = C.ScalarField(lambda p: np.full(p.shape[0], 2.5), "const")
-    for depth in (1, 3):
-        assert C.dyadic_maximal(w, depth, (0.7, 0.2)) == pytest.approx(2.5, abs=1e-12)
-
-
-def test_dyadic_maximal_indicator_inside_support():
-    ind = C.ScalarField(
-        lambda p: ((p[:, 0] < 0.5) & (p[:, 1] < 0.5)).astype(float), "quarter"
-    )
-    assert C.dyadic_maximal(ind, 1, (0.25, 0.25)) == 1.0
-    assert C.dyadic_maximal(ind, 2, (0.25, 0.25)) == 1.0
-
-
-def test_dyadic_maximal_indicator_outside_support():
-    # only the unit square contains both (0.75, 0.75) and the support, so
-    # the maximum is the global average 1/4 at every depth
-    ind = C.ScalarField(
-        lambda p: ((p[:, 0] < 0.5) & (p[:, 1] < 0.5)).astype(float), "quarter"
-    )
-    for depth in (1, 2, 5):
-        assert C.dyadic_maximal(ind, depth, (0.75, 0.75)) == 0.25
-
-
-def test_dyadic_depth_bound():
-    w = C.ScalarField(lambda p: p[:, 0], "x")
-    with pytest.raises(ValueError):
-        C.dyadic_maximal(w, 11, (0.5, 0.5))
-
-
-def test_maximal_relation_on_log_scalar(meshes):
-    # cell averages are controlled by twice the containing-square average
-    w = C.log_reciprocal_scalar()
-    mesh = meshes[2]
-    for x in [(0.1, 0.1), (0.4, 0.9), (0.55, 0.55), (1.0, 0.3)]:
-        mm = C.mesh_maximal(w, mesh, x)
-        dm = C.dyadic_maximal(w, mesh.level, x)
-        assert mm <= 2.0 * dm + 1e-6
-
-
 # ---------------------------------------------------------------------------
 # BMO seminorm estimate
 
@@ -612,7 +541,9 @@ def test_make_sampled_coefficient_script_writes_a_valid_file(tmp_path):
 
 def _jn_all_at_once(w, square, lambdas, depth):
     """Reference: every sample point evaluated in one batch."""
-    w_q = C.square_average(w, square)
+    w_q = Q.square_means_batch(
+        lambda p, i: w.evaluate(p), [square.lo], square.size, C.DEFAULT_SQUARE_TOL
+    )[0]
     n = 2**depth
     t = (np.arange(n) + 0.5) * (square.size / n)
     xx, yy = np.meshgrid(square.lo[0] + t, square.lo[1] + t, indexing="xy")

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +51,29 @@ def test_gradient_hat_pattern(meshes):
     mags = np.sort(np.linalg.norm(F.gradient(F.P1Function(mesh, vals)).values, axis=1))
     expected = np.sort([0.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0)])
     assert np.allclose(mags, expected, atol=1e-14)
+
+
+def _gradient_by_hats(u):
+    """The former gradient: vertex values against the per-cell hat gradients."""
+    g, _ = F.hat_gradients(u.mesh)
+    return np.einsum("ka,kad->kd", u.values[u.mesh.cells], g)
+
+
+def _rhs_by_hats(mesh, f_h):
+    """The former assemble_rhs: per-cell hat contributions scattered to the
+    vertices."""
+    g, areas = F.hat_gradients(mesh)
+    contrib = np.einsum("k,kad,kd->ka", areas, g, f_h.values)
+    b_full = np.zeros(mesh.num_vertices)
+    np.add.at(b_full, mesh.cells.ravel(), contrib.ravel())
+    return b_full[interior_vertex_indices(mesh)]
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_grid_gradient_is_bit_identical_to_hat_gradients(level, rng):
+    mesh = build_uniform_mesh(level)
+    u = F.P1Function(mesh, rng.standard_normal(mesh.num_vertices))
+    assert np.array_equal(F.gradient(u).values, _gradient_by_hats(u))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +146,7 @@ def test_stiffness_five_point_stencil(meshes):
     mesh = meshes[2]
     system = F.assemble_stiffness(mesh, _identity_projected(mesh))
     M = system.matrix.toarray()
-    coords = mesh.vertices[system.interior]
+    coords = mesh.vertices[interior_vertex_indices(mesh)]
     h = 0.25
     for a in range(len(coords)):
         for b in range(len(coords)):
@@ -157,8 +184,61 @@ def test_rhs_of_gradient_matches_stiffness_action(meshes, rng):
     w = F.p1_zero_trace(mesh, rng.uniform(-1, 1, interior_vertex_indices(mesh).size))
     b = F.assemble_rhs(mesh, F.gradient(w))
     system = F.assemble_stiffness(mesh, _identity_projected(mesh))
-    expected = system.matrix @ w.values[system.interior]
+    expected = system.matrix @ w.values[interior_vertex_indices(mesh)]
     assert np.max(np.abs(b - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_grid_rhs_matches_hat_contributions(level, rng):
+    mesh = build_uniform_mesh(level)
+    f_h = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    expected = _rhs_by_hats(mesh, f_h)
+    assert np.max(np.abs(F.assemble_rhs(mesh, f_h) - expected)) <= 1e-15 * np.max(
+        np.abs(expected)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["identity", "smooth", "log", "checkerboard", "sampled"]
+)
+@pytest.mark.parametrize("level", range(1, 8))
+def test_stiffness_operator_matches_assembled_matrix(name, level, sampled_csv_path, rng):
+    A = {
+        "identity": C.identity_coefficient,
+        "smooth": C.smooth_coefficient,
+        "log": lambda: C.log_singular_coefficient(0.5),
+        "checkerboard": lambda: C.checkerboard_coefficient(100.0),
+        "sampled": lambda: C.load_sampled_coefficient(sampled_csv_path),
+    }[name]()
+    mesh = build_uniform_mesh(level)
+    A_h = C.project_coefficient(A, mesh)
+    x = rng.standard_normal((2**level - 1) ** 2)
+    expected = F.assemble_stiffness(mesh, A_h).matrix @ x
+    got = F.StiffnessOperator(A_h) @ x
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_solve_projected_refuses_noncoercive(meshes):
+    mesh = meshes[2]
+    vals = np.broadcast_to(np.diag([1.0, -1.0]), (mesh.num_cells, 2, 2)).copy()
+    bad = C.PiecewiseConstantMatrixField(mesh, vals)
+    f_h = F.PCVectorField(mesh, np.ones((mesh.num_cells, 2)))
+    with pytest.raises(AssemblyError):
+        F.solve_projected(mesh, bad, f_h)
+
+
+def test_studies_import_no_scipy():
+    # scipy is needed only by the assembled reference and by sampled
+    # coefficients, each imported where it is used
+    code = (
+        "import sys, bmofem.harness, bmofem.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(F.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_rhs_constant_field_vanishes(meshes):
@@ -173,42 +253,41 @@ def test_rhs_constant_field_vanishes(meshes):
 # conjugate gradient solver
 
 
+def _jacobi(M):
+    return lambda r: r / M.diagonal()
+
+
 def test_solve_one_by_one():
-    mesh = build_uniform_mesh(1)
-    system = F.SparseSPDSystem(
-        sp.csr_matrix(np.array([[4.0]])), np.array([1.0]), np.array([4]), mesh
-    )
-    x = F.solve_spd(system)
+    M = sp.csr_matrix(np.array([[4.0]]))
+    x = F.solve_spd(F.SPDSystem(M, np.array([1.0])), precondition=_jacobi(M))
     assert x[0] == 0.25
 
 
 def test_solve_zero_rhs(meshes):
     system = F.assemble_stiffness(meshes[2], _identity_projected(meshes[2]))
-    assert not F.solve_spd(system).any()
+    assert not F.solve_spd(system, precondition=_jacobi(system.matrix)).any()
 
 
 def test_solver_tolerance_range(meshes):
     system = F.assemble_stiffness(meshes[1], _identity_projected(meshes[1]))
     with pytest.raises(ValueError):
-        F.solve_spd(system, 1e-5)
+        F.solve_spd(system, 1e-5, precondition=_jacobi(system.matrix))
     with pytest.raises(ValueError):
-        F.solve_spd(system, 1e-15)
+        F.solve_spd(system, 1e-15, precondition=_jacobi(system.matrix))
 
 
-def test_solver_not_spd(meshes):
+def test_solver_not_spd():
     M = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-    system = F.SparseSPDSystem(M, np.array([1.0, -1.0]), np.arange(2), meshes[0])
     with pytest.raises(NotSPDError):
-        F.solve_spd(system)
+        F.solve_spd(F.SPDSystem(M, np.array([1.0, -1.0])), precondition=_jacobi(M))
 
 
 def test_solver_iteration_cap():
     # a small very ill-conditioned dense SPD matrix cannot reach 1e-14
     n = 12
     H = sp.csr_matrix(np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)]))
-    system = F.SparseSPDSystem(H, np.ones(n), np.arange(n), build_uniform_mesh(0))
     with pytest.raises(IterationLimitError) as err:
-        F.solve_spd(system, 1e-14)
+        F.solve_spd(F.SPDSystem(H, np.ones(n)), 1e-14, precondition=_jacobi(H))
     assert 0.0 < err.value.relative_residual < 1e-6
 
 
@@ -318,7 +397,7 @@ def test_galerkin_residual_small(meshes):
     u = F.solve_projected(mesh, A_h, f_h)
     system = F.assemble_stiffness(mesh, A_h)
     b = F.assemble_rhs(mesh, f_h)
-    residual = np.abs(system.matrix @ u.values[system.interior] - b)
+    residual = np.abs(system.matrix @ u.values[interior_vertex_indices(mesh)] - b)
     assert np.max(residual) <= 1e-9 * np.max(np.abs(b))
 
 
@@ -328,7 +407,7 @@ def test_coercivity_transfers_to_algebra(meshes, rng):
     A_h = C.project_coefficient(A, mesh)
     system = F.assemble_stiffness(mesh, A_h)
     for _ in range(100):
-        x = rng.uniform(-1, 1, system.interior.size)
+        x = rng.uniform(-1, 1, system.rhs.size)
         u = F.p1_zero_trace(mesh, x)
         energy = x @ (system.matrix @ x)
         h1 = F.lp_norm(F.gradient(u), 2.0) ** 2

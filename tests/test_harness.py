@@ -303,6 +303,16 @@ def test_bmo_diagnostics_study_constant_scalar():
     assert report.metadata["dyadic_fallbacks"] == [0] * (X.BMO_DIAG_DEPTH + 1)
 
 
+def test_maximal_bound_check_level1_oracle():
+    # w = x: cell averages are centroid abscissae and square averages centre
+    # abscissae.  The worst margin, max over containing cells minus twice the
+    # max over containing squares, is 1/3 - 2 (1/2) = 5/6 - 2 (3/4) = -2/3;
+    # the value is the one the per-point mesh_maximal and dyadic_maximal
+    # (removed) gave on the same 17x17 grid.
+    w = C.ScalarField(lambda p: p[:, 0], "x")
+    assert X.maximal_bound_check(w, 1) == (0, -0.6666666666666667)
+
+
 def test_maximal_bound_check_accepts_a_deeper_pyramid():
     w = C.log_reciprocal_scalar()
     own = X.maximal_bound_check(w, 2)

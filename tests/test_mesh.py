@@ -146,10 +146,9 @@ def test_mesh_is_immutable():
 
 def test_geometry_cached_read_only_per_mesh():
     m = build_uniform_mesh(2)
-    arrays = (m.cell_coordinates(), cell_areas(m), m.hat_gradients)
+    arrays = (m.cell_coordinates(), cell_areas(m))
     assert m.cell_coordinates() is arrays[0]
     assert cell_areas(m) is arrays[1]
-    assert m.hat_gradients is arrays[2]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -158,7 +157,7 @@ def test_geometry_cached_read_only_per_mesh():
     # its own arrays, and they are freed with their mesh
     other = build_uniform_mesh(2)
     assert cell_areas(other) is not arrays[1]
-    refs = [weakref.ref(other.cell_coordinates()), weakref.ref(other.hat_gradients)]
+    refs = [weakref.ref(other.cell_coordinates()), weakref.ref(cell_areas(other))]
     del other
     gc.collect()
     assert all(r() is None for r in refs)

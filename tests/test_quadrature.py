@@ -5,7 +5,7 @@ import pytest
 
 from bmofem import quadrature as Q
 from bmofem.errors import SingularityError
-from bmofem.quadrature import square_mean, square_means_batch, triangle_means
+from bmofem.quadrature import square_means_batch, triangle_means
 
 UNIT_TRI = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]])
 
@@ -76,15 +76,19 @@ def test_non_finite_value_raises():
     assert err.value.point is not None
 
 
+def _unit_square_mean(f, tol=1e-8):
+    return square_means_batch(lambda p, i: f(p), [(0.0, 0.0)], 1.0, tol)[0]
+
+
 def test_square_mean_constant_and_indicator():
-    assert square_mean(lambda p: np.full(p.shape[0], 2.0), (0.0, 0.0), 1.0) == 2.0
+    assert _unit_square_mean(lambda p: np.full(p.shape[0], 2.0)) == 2.0
     # dyadic-aligned indicator is resolved exactly
     ind = lambda p: ((p[:, 0] < 0.5) & (p[:, 1] < 0.5)).astype(float)
-    assert square_mean(ind, (0.0, 0.0), 1.0) == 0.25
+    assert _unit_square_mean(ind) == 0.25
 
 
 def test_square_mean_smooth():
-    val = square_mean(lambda p: np.sin(np.pi * p[:, 0]), (0.0, 0.0), 1.0, tol=1e-10)
+    val = _unit_square_mean(lambda p: np.sin(np.pi * p[:, 0]), tol=1e-10)
     assert val == pytest.approx(2.0 / math.pi, abs=1e-9)
 
 
