@@ -7,6 +7,7 @@ edit the CONFIGS list to explore other fixtures or exponents.
 
 import argparse
 import pathlib
+import resource
 import time
 
 from bmofem.harness import config_from_dict, run_study
@@ -69,6 +70,9 @@ def main():
         elif cfg.kind == "bmo-diagnostics":
             summary = f"seminorm estimate {report.metadata['seminorm_by_depth'][-1]:.5f}"
         print(f"{data['out']}: {summary}  [{elapsed:.1f}s]")
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS of the battery: {peak_mb:.0f} MB")
 
 
 if __name__ == "__main__":

@@ -397,9 +397,12 @@ def lp_misfit(
     tris, parent, areas, _ = _cut_cells(mesh, breaks)
 
     def integrand(pts, ids):
-        d = np.asarray(f(pts), dtype=float) - consts[ids]
-        d *= d  # in place: one chunk-sized temporary fewer at the peak
-        return np.sqrt(np.sum(d, axis=tuple(range(1, d.ndim)))) ** p
+        d = np.asarray(f(pts), dtype=float) - np.take(consts, ids, axis=0)
+        d *= d
+        # the value columns added in np.sum's order, without its strided
+        # reduction over a short trailing axis
+        cols = d.reshape(d.shape[0], -1).T
+        return np.sqrt(sum(cols[1:], cols[0])) ** p
 
     floor = quadrature.global_scale_floor(integrand, mesh.cell_coordinates())
     means = quadrature.triangle_means(integrand, tris, rel_tol, cell_ids=parent, abs_floor=floor)
@@ -569,7 +572,7 @@ def john_nirenberg_check(
     finite_count = 0
     for r0 in range(0, n, rows):
         y = ys[r0 : r0 + rows]
-        pts = np.column_stack([np.tile(xs, y.size), np.repeat(y, n)])
+        pts = np.stack([np.tile(xs, y.size), np.repeat(y, n)]).T
         vals = np.asarray(w.evaluate(pts), dtype=float)
         dev = np.abs(vals[np.isfinite(vals)] - w_q)
         finite_count += dev.size

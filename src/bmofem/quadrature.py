@@ -27,6 +27,12 @@ only in their levels:
 Midpoint nodes are strictly interior to their subcells, so fields with an
 integrable singularity at a mesh vertex are only evaluated at finite
 points.  Any non-finite evaluation raises SingularityError.
+
+Fields receive column-major float (N, 2) point batches, so P[:, 0] and
+P[:, 1] are contiguous.  A batch holds whole regions and at most _CHUNK
+points, except that a single region whose grid is larger is one batch;
+the ladder's strips hold at most STRIP_POINTS points.  Every mean sums the
+nodes of one region only, so the batch size changes no result.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ STRIP_POINTS = 1 << 18
 _RUNG0 = MIN_SQUARE_GRID.bit_length() - 1
 _RUNGS = 3
 MAX_LADDER_DEPTH = STRIP_POINTS.bit_length() - 1 - (_RUNG0 + _RUNGS - 1)
-_CHUNK = 1 << 21
+_CHUNK = 1 << 14
 
 
 def _check_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -73,7 +79,8 @@ def _eval(f, points, region_ids):
 
 @lru_cache(maxsize=None)
 def _centroid_offsets(m: int) -> np.ndarray:
-    """Affine coordinates (a, b) of the 4^m subtriangle centroids.
+    """Affine coordinates (a, b) of the 4^m subtriangle centroids, as the
+    rows of a (2, 4^m) array.
 
     A node is v0 + a*(v1-v0) + b*(v2-v0).  Splitting into n^2 = 4^m
     congruent triangles gives upward cells (i, j) with i+j <= n-1 and
@@ -85,7 +92,7 @@ def _centroid_offsets(m: int) -> np.ndarray:
     down = i + j <= n - 2
     a = np.concatenate([(3 * i[up] + 1), (3 * i[down] + 2)]) / (3 * n)
     b = np.concatenate([(3 * j[up] + 1), (3 * j[down] + 2)]) / (3 * n)
-    out = np.column_stack([a, b])
+    out = np.stack([a, b])
     out.setflags(write=False)
     return out
 
@@ -97,21 +104,18 @@ def _flat_norm(a: np.ndarray) -> np.ndarray:
 
 def _uniform_tri_means(f, verts, cell_ids, m):
     """Composite midpoint means at uniform level m for each triangle."""
-    offs = _centroid_offsets(m)
-    k = offs.shape[0]
+    a, b = _centroid_offsets(m)
+    k = a.size
     per = max(1, _CHUNK // k)
     chunks = []
     for start in range(0, verts.shape[0], per):
         v = verts[start : start + per]
-        ids = cell_ids[start : start + per]
-        e1 = v[:, 1, :] - v[:, 0, :]
-        e2 = v[:, 2, :] - v[:, 0, :]
-        pts = (
-            v[:, None, 0, :]
-            + offs[None, :, 0, None] * e1[:, None, :]
-            + offs[None, :, 1, None] * e2[:, None, :]
-        )
-        vals = _eval(f, pts.reshape(-1, 2), np.repeat(ids, k))
+        # (coordinate, cell, vertex, 1), C-ordered so that planar is too
+        w = np.ascontiguousarray(v.transpose(2, 0, 1))[..., None]
+        v0 = w[:, :, 0]
+        planar = v0 + a * (w[:, :, 1] - v0) + b * (w[:, :, 2] - v0)
+        pts = planar.reshape(2, -1).T
+        vals = _eval(f, pts, np.repeat(cell_ids[start : start + per], k))
         vals = vals.reshape((v.shape[0], k) + vals.shape[1:])
         chunks.append(vals.mean(axis=1))
     return np.concatenate(chunks, axis=0)
@@ -253,7 +257,7 @@ def _adaptive_mean(f, root, split, center, rel_tol, abs_floor):
 
     def make_leaf(geom, frac):
         children = split(geom)
-        pts = np.vstack([center(geom)[None, :]] + [center(c)[None, :] for c in children])
+        pts = np.asfortranarray([center(g) for g in (geom, *children)])
         vals = np.asarray(f(pts), dtype=float)
         _check_finite(vals, pts)
         coarse = frac * vals[0]
@@ -294,15 +298,14 @@ def _square_grid_means(f, los, size, n, square_ids):
     """Tensor midpoint means on n x n grids for a batch of squares."""
     k = los.shape[0]
     t = (np.arange(n) + 0.5) * (size / n)
-    xx, yy = np.meshgrid(t, t, indexing="xy")
-    base = np.column_stack([xx.ravel(), yy.ravel()])
-    per = max(1, _CHUNK // base.shape[0])
+    bx, by = np.tile(t, n), np.repeat(t, n)
+    per = max(1, _CHUNK // bx.size)
     out = np.empty(k)
     for start in range(0, k, per):
         lo = los[start : start + per]
-        pts = lo[:, None, :] + base[None, :, :]
-        ids = np.repeat(square_ids[start : start + per], base.shape[0])
-        vals = _eval(f, pts.reshape(-1, 2), ids)
+        pts = np.stack([lo[:, 0, None] + bx, lo[:, 1, None] + by]).reshape(2, -1).T
+        ids = np.repeat(square_ids[start : start + per], bx.size)
+        vals = _eval(f, pts, ids)
         out[start : start + per] = vals.reshape(lo.shape[0], -1).mean(axis=1)
     return out
 
@@ -348,7 +351,7 @@ def _ladder_strips(f, g):
     rows = min(n, STRIP_POINTS // n)
     for r0 in range(0, n, rows):
         y = t[r0 : r0 + rows]
-        pts = np.column_stack([np.tile(t, y.size), np.repeat(y, n)])
+        pts = np.stack([np.tile(t, y.size), np.repeat(y, n)]).T
         values = np.asarray(f(pts), dtype=float)
         _check_finite(values, pts)
         yield r0, pts, values.reshape(y.size, n)

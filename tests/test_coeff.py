@@ -315,14 +315,17 @@ def test_bmo_monotone_in_depth():
 
 
 class RecordingField:
-    """Scalar field that records the size of every evaluate batch."""
+    """Scalar field that records the size of every evaluate batch and
+    whether each was column-major."""
 
     def __init__(self, fn):
         self.fn = fn
         self.batches = []
+        self.column_major = set()
 
     def evaluate(self, points):
         self.batches.append(points.shape[0])
+        self.column_major.add(points.flags.f_contiguous)
         return self.fn(points)
 
 
@@ -405,6 +408,7 @@ def test_dyadic_means_evaluates_each_grid_once_in_bounded_strips():
     means, fallbacks = Q.dyadic_means(rec.evaluate, 6, C.DEFAULT_OSC_TOL)
     assert fallbacks == [0] * 7
     assert max(rec.batches) <= Q.STRIP_POINTS
+    assert rec.column_major == {True}
     assert sum(rec.batches) == sum(4**g for g in range(4, 13))
     assert means[0][0] == pytest.approx(
         (1.0 - math.cos(3.0)) / 3.0 + math.sin(2.0) / 2.0, abs=C.DEFAULT_OSC_TOL
@@ -574,6 +578,7 @@ def test_jn_depth_12_samples_in_bounded_strips():
     w = C.ScalarField(rec.evaluate, "x+y")
     table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.5], 12)
     assert max(rec.batches) <= Q.STRIP_POINTS
+    assert rec.column_major == {True}
     assert sum(rec.batches) >= 4**12
     # |x + y - 1| > 1/2 on two corner triangles of total area 1/4
     assert table[0][1] == pytest.approx(0.25, abs=1e-3)

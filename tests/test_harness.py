@@ -158,6 +158,43 @@ def test_aborted_run_leaves_no_output(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# data oscillation
+
+
+def _x_oscillation(p, level):
+    """||f - f_h||_p for f = (x, 0) against its cell means.  A lower cell
+    of side h has its centroid at a = 2/3 of its width along x, and there
+    int |x - x_K|^p = c_p h^(p+2); an upper cell gives the same by the
+    reflection x -> 1 - x.  So the norm is (2 c_p)^(1/p) h, and
+    2 c_2 = 1/18."""
+    a = 2.0 / 3.0
+    c_p = (
+        a ** (p + 2) / ((p + 1) * (p + 2))
+        + (1 - a) ** (p + 2) / (p + 2)
+        + a * (1 - a) ** (p + 1) / (p + 1)
+    )
+    return (2.0 * c_p) ** (1.0 / p) * 2.0**-level
+
+
+@pytest.mark.parametrize("level", [2, 4, 6])
+@pytest.mark.parametrize("p", [2.0, 2.1, 3.0])
+def test_data_oscillation_of_x_matches_closed_form(meshes, p, level):
+    def f(P):
+        return np.column_stack([P[:, 0], np.zeros(P.shape[0])])
+
+    f_h = F.project_rhs(f, meshes[level])
+    got = X.data_oscillation(f, f_h, p)
+    if p == 2.0:
+        want = 2.0**-level / np.sqrt(18.0)
+        assert _x_oscillation(p, level) == pytest.approx(want, rel=1e-15)
+        assert got == pytest.approx(want, rel=1e-14)
+    else:
+        # |x - x_K|^p is kinked in every cell: the default rel_tol 1e-4
+        # lands within 1e-6 of the closed form
+        assert got == pytest.approx(_x_oscillation(p, level), rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
 # studies
 
 

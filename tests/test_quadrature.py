@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from bmofem import coeff as C
+from bmofem import fem as F
+from bmofem import harness as X
 from bmofem import quadrature as Q
 from bmofem.errors import SingularityError
+from bmofem.mesh import build_uniform_mesh
 from bmofem.quadrature import square_means_batch, triangle_means
 
 UNIT_TRI = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]])
@@ -235,3 +239,80 @@ def test_dyadic_means_of_log_refinement_pins():
     )
     assert (g.evals, fallbacks) == (DYADIC_PIN["osc_evals"], DYADIC_PIN["osc_fallbacks"])
     assert [o.sum() for o in oscs] == pytest.approx(DYADIC_PIN["osc_sums"], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Point batches.  Every mean is a sum over one region's nodes, so the size of
+# the batches a field is evaluated in cannot change any result; fields get
+# column-major (N, 2) batches of at most _CHUNK points, unless a single
+# region's grid is larger.
+
+
+def _chunk_sensitive_results(sampled_path):
+    log = C.log_singular_coefficient(0.5)
+    mesh = build_uniform_mesh(5)
+    A_h = C.project_coefficient(log, mesh)
+
+    def rhs(P):
+        return np.column_stack([np.sin(np.pi * P[:, 0]), np.cos(np.pi * P[:, 1])])
+
+    sampled = C.load_sampled_coefficient(sampled_path)  # cut cells
+    means, oscs, fallbacks = C.dyadic_oscillations(C.log_reciprocal_scalar(), 3)
+    return [
+        C.project_coefficient(sampled, build_uniform_mesh(3)).values,
+        A_h.values,
+        np.array([C.coefficient_error(log, A_h, 2.0)]),
+        np.array([X.data_oscillation(rhs, F.project_rhs(rhs, mesh), 2.1)]),
+        square_means_batch(
+            lambda p, i: np.abs(_log_reciprocal(p) - 1.75),
+            np.array([[0.0, 0.0], [0.25, 0.0], [0.25, 0.25]]),
+            0.25,
+            1e-8,
+        ),
+        *means,
+        *oscs,
+        np.array(fallbacks),
+    ]
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, nondyadic_csv_path):
+    default = _chunk_sensitive_results(nondyadic_csv_path)
+    for chunk in (1 << 10, 1 << 21):
+        monkeypatch.setattr(Q, "_CHUNK", chunk)
+        got = _chunk_sensitive_results(nondyadic_csv_path)
+        assert all(np.array_equal(a, b) for a, b in zip(got, default, strict=True))
+
+
+class _RecordingIntegrand:
+    """Integrand f(points, ids) that records, per batch, its layout and
+    whether it stays within the chunk or covers a single region."""
+
+    def __init__(self, f):
+        self.f = f
+        self.batches = []
+
+    def __call__(self, p, ids):
+        self.batches.append(
+            (p.dtype, p.ndim, p.shape[1], p.flags.f_contiguous,
+             p.shape[0] <= Q._CHUNK or np.unique(ids).size == 1)
+        )
+        return self.f(p)
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 8])
+def test_fields_get_column_major_batches_of_at_most_a_chunk(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(Q, "_CHUNK", chunk)
+    rec = _RecordingIntegrand(lambda p: np.sin(np.pi * p[:, 0]) * np.cos(p[:, 1]))
+    triangle_means(rec, build_uniform_mesh(3).cell_coordinates(), 1e-10)
+    # one cell refined past every chunk, then finished adaptively
+    rec.f = TRIANGLE_PINS["kink"][1]
+    triangle_means(rec, KINK_TRI, 1e-8)
+    rec.f = SQUARE_PINS["log-corner"][2]
+    square_means_batch(rec, np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.5]]), 0.25, 1e-8)
+    assert rec.batches and set(rec.batches) == {(np.dtype(float), 2, 2, True, True)}
+
+
+def test_default_chunk_is_cache_sized():
+    # the two coordinates of a full batch take at most 1 MB
+    assert 2 * 8 * Q._CHUNK <= 1 << 20
