@@ -8,11 +8,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .errors import BmofemError, ConfigError
-from .harness import config_from_dict, parse_levels, run_study
+from .harness import ExperimentConfig, config_from_dict, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,20 +61,17 @@ class _IOFailure(Exception):
     pass
 
 
-_OVERRIDES = (
-    "kind", "p", "p_hat", "coeff", "beta", "kappa", "rhs", "out", "seed", "solver_tol",
-)
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _merge_overrides(data: dict, args: argparse.Namespace) -> dict:
-    out = dict(data)
-    for key in _OVERRIDES:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    if args.levels is not None:
-        out["levels"] = parse_levels(args.levels)
-    return out
+def _merge_overrides(data, args: argparse.Namespace):
+    """The config file's keys, overridden by every config flag that is set;
+    config_from_dict parses and checks the values (and rejects a file that
+    is not a JSON object)."""
+    if not isinstance(data, dict):
+        return data
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    return {**data, **flags}
 
 
 def _print_report(report) -> None:

@@ -7,7 +7,6 @@ lower bound for the corresponding supremum, within a fixed constant of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -433,28 +432,42 @@ def _point_in_domain(x):
     return x
 
 
-def cells_containing(mesh: Mesh, x) -> list[int]:
-    """Indices of all (closed) cells of the structured mesh containing x.
+def cells_containing_points(level: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """The closed cells of the level-`level` mesh containing each point.
 
     Grid square (i, j) holds the lower cell 2 (j 2^level + i) and the upper
-    cell after it; with local coordinates (xi, eta) in [0, 1]^2 the lower
-    cell is xi >= eta and the upper one eta >= xi, both up to 1e-12.
+    cell after it.  Per axis the squares whose closure holds a coordinate t
+    are floor(t 2^level) and ceil(t 2^level) - 1; with local coordinates
+    (xi, eta) in [0, 1]^2 the lower cell contains the point when
+    xi >= eta and the upper one when eta >= xi, both up to 1e-12.
+
+    Returns (cells, mask), both (P, 8): the lower and upper cell of the four
+    candidate squares of each point, and which of them contain it (each
+    containing cell once; entries outside the mask are 0, so cells always
+    index cell arrays).  cells // 2 is the grid square, which is also the
+    dyadic square of generation `level` indexed ix + iy 2^level.
     """
-    x = _point_in_domain(x)
-    n = 2**mesh.level
-    gx, gy = x * n
-    out = []
-    for i in {math.floor(gx), math.ceil(gx) - 1}:
-        for j in {math.floor(gy), math.ceil(gy) - 1}:
-            if not (0 <= i < n and 0 <= j < n):
-                continue
-            xi, eta = gx - i, gy - j
-            cell = 2 * (j * n + i)
-            if xi >= eta - 1e-12:
-                out.append(cell)
-            if eta >= xi - 1e-12:
-                out.append(cell + 1)
-    return sorted(out)
+    n = 2**level
+    g = np.asarray(points, dtype=float).reshape(-1, 2) * n
+    cand = np.stack([np.floor(g), np.ceil(g) - 1], axis=2)  # (P, axis, candidate)
+    ok = (cand >= 0) & (cand < n)
+    ok[:, :, 1] &= cand[:, :, 1] != cand[:, :, 0]
+    i, j = cand[:, 0, :, None], cand[:, 1, None, :]
+    xi, eta = g[:, 0, None, None] - i, g[:, 1, None, None] - j
+    square_ok = ok[:, 0, :, None] & ok[:, 1, None, :]
+    lower = (2 * (j * n + i)).astype(np.intp)
+    cells = np.stack([lower, lower + 1], axis=3).reshape(-1, 8)
+    mask = np.stack(
+        [square_ok & (xi >= eta - 1e-12), square_ok & (eta >= xi - 1e-12)], axis=3
+    ).reshape(-1, 8)
+    return np.where(mask, cells, 0), mask
+
+
+def cells_containing(mesh: Mesh, x) -> list[int]:
+    """Indices of all (closed) cells of the structured mesh containing x:
+    the one-point case of cells_containing_points."""
+    cells, mask = cells_containing_points(mesh.level, _point_in_domain(x))
+    return sorted(int(c) for c in cells[mask])
 
 
 def cell_abs_means(w: ScalarField, mesh: Mesh, rel_tol=1e-6) -> np.ndarray:
@@ -463,20 +476,6 @@ def cell_abs_means(w: ScalarField, mesh: Mesh, rel_tol=1e-6) -> np.ndarray:
     return quadrature.triangle_means(
         lambda pts, ids: np.abs(w.evaluate(pts)), verts, rel_tol, abs_floor=1.0
     )
-
-
-def dyadic_squares_containing(x, level: int) -> list[DyadicSquare]:
-    """All generation-`level` dyadic squares whose closure contains x."""
-    x = _point_in_domain(x)
-    n = 2**level
-    sx = {int(math.floor(x[0] * n)), int(math.ceil(x[0] * n)) - 1}
-    sy = {int(math.floor(x[1] * n)), int(math.ceil(x[1] * n)) - 1}
-    return [
-        DyadicSquare(level, i, j)
-        for i in sorted(sx)
-        for j in sorted(sy)
-        if 0 <= i < n and 0 <= j < n
-    ]
 
 
 def _generation_grid(level: int):
@@ -563,24 +562,17 @@ def john_nirenberg_check(
     w_q = quadrature.square_means_batch(
         lambda p, i: w.evaluate(p), [square.lo], square.size, DEFAULT_SQUARE_TOL
     )[0]
-    n = 2**depth
-    t = (np.arange(n) + 0.5) * (square.size / n)
-    xs = square.lo[0] + t
-    ys = square.lo[1] + t
-    rows = max(1, quadrature.STRIP_POINTS // n)
     exceed = [0] * len(lambdas)
     finite_count = 0
-    for r0 in range(0, n, rows):
-        y = ys[r0 : r0 + rows]
-        pts = np.stack([np.tile(xs, y.size), np.repeat(y, n)]).T
-        vals = np.asarray(w.evaluate(pts), dtype=float)
+    for _, _, vals in quadrature._ladder_strips(w.evaluate, depth, square.lo, square.size):
         dev = np.abs(vals[np.isfinite(vals)] - w_q)
         finite_count += dev.size
         for i, lam in enumerate(lambdas):
             exceed[i] += int(np.count_nonzero(dev > lam))
-    skipped = n * n - finite_count
-    if skipped > 1e-3 * n * n:
+    total = 4**depth
+    skipped = total - finite_count
+    if skipped > 1e-3 * total:
         raise SingularityError(
-            f"{skipped} of {n * n} sample points were non-finite", point=None
+            f"{skipped} of {total} sample points were non-finite", point=None
         )
     return [(lam, c / finite_count) for lam, c in zip(lambdas, exceed)]

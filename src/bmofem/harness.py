@@ -1,14 +1,11 @@
 """Experiment driver: stability, convergence, decay, Hodge and BMO studies.
 
 Each study consumes an ExperimentConfig and produces a StudyReport whose
-rows are written as CSV with the fixed header
-
-    level,cells,grad_lp,f_lp,stability_ratio,err_phat,order,coeff_err_l2,conj_gap_ratio,flux_ratio
-
-Absent quantities are written as empty fields, floats with 17 significant
-digits.  Reports are deterministic: the same config always byte-reproduces
-its CSV.  Output files are written atomically; an aborted run leaves no
-partial file.
+rows are written as CSV, one column per ReportRow field in field order
+(CSV_HEADER).  Absent quantities are written as empty fields, floats with
+17 significant digits.  Reports are deterministic: the same config always
+byte-reproduces its CSV.  Output files are written atomically; an aborted
+run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 from typing import Callable
 
 import numpy as np
@@ -28,10 +25,6 @@ from .errors import ConfigError, LineageError
 from .mesh import MAX_LEVEL, Mesh, build_uniform_mesh
 from .fem import P1Function, PCVectorField
 
-CSV_HEADER = (
-    "level,cells,grad_lp,f_lp,stability_ratio,err_phat,order,"
-    "coeff_err_l2,conj_gap_ratio,flux_ratio"
-)
 KINDS = ("stability", "convergence", "hodge-suite", "coeff-decay", "bmo-diagnostics")
 COEFF_NAMES = ("identity", "smooth", "log", "checkerboard", "sampled")
 RHS_NAMES = ("constant", "sin-cos", "grad-sinsin")
@@ -208,6 +201,10 @@ class ReportRow:
     flux_ratio: float | None = None
 
 
+_CSV_COLUMNS = tuple(f.name for f in dc_fields(ReportRow))
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+
+
 @dataclass(frozen=True)
 class StudyReport:
     rows: tuple[ReportRow, ...]
@@ -234,25 +231,15 @@ def _fmt(v) -> str:
 
 def report_to_csv(report: StudyReport) -> str:
     lines = [CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.level,
-                    r.cells,
-                    r.grad_lp,
-                    r.f_lp,
-                    r.stability_ratio,
-                    r.err_phat,
-                    r.order,
-                    r.coeff_err_l2,
-                    r.conj_gap_ratio,
-                    r.flux_ratio,
-                )
-            )
-        )
+    lines += [",".join(_fmt(getattr(r, c)) for c in _CSV_COLUMNS) for r in report.rows]
     return "\n".join(lines) + "\n"
+
+
+def _report(cfg: ExperimentConfig, rows, **meta) -> StudyReport:
+    """The study's report; its metadata starts with the config echo and kind."""
+    return StudyReport(
+        rows=tuple(rows), metadata={"config": config_echo(cfg), "kind": cfg.kind, **meta}
+    )
 
 
 def write_report(report: StudyReport, path: str) -> None:
@@ -299,11 +286,24 @@ def gradient_error_against(grad_exact, u: P1Function, p: float, rel_tol=1e-4) ->
 
 
 def _solve_level(cfg: ExperimentConfig, A, f, level: int):
+    """Project A and f on the level mesh and solve; the row carries the
+    columns every solve reports: cells, the gradient and data norms, their
+    ratio and the L^2 coefficient error."""
     mesh = build_uniform_mesh(level)
     A_h = coeff_mod.project_coefficient(A, mesh, cfg.projection_tol)
     f_h = fem.project_rhs(f, mesh, cfg.projection_tol)
     u = fem.solve_projected(mesh, A_h, f_h, cfg.solver_tol)
-    return mesh, A_h, f_h, u
+    grad_lp = fem.lp_norm(fem.gradient(u), cfg.p)
+    f_lp = fem.lp_norm(f_h, cfg.p)
+    row = ReportRow(
+        level=level,
+        cells=mesh.num_cells,
+        grad_lp=grad_lp,
+        f_lp=f_lp,
+        stability_ratio=grad_lp / f_lp,
+        coeff_err_l2=coeff_mod.coefficient_error(A, A_h, 2.0),
+    )
+    return mesh, A_h, f_h, u, row
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,6 @@ def _solve_level(cfg: ExperimentConfig, A, f, level: int):
 def run_stability_study(cfg: ExperimentConfig) -> StudyReport:
     """Per level: solve, record the gradient-to-data norm ratio plus the
     conjugate-gap and flux-split ratios."""
-    cfg = cfg.validate()
     A = coefficient_fixture(cfg)
     f = rhs_fixture(cfg)
     rows = []
@@ -321,106 +320,59 @@ def run_stability_study(cfg: ExperimentConfig) -> StudyReport:
     timings = []
     for level in cfg.levels:
         t0 = time.perf_counter()
-        mesh, A_h, f_h, u = _solve_level(cfg, A, f, level)
-        grad_lp = fem.lp_norm(fem.gradient(u), cfg.p)
-        f_lp = fem.lp_norm(f_h, cfg.p)
-        if grad_lp > 0.0:
+        mesh, A_h, f_h, u, row = _solve_level(cfg, A, f, level)
+        # data whose discrete load vanishes gives u = 0; the split ratios
+        # are undefined and their columns stay empty
+        if row.grad_lp > 0.0:
             _, conj_ratio = hodge.conjugate_gap(u, cfg.p, mesh, cfg.solver_tol)
             _, _, flux_ratio = hodge.flux_decompose(u, A_h, cfg.p, cfg.solver_tol)
-        else:
-            # data whose discrete load vanishes gives u = 0; the split
-            # ratios are undefined and their columns stay empty
-            conj_ratio = None
-            flux_ratio = None
-        err_l2 = coeff_mod.coefficient_error(A, A_h, 2.0)
+            row = replace(row, conj_gap_ratio=conj_ratio, flux_ratio=flux_ratio)
         oscillations.append(data_oscillation(f, f_h, cfg.p))
-        rows.append(
-            ReportRow(
-                level=level,
-                cells=mesh.num_cells,
-                grad_lp=grad_lp,
-                f_lp=f_lp,
-                stability_ratio=grad_lp / f_lp,
-                coeff_err_l2=err_l2,
-                conj_gap_ratio=conj_ratio,
-                flux_ratio=flux_ratio,
-            )
-        )
+        rows.append(row)
         timings.append(time.perf_counter() - t0)
     ratios = [r.stability_ratio for r in rows]
-    spread = max(ratios) / min(ratios) if min(ratios) > 0 else None
-    meta = {
-        "config": config_echo(cfg),
-        "kind": cfg.kind,
-        "stability_ratio_max_over_min": spread,
-        "data_oscillation_lp": oscillations,
-        "timings_s": timings,
-    }
-    return StudyReport(rows=tuple(rows), metadata=meta)
+    return _report(
+        cfg,
+        rows,
+        stability_ratio_max_over_min=max(ratios) / min(ratios) if min(ratios) > 0 else None,
+        data_oscillation_lp=oscillations,
+        timings_s=timings,
+    )
 
 
 def run_convergence_study(cfg: ExperimentConfig) -> StudyReport:
     """Errors against a fine reference solution under exact prolongation;
-    the last configured level is the reference."""
-    cfg = cfg.validate()
+    the last configured level is the reference, reported as its own row."""
     A = coefficient_fixture(cfg)
     f = rhs_fixture(cfg)
-    study_levels = cfg.levels[:-1]
     ref_level = cfg.levels[-1]
-    timings = []
     t0 = time.perf_counter()
-    ref_mesh, ref_A_h, ref_f_h, u_ref = _solve_level(cfg, A, f, ref_level)
+    ref_mesh, _, _, u_ref, ref_row = _solve_level(cfg, A, f, ref_level)
     g_ref = fem.gradient(u_ref)
     ref_time = time.perf_counter() - t0
     rows = []
+    timings = []
     prev_err = None
-    for level in study_levels:
+    for level in cfg.levels[:-1]:
         t0 = time.perf_counter()
-        mesh, A_h, f_h, u = _solve_level(cfg, A, f, level)
-        grad_lp = fem.lp_norm(fem.gradient(u), cfg.p)
-        f_lp = fem.lp_norm(f_h, cfg.p)
+        _, _, _, u, row = _solve_level(cfg, A, f, level)
         err = fem.lp_norm(g_ref - fem.gradient(prolong(u, ref_mesh)), cfg.p_hat)
         order = None if prev_err is None else float(np.log2(prev_err / err))
         prev_err = err
-        rows.append(
-            ReportRow(
-                level=level,
-                cells=mesh.num_cells,
-                grad_lp=grad_lp,
-                f_lp=f_lp,
-                stability_ratio=grad_lp / f_lp,
-                err_phat=err,
-                order=order,
-                coeff_err_l2=coeff_mod.coefficient_error(A, A_h, 2.0),
-            )
-        )
+        rows.append(replace(row, err_phat=err, order=order))
         timings.append(time.perf_counter() - t0)
-    grad_lp = fem.lp_norm(g_ref, cfg.p)
-    f_lp = fem.lp_norm(ref_f_h, cfg.p)
-    rows.append(
-        ReportRow(
-            level=ref_level,
-            cells=ref_mesh.num_cells,
-            grad_lp=grad_lp,
-            f_lp=f_lp,
-            stability_ratio=grad_lp / f_lp,
-            coeff_err_l2=coeff_mod.coefficient_error(A, ref_A_h, 2.0),
-        )
+    return _report(
+        cfg,
+        rows + [ref_row],
+        reference_level=ref_level,
+        reference_time_s=ref_time,
+        timings_s=timings,
     )
-    meta = {
-        "config": config_echo(cfg),
-        "kind": cfg.kind,
-        "reference_level": ref_level,
-        "reference_time_s": ref_time,
-        "timings_s": timings,
-    }
-    return StudyReport(rows=tuple(rows), metadata=meta)
 
 
 def run_coeff_decay_study(cfg: ExperimentConfig) -> StudyReport:
     """||A - A_h||_{L^r} per level with r = p; the L^2 value fills the
     dedicated column, the r-norm sequence drives the order column."""
-    cfg = cfg.validate()
     A = coefficient_fixture(cfg)
     rows = []
     err_r_list = []
@@ -438,19 +390,12 @@ def run_coeff_decay_study(cfg: ExperimentConfig) -> StudyReport:
         rows.append(
             ReportRow(level=level, cells=mesh.num_cells, coeff_err_l2=err_l2, order=order)
         )
-    meta = {
-        "config": config_echo(cfg),
-        "kind": cfg.kind,
-        "coeff_err_lr": err_r_list,
-        "r": cfg.p,
-    }
-    return StudyReport(rows=tuple(rows), metadata=meta)
+    return _report(cfg, rows, coeff_err_lr=err_r_list, r=cfg.p)
 
 
 def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
     """Random piecewise constant fields per level: decomposition residuals
     and the L^r stability ratio of the split, r = p."""
-    cfg = cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     rows = []
     residuals = []
@@ -475,13 +420,7 @@ def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
         rows.append(
             ReportRow(level=level, cells=mesh.num_cells, stability_ratio=worst_ratio)
         )
-    meta = {
-        "config": config_echo(cfg),
-        "kind": cfg.kind,
-        "fields_per_level": HODGE_SUITE_FIELDS,
-        "residuals": residuals,
-    }
-    return StudyReport(rows=tuple(rows), metadata=meta)
+    return _report(cfg, rows, fields_per_level=HODGE_SUITE_FIELDS, residuals=residuals)
 
 
 def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
@@ -495,35 +434,32 @@ def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
     the dyadic family at depth = level always contains it.  gen_means[j]
     holds the |w| averages of the generation-j squares for j = 0..level (or
     deeper), as coeff.abs_means_pyramid builds them; by default that
-    pyramid is built for this level.  Returns (violations, worst_margin).
+    pyramid is built for this level.  The closed generation-j squares
+    containing x are the grid squares of the level-j mesh cells containing
+    x, so one containment rule serves both maxima, for all points at once.
+    Returns (violations, worst_margin).
     """
-    mesh = build_uniform_mesh(level)
-    cell_means = coeff_mod.cell_abs_means(w, mesh)
+    cell_means = coeff_mod.cell_abs_means(w, build_uniform_mesh(level))
     if gen_means is None:
         gen_means = coeff_mod.abs_means_pyramid(w, level)
     grid = np.linspace(0.0, 1.0, MAXIMAL_GRID)
-    violations = 0
-    worst = -np.inf
-    for x in grid:
-        for y in grid:
-            pt = (x, y)
-            mm = max(cell_means[c] for c in coeff_mod.cells_containing(mesh, pt))
-            dm = -np.inf
-            for j in range(level + 1):
-                n = 2**j
-                for sq in coeff_mod.dyadic_squares_containing(pt, j):
-                    dm = max(dm, gen_means[j][sq.iy * n + sq.ix])
-            margin = mm - MAXIMAL_BOUND_CONSTANT * dm
-            worst = max(worst, margin)
-            if margin > tol:
-                violations += 1
-    return violations, float(worst)
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=2).reshape(-1, 2)
+
+    def masked_max(values, cells, mask):
+        return np.where(mask, values[cells], -np.inf).max(axis=1)
+
+    mm = masked_max(cell_means, *coeff_mod.cells_containing_points(level, points))
+    dm = np.full(len(points), -np.inf)
+    for j in range(level + 1):
+        cells, mask = coeff_mod.cells_containing_points(j, points)
+        dm = np.maximum(dm, masked_max(gen_means[j], cells // 2, mask))
+    margin = mm - MAXIMAL_BOUND_CONSTANT * dm
+    return int(np.count_nonzero(margin > tol)), float(margin.max())
 
 
 def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     """BMO seminorm estimates per depth, the John-Nirenberg distribution
     table, and the maximal-function comparison per level."""
-    cfg = cfg.validate()
     A = coefficient_fixture(cfg)
     w = diagnostic_scalar(cfg)
     _, oscs, fallbacks = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
@@ -546,16 +482,15 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
                 coeff_err_l2=coeff_mod.coefficient_error(A, A_h, 2.0),
             )
         )
-    meta = {
-        "config": config_echo(cfg),
-        "kind": cfg.kind,
-        "scalar": w.name,
-        "seminorm_by_depth": seminorm_by_depth,
-        "john_nirenberg": [list(t) for t in jn_table],
-        "maximal_bound": lemma,
-        "dyadic_fallbacks": fallbacks,
-    }
-    return StudyReport(rows=tuple(rows), metadata=meta)
+    return _report(
+        cfg,
+        rows,
+        scalar=w.name,
+        seminorm_by_depth=seminorm_by_depth,
+        john_nirenberg=[list(t) for t in jn_table],
+        maximal_bound=lemma,
+        dyadic_fallbacks=fallbacks,
+    )
 
 
 _RUNNERS = {

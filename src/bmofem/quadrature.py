@@ -342,19 +342,19 @@ def square_means_batch(f, los, size, tol, square_ids=None):
     return means
 
 
-def _ladder_strips(f, g):
-    """Samples of f on the global midpoint grid 2^g x 2^g of the unit
-    square, in row strips of at most STRIP_POINTS points: yields (first row,
-    points, values with shape (rows, 2^g))."""
+def _ladder_strips(f, g, lo=(0.0, 0.0), size=1.0):
+    """Samples of f on the midpoint grid 2^g x 2^g of the square with lower
+    corner lo and side size (the unit square by default), in row strips of
+    at most STRIP_POINTS points: yields (first row, points, values with
+    shape (rows, 2^g)).  Values are not checked for finiteness."""
     n = 2**g
-    t = (np.arange(n) + 0.5) / n
+    t = (np.arange(n) + 0.5) * (size / n)
+    xs, ys = lo[0] + t, lo[1] + t
     rows = min(n, STRIP_POINTS // n)
     for r0 in range(0, n, rows):
-        y = t[r0 : r0 + rows]
-        pts = np.stack([np.tile(t, y.size), np.repeat(y, n)]).T
-        values = np.asarray(f(pts), dtype=float)
-        _check_finite(values, pts)
-        yield r0, pts, values.reshape(y.size, n)
+        y = ys[r0 : r0 + rows]
+        pts = np.stack([np.tile(xs, y.size), np.repeat(y, n)]).T
+        yield r0, pts, np.asarray(f(pts), dtype=float).reshape(y.size, n)
 
 
 def _raw_samples(values, square_ids, j):
@@ -390,6 +390,7 @@ def dyadic_means(f, depth, tol, transform=None):
         n = 2**g
         gens = range(max(0, g - _RUNG0 - _RUNGS + 1), min(depth, g - _RUNG0) + 1)
         for r0, pts, values in _ladder_strips(f, g):
+            _check_finite(values.ravel(), pts)
             rows = values.shape[0]
             for j in gens:
                 b = 2 ** (g - j)  # nodes per square side

@@ -46,6 +46,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(bad_json)]) == 2
 
 
+@pytest.mark.parametrize("levels", ["x..3", "2.."])
+def test_bad_levels_flag_is_a_config_error(levels, capsys):
+    assert main(["run", "--kind", "stability", "--levels", levels]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, [1, 2])
+    assert main(["run", "--config", cfg, "--seed", "3"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_missing_config_is_io_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 4
 

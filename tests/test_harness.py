@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -110,6 +111,14 @@ def test_prolong_rejects_coarser_target(meshes, rng):
 
 # ---------------------------------------------------------------------------
 # reports
+
+
+def test_csv_header_is_pinned():
+    # CSV_HEADER is derived from ReportRow; the published column order is not
+    assert X.CSV_HEADER == (
+        "level,cells,grad_lp,f_lp,stability_ratio,err_phat,order,"
+        "coeff_err_l2,conj_gap_ratio,flux_ratio"
+    )
 
 
 def test_csv_header_and_formatting(tmp_path):
@@ -356,6 +365,62 @@ def test_maximal_bound_check_accepts_a_deeper_pyramid():
     shared = X.maximal_bound_check(w, 2, gen_means=C.abs_means_pyramid(w, 4))
     assert shared[0] == own[0] == 0
     assert shared[1] == pytest.approx(own[1], abs=2 * X.MAXIMAL_BOUND_TOL)
+
+
+def _dyadic_squares_containing(x, level):
+    """The former coeff.dyadic_squares_containing, as (ix, iy) pairs."""
+    n = 2**level
+    sx = {int(math.floor(x[0] * n)), int(math.ceil(x[0] * n)) - 1}
+    sy = {int(math.floor(x[1] * n)), int(math.ceil(x[1] * n)) - 1}
+    return [(i, j) for i in sorted(sx) for j in sorted(sy) if 0 <= i < n and 0 <= j < n]
+
+
+def _maximal_bound_per_point(w, level, gen_means, tol=X.MAXIMAL_BOUND_TOL):
+    """The former per-point maximal_bound_check: the reference for the
+    vectorised one."""
+    mesh = build_uniform_mesh(level)
+    cell_means = C.cell_abs_means(w, mesh)
+    grid = np.linspace(0.0, 1.0, X.MAXIMAL_GRID)
+    violations = 0
+    worst = -np.inf
+    for x in grid:
+        for y in grid:
+            pt = (x, y)
+            mm = max(cell_means[c] for c in C.cells_containing(mesh, pt))
+            dm = -np.inf
+            for j in range(level + 1):
+                n = 2**j
+                for ix, iy in _dyadic_squares_containing(pt, j):
+                    dm = max(dm, gen_means[j][iy * n + ix])
+            margin = mm - X.MAXIMAL_BOUND_CONSTANT * dm
+            worst = max(worst, margin)
+            if margin > tol:
+                violations += 1
+    return violations, float(worst)
+
+
+_MAXIMAL_FIELDS = {
+    "log-origin": lambda: C.log_reciprocal_scalar(),
+    "log-centre": lambda: C.log_reciprocal_scalar((0.5, 0.5)),
+    "x": lambda: C.ScalarField(lambda p: p[:, 0], "x"),
+    "checkerboard-100": lambda: C.coefficient_entry(C.checkerboard_coefficient(100.0), 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAXIMAL_FIELDS))
+def test_maximal_bound_check_matches_per_point_loop(name):
+    w = _MAXIMAL_FIELDS[name]()
+    shared = C.abs_means_pyramid(w, 6)
+    for level in range(6):
+        own = C.abs_means_pyramid(w, level)
+        assert X.maximal_bound_check(w, level) == _maximal_bound_per_point(w, level, own)
+        ref = _maximal_bound_per_point(w, level, shared)
+        assert X.maximal_bound_check(w, level, gen_means=shared) == ref
+        # every worst margin here is negative: 1.5 times it counts violations
+        tol = 1.5 * ref[1]
+        assert X.maximal_bound_check(
+            w, level, tol, gen_means=shared
+        ) == _maximal_bound_per_point(w, level, shared, tol)
 
 
 def test_study_csv_bytes_reproducible(tmp_path):
