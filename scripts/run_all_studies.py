@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Run the full battery of studies and write one CSV per study.
 
-This is the scripted equivalent of a handful of `bmofem run` invocations;
-edit the CONFIGS list to explore other fixtures or exponents.
+Beside each CSV goes `<csv stem>.meta.json`: the study's metadata without
+its wall-clock times, and with the config echo's `out` path left out, so
+two runs into different directories give byte-identical files.  This is
+the scripted equivalent of a handful of `bmofem run` invocations; edit the
+CONFIGS list to explore other fixtures or exponents.
 """
 
 import argparse
+import json
 import pathlib
 import resource
 import time
@@ -41,6 +45,19 @@ CONFIGS = [
 ]
 
 
+# metadata entries that hold wall-clock times
+TIMING_KEYS = ("timings_s", "reference_time_s")
+
+
+def reproducible_metadata(metadata: dict) -> dict:
+    """The study's metadata less its timings and the config's out path."""
+    meta = {k: v for k, v in metadata.items() if k not in TIMING_KEYS}
+    config = json.loads(meta["config"])
+    del config["out"]
+    meta["config"] = json.dumps(config, sort_keys=True)
+    return meta
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="directory for the CSVs")
@@ -55,6 +72,10 @@ def main():
         start = time.perf_counter()
         report = run_study(cfg)
         elapsed = time.perf_counter() - start
+        meta_path = pathlib.Path(data["out"]).with_suffix(".meta.json")
+        meta_path.write_text(
+            json.dumps(reproducible_metadata(report.metadata), indent=1) + "\n", encoding="utf-8"
+        )
         summary = ""
         if cfg.kind == "stability":
             summary = f"ratio spread {report.metadata['stability_ratio_max_over_min']:.4f}"

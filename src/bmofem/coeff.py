@@ -123,7 +123,9 @@ def log_singular_coefficient(beta: float, x0=(0.0, 0.0)) -> CoefficientField:
     x0 = np.asarray(x0, dtype=float)
 
     def evaluate(points):
-        r = np.linalg.norm(points - x0, axis=1)
+        dx = points[:, 0] - x0[0]
+        dy = points[:, 1] - x0[1]
+        r = np.sqrt(dx * dx + dy * dy)
         s = 1.0 + beta * np.abs(np.log(r))
         out = np.zeros((points.shape[0], 2, 2))
         out[:, 0, 0] = s
@@ -212,7 +214,15 @@ def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
     x0 = np.asarray(x0, dtype=float)
 
     def evaluate(points):
-        return -np.log(np.hypot(points[:, 0] - x0[0], points[:, 1] - x0[1]))
+        # -log sqrt(dx^2 + dy^2), in place; np.hypot costs several times more
+        out = points[:, 0] - x0[0]
+        out *= out
+        dy = points[:, 1] - x0[1]
+        dy *= dy
+        out += dy
+        np.sqrt(out, out=out)
+        np.log(out, out=out)
+        return np.negative(out, out=out)
 
     return ScalarField(evaluate, name="log-reciprocal")
 
@@ -505,11 +515,7 @@ def dyadic_oscillations(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL):
     ix + iy * 2^j), and the number of generation-j squares the pyramid
     handed to the per-square rule (both passes together)."""
     means, fb_means = quadrature.dyadic_means(w.evaluate, depth, tol)
-
-    def oscillation(values, ids, j):
-        return np.abs(values - means[j][ids])
-
-    oscs, fb_oscs = quadrature.dyadic_means(w.evaluate, depth, tol, oscillation)
+    oscs, fb_oscs = quadrature.dyadic_means(w.evaluate, depth, tol, centres=means)
     return means, oscs, [a + b for a, b in zip(fb_means, fb_oscs)]
 
 

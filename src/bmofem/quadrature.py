@@ -18,18 +18,22 @@ only in their levels:
 * ``square_means_batch``: averages of scalars over axis aligned squares
   on tensor midpoint grids of 16..MAX_SQUARE_GRID points per side, floor 1.
 
-* ``dyadic_means``: averages of a scalar over every dyadic square of
-  generations 0..depth at once.  It samples the field once on each global
-  midpoint grid 2^g x 2^g, in bounded row strips, and block sums give each
-  square its 16/32/64-per-side grid means; the rule runs on those three
-  levels, and only squares it leaves in rest go to ``square_means_batch``.
+* ``dyadic_means``: averages of a scalar f, or with centres c of
+  |f - c_Q|, over every dyadic square Q of generations 0..depth at once.
+  It samples the field once on each global midpoint grid 2^g x 2^g, in
+  bounded row strips; each strip's block of centres is subtracted by
+  broadcasting, and block sums give each square its 16/32/64-per-side
+  grid means.  The rule runs on those three levels, and only squares it
+  leaves in rest go to ``square_means_batch``.
 
 Midpoint nodes are strictly interior to their subcells, so fields with an
 integrable singularity at a mesh vertex are only evaluated at finite
 points.  Any non-finite evaluation raises SingularityError.
 
 Fields receive column-major float (N, 2) point batches, so P[:, 0] and
-P[:, 1] are contiguous.  A batch holds whole regions and at most _CHUNK
+P[:, 1] are contiguous: each batch's nodes are written into one planar
+(2, ...) buffer, by broadcasting corner plus offsets, and the field gets
+its transposed view.  A batch holds whole regions and at most _CHUNK
 points, except that a single region whose grid is larger is one batch;
 the ladder's strips hold at most STRIP_POINTS points.  Every mean sums the
 nodes of one region only, so the batch size changes no result.
@@ -298,14 +302,16 @@ def _square_grid_means(f, los, size, n, square_ids):
     """Tensor midpoint means on n x n grids for a batch of squares."""
     k = los.shape[0]
     t = (np.arange(n) + 0.5) * (size / n)
-    bx, by = np.tile(t, n), np.repeat(t, n)
-    per = max(1, _CHUNK // bx.size)
+    per = max(1, _CHUNK // (n * n))
     out = np.empty(k)
     for start in range(0, k, per):
         lo = los[start : start + per]
-        pts = np.stack([lo[:, 0, None] + bx, lo[:, 1, None] + by]).reshape(2, -1).T
-        ids = np.repeat(square_ids[start : start + per], bx.size)
-        vals = _eval(f, pts, ids)
+        # (coordinate, square, row, column): x runs along rows, y down them
+        planar = np.empty((2, lo.shape[0], n, n))
+        np.add(lo[:, 0, None, None], t, out=planar[0])
+        np.add(lo[:, 1, None, None], t[:, None], out=planar[1])
+        ids = np.repeat(square_ids[start : start + per], n * n)
+        vals = _eval(f, planar.reshape(2, -1).T, ids)
         out[start : start + per] = vals.reshape(lo.shape[0], -1).mean(axis=1)
     return out
 
@@ -346,22 +352,45 @@ def _ladder_strips(f, g, lo=(0.0, 0.0), size=1.0):
     """Samples of f on the midpoint grid 2^g x 2^g of the square with lower
     corner lo and side size (the unit square by default), in row strips of
     at most STRIP_POINTS points: yields (first row, points, values with
-    shape (rows, 2^g)).  Values are not checked for finiteness."""
+    shape (rows, 2^g)).  Values are not checked for finiteness.  All strips
+    share one points buffer: the next strip overwrites its y column."""
     n = 2**g
     t = (np.arange(n) + 0.5) * (size / n)
-    xs, ys = lo[0] + t, lo[1] + t
     rows = min(n, STRIP_POINTS // n)
+    planar = np.empty((2, rows, n))
+    np.add(lo[0], t, out=planar[0])
+    pts = planar.reshape(2, -1).T
     for r0 in range(0, n, rows):
-        y = ys[r0 : r0 + rows]
-        pts = np.stack([np.tile(xs, y.size), np.repeat(y, n)]).T
-        yield r0, pts, np.asarray(f(pts), dtype=float).reshape(y.size, n)
+        np.add(lo[1], t[r0 : r0 + rows, None], out=planar[1])
+        yield r0, pts, np.asarray(f(pts), dtype=float).reshape(rows, n)
 
 
-def _raw_samples(values, square_ids, j):
-    return values
+def _add_ladder_sums(sums, f, g, centres):
+    """Add the samples of f on grid g, or with centres their distances
+    |f - centres[j][Q]|, to the block sums of every generation j < len(sums)
+    whose ladder holds grid g.  A function of its own so that the grid's
+    strip buffers are freed before the next grid is sampled."""
+    depth = len(sums) - 1
+    gens = range(max(0, g - _RUNG0 - _RUNGS + 1), min(depth, g - _RUNG0) + 1)
+    for r0, pts, values in _ladder_strips(f, g):
+        _check_finite(values.ravel(), pts)
+        rows = values.shape[0]
+        for j in gens:
+            b = 2 ** (g - j)  # nodes per square side
+            # a strip holds whole squares, or lies inside one row of them
+            k = min(rows, b)
+            first = r0 // b
+            # (square row, row within it, square column, column within it)
+            vals = values.reshape(rows // k, k, 2**j, b)
+            if centres is not None:
+                c = centres[j].reshape(2**j, 2**j)[first : first + rows // k]
+                vals = np.subtract(vals, c[:, None, :, None])
+                np.abs(vals, out=vals)
+            block = vals.sum(axis=3).sum(axis=1)
+            sums[j][g - j - _RUNG0, first : first + rows // k] += block
 
 
-def dyadic_means(f, depth, tol, transform=None):
+def dyadic_means(f, depth, tol, centres=None):
     """Means over every dyadic square of generations 0..depth.
 
     f(points (N,2)) -> (N,) is sampled once on each global midpoint grid
@@ -372,10 +401,12 @@ def dyadic_means(f, depth, tol, transform=None):
     that do not settle on them go to ``square_means_batch``, which redoes
     them from its first grid.
 
-    transform(values, square_ids, j), if given, maps the samples of f in
-    generation-j squares (square_ids: ix + iy * 2^j, same shape as values)
-    to the integrand of that generation; the raw samples are reused for
-    every generation they serve.
+    centres, if given, holds one value per square of each generation
+    (centres[j] indexed like means[j]), and the integrand on a
+    generation-j square Q is |f - centres[j][Q]|: the mean oscillation
+    when centres are the means of f.  The samples of f are reused for every
+    generation they serve; each strip's block of centres is subtracted by
+    broadcasting.
 
     Returns (means, fallbacks): means[j] is indexed ix + iy * 2^j, and
     fallbacks[j] counts the generation-j squares finished by
@@ -383,27 +414,16 @@ def dyadic_means(f, depth, tol, transform=None):
     """
     if not (0 <= depth <= MAX_LADDER_DEPTH):
         raise ValueError(f"depth must be in [0, {MAX_LADDER_DEPTH}], got {depth}")
-    transform = transform or _raw_samples
     # sums[j][k]: sums over the (16 * 2^k)^2 ladder nodes of each generation-j square
     sums = [np.zeros((_RUNGS, 2**j, 2**j)) for j in range(depth + 1)]
     for g in range(_RUNG0, depth + _RUNG0 + _RUNGS):
-        n = 2**g
-        gens = range(max(0, g - _RUNG0 - _RUNGS + 1), min(depth, g - _RUNG0) + 1)
-        for r0, pts, values in _ladder_strips(f, g):
-            _check_finite(values.ravel(), pts)
-            rows = values.shape[0]
-            for j in gens:
-                b = 2 ** (g - j)  # nodes per square side
-                ids = (r0 + np.arange(rows))[:, None] // b * 2**j + np.arange(n) // b
-                vals = np.asarray(transform(values, ids, j), dtype=float)
-                _check_finite(vals.ravel(), pts)
-                per_row = vals.reshape(rows, 2**j, b).sum(axis=2)
-                # a strip holds whole squares, or lies inside one row of them
-                k = min(rows, b)
-                first = r0 // b
-                sums[j][g - j - _RUNG0, first : first + rows // k] += (
-                    per_row.reshape(rows // k, k, 2**j).sum(axis=1)
-                )
+        _add_ladder_sums(sums, f, g, centres)
+
+    def integrand(j):
+        if centres is None:
+            return lambda p, ids: f(p)
+        return lambda p, ids: np.abs(np.asarray(f(p), dtype=float) - centres[j][ids])
+
     means = []
     fallbacks = []
     for j in range(depth + 1):
@@ -414,13 +434,7 @@ def dyadic_means(f, depth, tol, transform=None):
         if rest.size:
             n = 2**j
             los = np.column_stack([rest % n, rest // n]) * (1.0 / n)
-            out[rest] = square_means_batch(
-                lambda p, ids, j=j: transform(np.asarray(f(p), dtype=float), ids, j),
-                los,
-                1.0 / n,
-                tol,
-                square_ids=rest,
-            )
+            out[rest] = square_means_batch(integrand(j), los, 1.0 / n, tol, square_ids=rest)
         means.append(out)
         fallbacks.append(int(rest.size))
     return means, fallbacks

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,44 @@ def test_fixture_parameter_guards():
     with pytest.raises(ValueError):
         C.checkerboard_coefficient(0.0)
     assert C.checkerboard_coefficient(0.5).alpha == 0.5
+
+
+SHIFTED_X0 = [(0.0, 0.0), (0.5, 0.5), (0.3, 0.7)]
+
+
+def _kernel_points(x0):
+    """Column-major batches: random points of the unit square, a midpoint
+    grid, and points within 1e-9..1e-1 of x0 and near the circle |x - x0| = 1."""
+    rng = np.random.default_rng(11)
+    t = (np.arange(256) + 0.5) / 256
+    grid = np.column_stack([np.tile(t, 256), np.repeat(t, 256)])
+    angle = rng.uniform(0.0, 2.0 * np.pi, 1 << 14)
+    radius = np.concatenate(
+        [10.0 ** rng.uniform(-9, -1, 1 << 13), rng.uniform(0.99, 1.01, 1 << 13)]
+    )
+    ring = np.asarray(x0) + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    return [np.asfortranarray(p) for p in (rng.random((1 << 16, 2)), grid, ring)]
+
+
+@pytest.mark.parametrize("x0", SHIFTED_X0)
+def test_log_singular_coefficient_equals_the_norm_form(x0):
+    # sqrt(dx * dx + dy * dy) adds the same two squares np.linalg.norm does
+    A = C.log_singular_coefficient(0.5, x0)
+    for pts in _kernel_points(x0):
+        s = 1.0 + 0.5 * np.abs(np.log(np.linalg.norm(pts - np.asarray(x0), axis=1)))
+        want = np.zeros((pts.shape[0], 2, 2))
+        want[:, 0, 0] = want[:, 1, 1] = s
+        assert np.array_equal(A.evaluate(pts), want)
+
+
+@pytest.mark.parametrize("x0", SHIFTED_X0)
+def test_log_reciprocal_agrees_with_hypot_form(x0):
+    w = C.log_reciprocal_scalar(x0)
+    for pts in _kernel_points(x0):
+        want = -np.log(np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1]))
+        got = w.evaluate(pts)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4.5e-16 + 1e-15 * np.abs(want))
 
 
 def test_projection_rel_tol_range(meshes):
@@ -433,6 +472,27 @@ def test_dyadic_oscillations_name_a_singular_ladder_node():
     with pytest.raises(SingularityError) as info, np.errstate(divide="ignore"):
         C.dyadic_oscillations(w, 2)
     assert info.value.point == (c, c)
+
+
+def _traced_peak(run):
+    """Peak bytes traced by tracemalloc while run() executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bmo_kernels_keep_their_point_buffers_small():
+    # the singular corner square's 1024^2 grid sets the peak: its planar
+    # nodes (16 MiB), ids, values and one temporary of the field (8 MiB
+    # each), with no tiled offsets or stacked copies beside them
+    w = C.log_reciprocal_scalar()
+    assert _traced_peak(lambda: C.generation_abs_means(w, 5)) <= 44 * 2**20
+    # in strip units: the planar nodes (2), the last strip's values and
+    # distances to the centres (2), the field's result and temporary (2)
+    assert _traced_peak(lambda: C.dyadic_oscillations(w, 6)) <= 7 * Q.STRIP_POINTS * 8
 
 
 def test_dyadic_means_depth_range():

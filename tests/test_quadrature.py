@@ -234,9 +234,7 @@ def test_dyadic_means_of_log_refinement_pins():
     assert (g.evals, fallbacks) == (DYADIC_PIN["evals"], DYADIC_PIN["fallbacks"])
     assert [m.sum() for m in means] == pytest.approx(DYADIC_PIN["sums"], rel=1e-13)
     g = _Counted(_log_reciprocal)
-    oscs, fallbacks = Q.dyadic_means(
-        g, 3, 1e-5, lambda values, ids, j: np.abs(values - means[j][ids])
-    )
+    oscs, fallbacks = Q.dyadic_means(g, 3, 1e-5, centres=means)
     assert (g.evals, fallbacks) == (DYADIC_PIN["osc_evals"], DYADIC_PIN["osc_fallbacks"])
     assert [o.sum() for o in oscs] == pytest.approx(DYADIC_PIN["osc_sums"], rel=1e-13)
 
@@ -316,3 +314,90 @@ def test_fields_get_column_major_batches_of_at_most_a_chunk(chunk, monkeypatch):
 def test_default_chunk_is_cache_sized():
     # the two coordinates of a full batch take at most 1 MB
     assert 2 * 8 * Q._CHUNK <= 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Grid nodes.  The ladder strips and the square grids write their nodes into
+# one planar buffer by broadcasting corner plus offsets; the points fields
+# receive must equal, bit for bit, the tile/repeat construction below.
+
+
+class _PointRecorder:
+    """Field that keeps a copy of every batch of points (and ids) it gets."""
+
+    def __init__(self):
+        self.points = []
+        self.ids = []
+
+    def __call__(self, p, ids=None):
+        self.points.append(np.array(p))
+        self.ids.append(None if ids is None else np.array(ids))
+        return p[:, 0] + p[:, 1]
+
+
+def _tile_repeat_strips(g, lo, size):
+    n = 2**g
+    t = (np.arange(n) + 0.5) * (size / n)
+    xs, ys = lo[0] + t, lo[1] + t
+    rows = min(n, Q.STRIP_POINTS // n)
+    return [
+        np.stack([np.tile(xs, rows), np.repeat(ys[r0 : r0 + rows], n)]).T
+        for r0 in range(0, n, rows)
+    ]
+
+
+def _tile_repeat_square_grids(los, size, n, square_ids):
+    t = (np.arange(n) + 0.5) * (size / n)
+    bx, by = np.tile(t, n), np.repeat(t, n)
+    per = max(1, Q._CHUNK // bx.size)
+    return [
+        (
+            np.stack([lo[:, 0, None] + bx, lo[:, 1, None] + by]).reshape(2, -1).T,
+            np.repeat(square_ids[start : start + per], bx.size),
+        )
+        for start in range(0, los.shape[0], per)
+        for lo in [los[start : start + per]]
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, lo, size",
+    [
+        (4, None, None),
+        (10, None, None),
+        (12, None, None),  # 64 strips of 64 rows
+        (7, (0.375, 0.125), 0.125),
+        (11, np.array([0.5, 0.0]), 0.5),
+    ],
+)
+def test_ladder_strip_nodes_match_tile_repeat(g, lo, size):
+    rec = _PointRecorder()
+    args = () if lo is None else (lo, size)
+    strips = list(Q._ladder_strips(rec, g, *args))
+    want = _tile_repeat_strips(g, (0.0, 0.0) if lo is None else lo, 1.0 if size is None else size)
+    assert len(rec.points) == len(strips) == len(want)
+    for (r0, pts, values), got, ref in zip(strips, rec.points, want):
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, ref)
+        assert np.array_equal(values, (ref[:, 0] + ref[:, 1]).reshape(values.shape))
+    rows = want[0].shape[0] >> g
+    assert [r0 for r0, _, _ in strips] == list(range(0, 2**g, rows))
+
+
+@pytest.mark.parametrize(
+    "n, size, count",
+    [(16, 0.25, 16), (32, 1.0 / 32.0, 40), (64, 0.125, 3), (256, 0.5, 2), (1024, 1.0, 1)],
+)
+def test_square_grid_nodes_match_tile_repeat(n, size, count):
+    rng = np.random.default_rng(n)
+    los = rng.integers(0, 8, (count, 2)) * size
+    ids = rng.permutation(count) + 7
+    rec = _PointRecorder()
+    means = Q._square_grid_means(rec, los, size, n, ids)
+    want = _tile_repeat_square_grids(los, size, n, ids)
+    assert len(rec.points) == len(want)
+    for got, got_ids, (ref, ref_ids) in zip(rec.points, rec.ids, want):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got_ids, ref_ids)
+    ref_means = [(p[:, 0] + p[:, 1]).reshape(-1, n * n).mean(axis=1) for p, _ in want]
+    assert np.array_equal(means, np.concatenate(ref_means))
