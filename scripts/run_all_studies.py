@@ -12,9 +12,14 @@ import argparse
 import json
 import pathlib
 import resource
+import subprocess
+import sys
 import time
 
 from bmofem.harness import config_from_dict, run_study
+
+# written into the output directory by make_sampled_coefficient.py --n 10
+SAMPLED_GRID = "sampled_coeff_10.csv"
 
 CONFIGS = [
     # a priori stability of the gradient norm for the unbounded fixture
@@ -29,6 +34,11 @@ CONFIGS = [
      "out": "convergence_checkerboard.csv"},
     {"kind": "convergence", "coeff": "log", "beta": 0.5, "rhs": "sin-cos",
      "p": 2.1, "p_hat": 2.0, "levels": "2..5,7", "out": "convergence_log.csv"},
+    # a coefficient sampled on a 10x10 grid: its sample lines (spacing 1/9)
+    # lie off every dyadic line, so cut cells and the bilinear kernel run
+    {"kind": "convergence", "coeff": "sampled", "coeff_csv": SAMPLED_GRID,
+     "rhs": "sin-cos", "p": 2.0, "p_hat": 2.0, "levels": "2..5,7",
+     "out": "convergence_sampled.csv"},
     # piecewise constant approximation of the coefficient itself
     {"kind": "coeff-decay", "coeff": "smooth", "p": 2.0, "levels": "1..6",
      "out": "decay_smooth.csv"},
@@ -50,10 +60,13 @@ TIMING_KEYS = ("timings_s", "reference_time_s")
 
 
 def reproducible_metadata(metadata: dict) -> dict:
-    """The study's metadata less its timings and the config's out path."""
+    """The study's metadata less its timings and the config's out path,
+    with the coefficient file named without its directory."""
     meta = {k: v for k, v in metadata.items() if k not in TIMING_KEYS}
     config = json.loads(meta["config"])
     del config["out"]
+    if config.get("coeff_csv"):
+        config["coeff_csv"] = pathlib.Path(config["coeff_csv"]).name
     meta["config"] = json.dumps(config, sort_keys=True)
     return meta
 
@@ -64,10 +77,16 @@ def main():
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    script = pathlib.Path(__file__).with_name("make_sampled_coefficient.py")
+    subprocess.run(
+        [sys.executable, str(script), "--n", "10", "--out", str(outdir / SAMPLED_GRID)], check=True
+    )
 
     for data in CONFIGS:
         data = dict(data)
         data["out"] = str(outdir / data["out"])
+        if "coeff_csv" in data:
+            data["coeff_csv"] = str(outdir / data["coeff_csv"])
         cfg = config_from_dict(data)
         start = time.perf_counter()
         report = run_study(cfg)

@@ -8,6 +8,7 @@ lower bound for the corresponding supremum, within a fixed constant of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -153,6 +154,31 @@ def checkerboard_coefficient(kappa: float) -> CoefficientField:
     return CoefficientField(evaluate, min(1.0, kappa), "checkerboard", {"kappa": kappa})
 
 
+def _interval_finder(g: np.ndarray):
+    """Interval search on the sorted abscissae g, which span [0, 1].
+
+    Returns locate(t) -> (i, frac) with g[i] <= t < g[i + 1], the last
+    interval closed, and frac = (t - g[i]) / (g[i + 1] - g[i]), as scipy's
+    RegularGridInterpolator computes them.  The uniform spacing 1/n gives
+    the guess floor(n t), which vectorised passes of one interval each then
+    correct exactly against g: one or two passes for a uniform grid, as
+    many as the guess is off for any other.
+    """
+    n = g.size - 1
+    lower, width = g[:-1], np.diff(g)
+    upper = np.append(g[1:-1], np.inf)  # closes the last interval
+
+    def locate(t):
+        i = np.minimum((t * n).astype(np.intp), n - 1)
+        while (up := t >= upper.take(i)).any():
+            i += up
+        while (down := t < (lo := lower.take(i))).any():
+            i -= down
+        return i, (t - lo) / width.take(i)
+
+    return locate
+
+
 def load_sampled_coefficient(path) -> CoefficientField:
     """Read a grid-sampled coefficient from CSV.
 
@@ -161,9 +187,14 @@ def load_sampled_coefficient(path) -> CoefficientField:
     times any sorted ordinates) covering the unit square, row-major.
     Evaluation interpolates bilinearly between samples, so the interior
     sample lines are the field's breaklines.
-    """
-    from scipy.interpolate import RegularGridInterpolator
 
+    The kernel is bit-identical to scipy's RegularGridInterpolator: per
+    axis an exact interval search (_interval_finder) and the weight
+    t = (x - g[i]) / (g[i + 1] - g[i]), then per entry the corner samples,
+    taken from one contiguous plane, summed in scipy's order
+    0 + v00 (sy sx) + v01 (sy tx) + v10 (ty sx) + v11 (ty tx), s = 1 - t.
+    A point outside the unit square raises ValueError naming it.
+    """
     alpha = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -193,16 +224,32 @@ def load_sampled_coefficient(path) -> CoefficientField:
     if not (xs[0] == 0.0 and xs[-1] == 1.0 and ys[0] == 0.0 and ys[-1] == 1.0):
         raise InvariantError("sample grid must cover the unit square")
     order = np.lexsort((data[:, 0], data[:, 1]))  # y-major, x fastest
-    grid = data[order][:, 2:].reshape(ys.size, xs.size, 3)
-    interp = RegularGridInterpolator((ys, xs), grid, method="linear")
+    # one contiguous (ys.size * xs.size) plane per entry a11, a12, a22
+    planes = np.ascontiguousarray(data[order][:, 2:].T)
+    locate_x, locate_y = _interval_finder(xs), _interval_finder(ys)
+    nx = xs.size
 
     def evaluate(points):
-        v = interp(points[:, ::-1])
+        x, y = points[:, 0], points[:, 1]
+        # min and max propagate NaN, which fails the test as scipy's does
+        if not (x.min(initial=0.0) >= 0.0 and y.min(initial=0.0) >= 0.0
+                and x.max(initial=1.0) <= 1.0 and y.max(initial=1.0) <= 1.0):
+            inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+            p = points[int(np.argmin(inside))]
+            raise ValueError(f"point ({p[0]}, {p[1]}) is outside the sample grid [0, 1]^2")
+        ix, tx = locate_x(x)
+        iy, ty = locate_y(y)
+        sx, sy = 1 - tx, 1 - ty
+        weights = (sy * sx, sy * tx, ty * sx, ty * tx)
+        k00 = iy * nx + ix
+        corners = (k00, k00 + 1, k00 + nx, k00 + (nx + 1))
         out = np.empty((points.shape[0], 2, 2))
-        out[:, 0, 0] = v[:, 0]
-        out[:, 0, 1] = v[:, 1]
-        out[:, 1, 0] = v[:, 1]
-        out[:, 1, 1] = v[:, 2]
+        for plane, (r, c) in zip(planes, ((0, 0), (0, 1), (1, 1))):
+            acc = 0.0 + plane.take(k00) * weights[0]
+            for k, w in zip(corners[1:], weights[1:]):
+                acc += plane.take(k) * w
+            out[:, r, c] = acc
+        out[:, 1, 0] = out[:, 0, 1]
         return out
 
     breaks = (tuple(xs[1:-1].tolist()), tuple(ys[1:-1].tolist()))
@@ -320,6 +367,22 @@ def _grid_pieces(verts, breaks):
     return fan[ok] + verts[owner, None, 0], owner, areas[ok]
 
 
+@lru_cache(maxsize=1)
+def _level_pieces(level: int, breaks):
+    """_grid_pieces of the cells of Mesh(level), as read-only arrays.
+
+    Only the last (level, breaks) is kept, so a level's projection and its
+    coefficient error share one cut.  Without breaklines nothing is cut and
+    only empty arrays are kept; with them, the level's cell coordinates are
+    built for the cut and dropped after it.
+    """
+    verts = Mesh(level).cell_coordinates() if any(breaks) else np.empty((0, 3, 2))
+    out = _grid_pieces(verts, breaks)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _cut_cells(mesh: Mesh, breaks):
     """The triangles cell quantities are integrated over: the cells no
     breakline cuts, whole and in order, then the pieces of the cut cells.
@@ -330,7 +393,7 @@ def _cut_cells(mesh: Mesh, breaks):
     """
     verts = mesh.cell_coordinates()
     areas = np.abs(cell_areas(mesh))
-    pieces, parent, piece_areas = _grid_pieces(verts, breaks)
+    pieces, parent, piece_areas = _level_pieces(mesh.level, breaks)
     if parent.size == 0:
         return verts, np.arange(len(verts)), areas, len(verts)
     uncut = np.ones(len(verts), dtype=bool)

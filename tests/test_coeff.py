@@ -1,4 +1,5 @@
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -486,10 +487,10 @@ def _traced_peak(run):
 
 def test_bmo_kernels_keep_their_point_buffers_small():
     # the singular corner square's 1024^2 grid sets the peak: its planar
-    # nodes (16 MiB), ids, values and one temporary of the field (8 MiB
-    # each), with no tiled offsets or stacked copies beside them
+    # nodes (16 MiB), values and one temporary of the field (8 MiB each),
+    # with its ids a stride-0 view and no tiled offsets or stacked copies
     w = C.log_reciprocal_scalar()
-    assert _traced_peak(lambda: C.generation_abs_means(w, 5)) <= 44 * 2**20
+    assert _traced_peak(lambda: C.generation_abs_means(w, 5)) <= 36 * 2**20
     # in strip units: the planar nodes (2), the last strip's values and
     # distances to the centres (2), the field's result and temporary (2)
     assert _traced_peak(lambda: C.dyadic_oscillations(w, 6)) <= 7 * Q.STRIP_POINTS * 8
@@ -601,6 +602,118 @@ def test_make_sampled_coefficient_script_writes_a_valid_file(tmp_path):
     pts = np.random.default_rng(5).random((20_000, 2))
     # the declared alpha bounds the bilinear interpolant's eigenvalues below
     assert A.alpha <= np.min(C._min_eigenvalues(A.evaluate(pts)))
+
+
+def _rgi_reference(path):
+    """scipy's RegularGridInterpolator on the samples of a coefficient CSV,
+    evaluated as the package evaluated it before its own kernel: values
+    (N, 3) of a11, a12, a22 at points (N, 2)."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
+    xs, ys = np.unique(data[:, 0]), np.unique(data[:, 1])
+    order = np.lexsort((data[:, 0], data[:, 1]))
+    grid = data[order][:, 2:].reshape(ys.size, xs.size, 3)
+    interp = RegularGridInterpolator((ys, xs), grid, method="linear")
+    return xs, ys, lambda points: interp(points[:, ::-1])
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        (np.linspace(0, 1, 10), np.linspace(0, 1, 10)),
+        ([0.0, 0.1, 0.15, 0.5, 0.9, 1.0], [0.0, 0.3, 0.35, 0.4, 1.0]),
+        ([0.0, 1.0], [0.0, 1.0]),
+    ],
+    ids=["uniform-10", "nonuniform", "2x2"],
+)
+def test_sampled_kernel_equals_regular_grid_interpolator(sampled_grid_csv, xs, ys):
+    path = sampled_grid_csv(xs, ys, seed=3)
+    xs, ys, reference = _rgi_reference(path)
+    rng = np.random.default_rng(11)
+
+    def near(lines):
+        # each sample line and its neighbours one ulp away, inside [0, 1]
+        t = np.concatenate([lines, np.nextafter(lines, -1.0), np.nextafter(lines, 2.0)])
+        return t[(t >= 0.0) & (t <= 1.0)]
+
+    across = rng.random(16)
+    pts = np.concatenate([
+        rng.random((20_000, 2)),
+        np.stack(np.meshgrid(near(xs), across), axis=-1).reshape(-1, 2),
+        np.stack(np.meshgrid(across, near(ys)), axis=-1).reshape(-1, 2),
+        np.stack(np.meshgrid(near(xs), near(ys)), axis=-1).reshape(-1, 2),
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    ])
+    expected = reference(pts)
+    A = C.load_sampled_coefficient(path)
+    for layout in (pts, np.asfortranarray(pts)):
+        got = A.evaluate(layout)
+        assert np.array_equal(got[:, 0, 0], expected[:, 0])
+        assert np.array_equal(got[:, 0, 1], expected[:, 1])
+        assert np.array_equal(got[:, 1, 0], expected[:, 1])
+        assert np.array_equal(got[:, 1, 1], expected[:, 2])
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0.25), (0.25, -1e-300), (float("nan"), 0.5)])
+def test_sampled_evaluation_outside_the_grid_names_the_point(nondyadic_csv_path, bad):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    pts = np.array([[0.5, 0.5], bad, [2.0, 2.0]])
+    with pytest.raises(ValueError, match=f"point \\({bad[0]}, {bad[1]}\\)"):
+        A.evaluate(pts)
+
+
+def test_nan_sample_raises_singularity_through_projection(meshes, tmp_path):
+    path = tmp_path / "nan.csv"
+    side = np.linspace(0.0, 1.0, 10).tolist()
+    lines = ["# alpha=1.0", "x,y,a11,a12,a22"]
+    for y in side:
+        for x in side:
+            a12 = "nan" if (x, y) == (side[4], side[7]) else "0.1"
+            lines.append(f"{x!r},{y!r},2.0,{a12},2.0")
+    path.write_text("\n".join(lines) + "\n")
+    A = C.load_sampled_coefficient(path)
+    with pytest.raises(SingularityError) as info:
+        C.project_coefficient(A, meshes[3])
+    # the offending node lies in a sample rectangle touching the NaN sample
+    x, y = info.value.point
+    assert abs(x - side[4]) < 1 / 9 and abs(y - side[7]) < 1 / 9
+
+
+def test_cut_pieces_are_memoised_per_level(meshes, nondyadic_csv_path):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    mesh = meshes[4]
+    C._level_pieces.cache_clear()
+    C.coefficient_error(A, C.project_coefficient(A, mesh), 2.0)
+    info = C._level_pieces.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    cached = C._level_pieces(4, A.breaks)
+    fresh = C._grid_pieces(mesh.cell_coordinates(), A.breaks)
+    for a, b in zip(cached, fresh, strict=True):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert not a.flags.writeable
+    # without breaklines only empty arrays are kept
+    assert all(a.size == 0 for a in C._level_pieces(9, ((), ())))
+
+
+def test_sampled_study_imports_no_scipy(nondyadic_csv_path, tmp_path):
+    config = {
+        "kind": "convergence", "coeff": "sampled", "coeff_csv": nondyadic_csv_path,
+        "rhs": "sin-cos", "p": 2.0, "p_hat": 2.0, "levels": "1..2,4",
+        "out": str(tmp_path / "convergence.csv"),
+    }
+    code = (
+        "import sys\n"
+        "from bmofem.harness import config_from_dict, run_study\n"
+        f"run_study(config_from_dict({config!r}))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(C.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+    assert (tmp_path / "convergence.csv").exists()
 
 
 def _jn_all_at_once(w, square, lambdas, depth):

@@ -228,8 +228,8 @@ def test_solve_projected_refuses_noncoercive(meshes):
 
 
 def test_studies_import_no_scipy():
-    # scipy is needed only by the assembled reference and by sampled
-    # coefficients, each imported where it is used
+    # scipy is needed only by the assembled reference, imported where it
+    # is used
     code = (
         "import sys, bmofem.harness, bmofem.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
