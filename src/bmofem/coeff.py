@@ -368,16 +368,13 @@ def _grid_pieces(verts, breaks):
 
 
 @lru_cache(maxsize=1)
-def _level_pieces(level: int, breaks):
-    """_grid_pieces of the cells of Mesh(level), as read-only arrays.
+def _level_pieces(mesh: Mesh, breaks):
+    """_grid_pieces of the cells of mesh, as read-only arrays.
 
-    Only the last (level, breaks) is kept, so a level's projection and its
-    coefficient error share one cut.  Without breaklines nothing is cut and
-    only empty arrays are kept; with them, the level's cell coordinates are
-    built for the cut and dropped after it.
+    Meshes compare equal by level and only the last (mesh, breaks) is kept,
+    so a level's projection and its coefficient error share one cut.
     """
-    verts = Mesh(level).cell_coordinates() if any(breaks) else np.empty((0, 3, 2))
-    out = _grid_pieces(verts, breaks)
+    out = _grid_pieces(mesh.cell_coordinates(), breaks)
     for a in out:
         a.setflags(write=False)
     return out
@@ -393,8 +390,8 @@ def _cut_cells(mesh: Mesh, breaks):
     """
     verts = mesh.cell_coordinates()
     areas = np.abs(cell_areas(mesh))
-    pieces, parent, piece_areas = _level_pieces(mesh.level, breaks)
-    if parent.size == 0:
+    pieces, parent, piece_areas = _level_pieces(mesh, breaks) if any(breaks) else ((), (), ())
+    if len(parent) == 0:
         return verts, np.arange(len(verts)), areas, len(verts)
     uncut = np.ones(len(verts), dtype=bool)
     uncut[parent] = False

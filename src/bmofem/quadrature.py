@@ -310,9 +310,9 @@ def _square_grid_means(f, los, size, n, square_ids):
         planar = np.empty((2, lo.shape[0], n, n))
         np.add(lo[:, 0, None, None], t, out=planar[0])
         np.add(lo[:, 1, None, None], t[:, None], out=planar[1])
-        ids = square_ids[start : start + per]
-        # one square's ids are a stride-0 view, not n * n stored copies
-        ids = np.broadcast_to(ids, n * n) if ids.size == 1 else np.repeat(ids, n * n)
+        # one square's ids stay a stride-0 view, not n * n stored copies
+        ids = square_ids[start : start + per, None]
+        ids = np.broadcast_to(ids, (lo.shape[0], n * n)).reshape(-1)
         vals = _eval(f, planar.reshape(2, -1).T, ids)
         out[start : start + per] = vals.reshape(lo.shape[0], -1).mean(axis=1)
     return out
