@@ -11,6 +11,7 @@ run leaves no partial file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import time
@@ -64,6 +65,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown coefficient fixture {self.coeff!r}")
         if self.coeff == "sampled" and not self.coeff_csv:
             raise ConfigError("coeff 'sampled' requires coeff_csv")
+        if self.coeff == "log" and not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.coeff == "checkerboard" and not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ConfigError(f"kappa must be finite and > 0, got {self.kappa}")
         if self.rhs not in RHS_NAMES:
             raise ConfigError(f"unknown rhs fixture {self.rhs!r}")
         for name, val in (("p", self.p), ("p_hat", self.p_hat)):
@@ -106,8 +111,10 @@ def parse_levels(spec) -> tuple[int, ...]:
         for part in spec.split(","):
             part = part.strip()
             if ".." in part:
-                a, b = part.split("..")
-                out.extend(range(int(a), int(b) + 1))
+                a, b = (int(x) for x in part.split(".."))
+                if b < a:
+                    raise ConfigError(f"reversed level range {part!r}")
+                out.extend(range(a, b + 1))
             elif part:
                 out.append(int(part))
         return tuple(out)

@@ -1,8 +1,8 @@
 """Composite midpoint quadrature with adaptive refinement.
 
 Every mean in the package settles by one rule (``_refine``).  Composite
-midpoint means are taken at successive levels, each with four times the
-nodes of the last.  A mean is done when two successive levels agree
+midpoint means are taken at successive levels, each on four times the
+subcells of the last.  A mean is done when two successive levels agree
 exactly, or when the Richardson extrapolations (4 I_l - I_{l-1}) / 3 of
 two successive level pairs agree within tol * max(|extrapolation|, floor).
 A mean whose extrapolations stop contracting by STALL_RATIO twice in a row
@@ -13,7 +13,10 @@ only in their levels:
 * ``triangle_means``: cell averages over batches of triangles on 4^m
   congruent subtriangles, m = 0..EXTENDED_CAP, floor given by the caller;
   stalls count only above UNIFORM_CAP, so cells that still contract there
-  keep doubling a few extra levels.
+  keep doubling a few extra levels.  The levels nest: level m evaluates
+  only the 3 * 4^(m-1) centroids that level m-1 lacks and adds their sum
+  to the carried mean, so a cell settled at level M costs 4^M evaluations.
+  Cell sums reduce one value column at a time.
 
 * ``square_means_batch``: averages of scalars over axis aligned squares
   on tensor midpoint grids of 16..MAX_SQUARE_GRID points per side, floor 1.
@@ -82,18 +85,28 @@ def _eval(f, points, region_ids):
 
 
 @lru_cache(maxsize=None)
-def _centroid_offsets(m: int) -> np.ndarray:
+def _centroid_offsets(m: int, added: bool = False) -> np.ndarray:
     """Affine coordinates (a, b) of the 4^m subtriangle centroids, as the
-    rows of a (2, 4^m) array.
+    rows of a (2, 4^m) array; with added, only the centroids that level
+    m - 1 lacks: 3 * 4^(m-1) of them for m >= 1, the one centroid at m = 0.
 
     A node is v0 + a*(v1-v0) + b*(v2-v0).  Splitting into n^2 = 4^m
     congruent triangles gives upward cells (i, j) with i+j <= n-1 and
-    downward cells with i+j <= n-2, all of equal area.
+    downward cells with i+j <= n-2, all of equal area.  The levels nest:
+    the level m-1 upward cell (i, j) has the centroid of the level-m
+    downward cell (2i, 2j), and the level m-1 downward cell (i, j) that of
+    the level-m upward cell (2i+1, 2j+1).  Both sides are correctly
+    rounded quotients of one rational, (3i+1)/(3n/2) = (6i+2)/(3n), so the
+    nodes agree bit for bit.
     """
     n = 2**m
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     up = i + j <= n - 1
     down = i + j <= n - 2
+    if added:
+        i_odd, j_odd = i % 2 == 1, j % 2 == 1
+        up &= ~(i_odd & j_odd)
+        down &= i_odd | j_odd
     a = np.concatenate([(3 * i[up] + 1), (3 * i[down] + 2)]) / (3 * n)
     b = np.concatenate([(3 * j[up] + 1), (3 * j[down] + 2)]) / (3 * n)
     out = np.stack([a, b])
@@ -106,12 +119,15 @@ def _flat_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a.reshape(a.shape[0], -1) ** 2, axis=1))
 
 
-def _uniform_tri_means(f, verts, cell_ids, m):
-    """Composite midpoint means at uniform level m for each triangle."""
-    a, b = _centroid_offsets(m)
+def _tri_sums(f, verts, cell_ids, offsets):
+    """Sum of f over the nodes v0 + a*(v1-v0) + b*(v2-v0) of each triangle,
+    (a, b) the columns of offsets.  Each value column is summed on its own:
+    numpy reduces the middle axis of a (cells, nodes, values) block an order
+    of magnitude slower."""
+    a, b = offsets
     k = a.size
     per = max(1, _CHUNK // k)
-    chunks = []
+    out = None
     for start in range(0, verts.shape[0], per):
         v = verts[start : start + per]
         # (coordinate, cell, vertex, 1), C-ordered so that planar is too
@@ -120,18 +136,36 @@ def _uniform_tri_means(f, verts, cell_ids, m):
         planar = v0 + a * (w[:, :, 1] - v0) + b * (w[:, :, 2] - v0)
         pts = planar.reshape(2, -1).T
         vals = _eval(f, pts, np.repeat(cell_ids[start : start + per], k))
-        vals = vals.reshape((v.shape[0], k) + vals.shape[1:])
-        chunks.append(vals.mean(axis=1))
-    return np.concatenate(chunks, axis=0)
+        if out is None:
+            out = np.empty((verts.shape[0],) + vals.shape[1:])
+        cols = vals.reshape(v.shape[0], k, -1)
+        block = out[start : start + per].reshape(v.shape[0], -1)
+        for c in range(cols.shape[2]):
+            np.sum(cols[:, :, c], axis=1, out=block[:, c])
+    return out
+
+
+def _tri_level_means(f, verts, cell_ids, m, prev):
+    """Composite midpoint means at uniform level m for each triangle, given
+    prev, their level m-1 means (None at m = 0).  Only the nodes level m
+    adds are evaluated; the power-of-two scaling makes prev/4 + S/4^m the
+    running sum over all 4^m nodes divided by 4^m, bit for bit."""
+    sums = _tri_sums(f, verts, cell_ids, _centroid_offsets(m, added=True))
+    if prev is None:
+        return sums
+    sums *= 0.25**m
+    sums += 0.25 * prev
+    return sums
 
 
 def _refine(means_at, count, levels, tol, floor, stall_after):
     """Run the module's refinement rule over `levels` for `count` items.
 
-    means_at(level, idx) returns the means of items idx at that level, one
-    row per item, of any value shape; norms are Euclidean over the value
-    axes.  Exact agreement keeps the finer mean, the Richardson test the
-    later extrapolation.  Stalls count only at levels above stall_after.
+    means_at(level, idx, prev) returns the means of items idx at that
+    level, one row per item, of any value shape; prev holds their means at
+    the previous level (None at the first).  Norms are Euclidean over the
+    value axes.  Exact agreement keeps the finer mean, the Richardson test
+    the later extrapolation.  Stalls count only at levels above stall_after.
 
     Returns (means, rest): rest holds the items that stalled or were still
     unsettled at the last level; their rows of means are left unset.
@@ -144,7 +178,7 @@ def _refine(means_at, count, levels, tol, floor, stall_after):
     streak = np.zeros(count, dtype=int)
     stalled = []
     for level in levels:
-        cur = means_at(level, active)
+        cur = means_at(level, active, prev)
         if means is None:
             means = np.empty((count,) + cur.shape[1:])
         if prev is None:
@@ -191,7 +225,7 @@ def triangle_means(f, verts, rel_tol, cell_ids=None, abs_floor=0.0):
     verts = np.asarray(verts, dtype=float)
     cell_ids = np.arange(verts.shape[0]) if cell_ids is None else np.asarray(cell_ids)
     means, rest = _refine(
-        lambda m, idx: _uniform_tri_means(f, verts[idx], cell_ids[idx], m),
+        lambda m, idx, prev: _tri_level_means(f, verts[idx], cell_ids[idx], m, prev),
         verts.shape[0],
         range(EXTENDED_CAP + 1),
         rel_tol,
@@ -212,7 +246,7 @@ def global_scale_floor(f, verts, cell_ids=None) -> float:
         return 0.0
     if cell_ids is None:
         cell_ids = np.arange(verts.shape[0])
-    vals = _uniform_tri_means(f, verts, np.asarray(cell_ids), 1)
+    vals = _tri_sums(f, verts, np.asarray(cell_ids), _centroid_offsets(1)) / 4.0
     return float(np.mean(_flat_norm(np.abs(vals))))
 
 
@@ -331,7 +365,7 @@ def square_means_batch(f, los, size, tol, square_ids=None):
     square_ids = np.arange(los.shape[0]) if square_ids is None else np.asarray(square_ids)
     grids = [MIN_SQUARE_GRID << k for k in range((MAX_SQUARE_GRID // MIN_SQUARE_GRID).bit_length())]
     means, rest = _refine(
-        lambda n, idx: _square_grid_means(f, los[idx], size, n, square_ids[idx]),
+        lambda n, idx, prev: _square_grid_means(f, los[idx], size, n, square_ids[idx]),
         los.shape[0],
         grids,
         tol,
@@ -431,7 +465,7 @@ def dyadic_means(f, depth, tol, centres=None):
     for j in range(depth + 1):
         ladder = [sums[j][k].ravel() / 4.0 ** (k + _RUNG0) for k in range(_RUNGS)]
         out, rest = _refine(
-            lambda k, idx: ladder[k][idx], 4**j, range(_RUNGS), tol, 1.0, stall_after=0
+            lambda k, idx, prev: ladder[k][idx], 4**j, range(_RUNGS), tol, 1.0, stall_after=0
         )
         if rest.size:
             n = 2**j

@@ -46,10 +46,27 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(bad_json)]) == 2
 
 
-@pytest.mark.parametrize("levels", ["x..3", "2.."])
+@pytest.mark.parametrize("levels", ["x..3", "2..", "4..2,5"])
 def test_bad_levels_flag_is_a_config_error(levels, capsys):
     assert main(["run", "--kind", "stability", "--levels", levels]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        {"coeff": "log", "beta": -1},
+        {"coeff": "log", "beta": float("inf")},
+        {"coeff": "checkerboard", "kappa": float("nan")},
+        {"coeff": "checkerboard", "kappa": 0.0},
+    ],
+)
+def test_bad_fixture_parameter_is_a_config_error(fixture, tmp_path, capsys):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    cfg = _write_config(tmp_path, {"kind": "stability", "levels": [1], **fixture})
+    assert main(["run", "--config", cfg]) == 2
+    name = "beta" if "beta" in fixture else "kappa"
+    assert f"config error: {name} must be finite" in capsys.readouterr().err
 
 
 def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):

@@ -21,6 +21,9 @@ def test_parse_levels_variants():
     assert X.parse_levels("2..5") == (2, 3, 4, 5)
     assert X.parse_levels("2..4,7") == (2, 3, 4, 7)
     assert X.parse_levels([1, 3]) == (1, 3)
+    assert X.parse_levels("3..3") == (3,)
+    with pytest.raises(ConfigError, match="reversed level range"):
+        X.parse_levels("4..2,5")
 
 
 def test_unknown_keys_rejected():

@@ -106,7 +106,9 @@ def test_square_means_batch_orders_preserved():
 # Refinement policy pins.  Evaluation counts and values were recorded before
 # the triangle, square and dyadic-ladder refinement loops were merged into
 # one function (``_refine``); any change to the exact-agreement test, the
-# Richardson test or the stall rule moves at least one of them.
+# Richardson test or the stall rule moves at least one of them.  The
+# triangle counts were re-pinned when its levels became nested: the values
+# and adaptive starts (as levels) are unchanged.
 
 KINK_TRI = np.array([[[0.25, 0.5], [0.5, 0.5], [0.5, 0.75]]])
 SIN_TRI = np.array([[[0.25, 0.5], [0.375, 0.5], [0.375, 0.625]]])
@@ -143,21 +145,31 @@ def _run_counted(monkeypatch, run, f):
     return run(g), g.evals, starts
 
 
-# name: (verts, integrand, rel_tol, evals, values, adaptive starts)
+# name: (verts, integrand, rel_tol, evals, values, adaptive starts).
+# Levels nest, and each evaluates only the centroids the last one lacked,
+# so a cell settled at level M has cost 4^M evaluations, not sum 4^m.
 TRIANGLE_PINS = {
     # levels 0 and 1 agree exactly
-    "constant": (UNIT_TRI, lambda p: np.full(p.shape[0], 3.5), 1e-10, 5, [3.5], []),
-    # settles by the Richardson test
-    "sin": (SIN_TRI, lambda p: np.sin(np.pi * p[:, 0]), 1e-10, 21845, [0.8623592666320216], []),
+    "constant": (UNIT_TRI, lambda p: np.full(p.shape[0], 3.5), 1e-10, 4**1, [3.5], []),
+    # settles by the Richardson test at level UNIFORM_CAP - 1
+    "sin": (
+        SIN_TRI,
+        lambda p: np.sin(np.pi * p[:, 0]),
+        1e-10,
+        4 ** (Q.UNIFORM_CAP - 1),
+        [0.8623592666320216],
+        [],
+    ),
     # a kink off the dyadic lines stalls two levels above the uniform cap,
-    # after levels 0..UNIFORM_CAP + 2, instead of doubling on to EXTENDED_CAP
+    # after levels 0..UNIFORM_CAP + 2, instead of doubling on to EXTENDED_CAP;
+    # the adaptive rule then takes 605 evaluations
     "kink": (
         KINK_TRI,
         lambda p: np.abs(p[:, 0] - 0.5 * p[:, 1] - 0.16787944117144233),
         1e-8,
-        1398706,
+        4 ** (Q.UNIFORM_CAP + 2) + 605,
         [0.054299442368313945],
-        [sum(4**m for m in range(Q.UNIFORM_CAP + 3))],
+        [4 ** (Q.UNIFORM_CAP + 2)],
     ),
 }
 
@@ -401,3 +413,123 @@ def test_square_grid_nodes_match_tile_repeat(n, size, count):
         assert np.array_equal(got_ids, ref_ids)
     ref_means = [(p[:, 0] + p[:, 1]).reshape(-1, n * n).mean(axis=1) for p, _ in want]
     assert np.array_equal(means, np.concatenate(ref_means))
+
+
+# ---------------------------------------------------------------------------
+# Nested triangle levels.  Level m evaluates only the centroids that level
+# m - 1 lacks and carries each cell's mean forward.  The reference below is
+# the full-level kernel this replaced: the mean over all 4^m centroids,
+# driven by the same refinement rule.
+
+
+def _as_set(offsets):
+    return set(map(tuple, offsets.T.tolist()))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_added_centroids_complete_the_last_level_bit_for_bit(m):
+    added = Q._centroid_offsets(m, added=True)
+    last, full = _as_set(Q._centroid_offsets(m - 1)), _as_set(Q._centroid_offsets(m))
+    assert added.shape == (2, 3 * 4 ** (m - 1))
+    assert len(_as_set(added)) == added.shape[1]
+    assert _as_set(added).isdisjoint(last)
+    assert _as_set(added) | last == full
+
+
+def test_level_zero_adds_the_centroid():
+    assert np.array_equal(Q._centroid_offsets(0, added=True), [[1.0 / 3.0], [1.0 / 3.0]])
+
+
+def _full_level_means(f, verts, cell_ids, m):
+    """Composite midpoint means over all 4^m centroids of each triangle."""
+    a, b = Q._centroid_offsets(m)
+    k = a.size
+    per = max(1, Q._CHUNK // k)
+    chunks = []
+    for start in range(0, verts.shape[0], per):
+        v = verts[start : start + per]
+        w = np.ascontiguousarray(v.transpose(2, 0, 1))[..., None]
+        v0 = w[:, :, 0]
+        planar = v0 + a * (w[:, :, 1] - v0) + b * (w[:, :, 2] - v0)
+        vals = Q._eval(f, planar.reshape(2, -1).T, np.repeat(cell_ids[start : start + per], k))
+        chunks.append(vals.reshape((v.shape[0], k) + vals.shape[1:]).mean(axis=1))
+    return np.concatenate(chunks, axis=0)
+
+
+def _reference_triangle_means(f, verts, rel_tol, cell_ids=None, abs_floor=0.0):
+    verts = np.asarray(verts, dtype=float)
+    cell_ids = np.arange(len(verts)) if cell_ids is None else np.asarray(cell_ids)
+    means, rest = Q._refine(
+        lambda m, idx, prev: _full_level_means(f, verts[idx], cell_ids[idx], m),
+        len(verts),
+        range(Q.EXTENDED_CAP + 1),
+        rel_tol,
+        abs_floor,
+        stall_after=Q.UNIFORM_CAP,
+    )
+    for i in rest:
+        means[i] = Q._adaptive_tri_mean(f, verts[i], int(cell_ids[i]), rel_tol, abs_floor)
+    return means
+
+
+def _assert_cellwise_close(got, want, floor=0.0):
+    assert got.shape == want.shape
+    err = Q._flat_norm(got - want)
+    assert np.all(err <= 1e-13 * np.maximum(Q._flat_norm(want), floor))
+
+
+def _scalar_field(p, ids):
+    return np.sin(np.pi * p[:, 0]) * np.cos(2.0 * p[:, 1]) + (ids % 3)
+
+
+def _vector_field(p, ids):
+    return np.stack([np.exp(p[:, 0] * p[:, 1]), np.cos(3.0 * p[:, 0]) + ids], axis=1)
+
+
+def _matrix_field(p, ids):
+    x, y = p[:, 0], p[:, 1]
+    out = np.empty((p.shape[0], 2, 2))
+    out[:, 0, 0] = 1.0 + x * x
+    out[:, 0, 1] = out[:, 1, 0] = x * np.sin(y)
+    out[:, 1, 1] = 2.0 + np.log1p(x + y) * (1 + ids % 2)
+    return out
+
+
+@pytest.mark.parametrize("field", [_scalar_field, _vector_field, _matrix_field])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_nested_levels_match_the_full_level_kernel(field, with_ids):
+    verts = build_uniform_mesh(3).cell_coordinates()
+    ids = np.arange(len(verts))[::-1] + 5 if with_ids else None
+    floor = Q.global_scale_floor(field, verts, ids)
+    got = triangle_means(field, verts, 1e-10, cell_ids=ids, abs_floor=floor)
+    want = _reference_triangle_means(field, verts, 1e-10, cell_ids=ids, abs_floor=floor)
+    _assert_cellwise_close(got, want, floor)
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE_PINS))
+def test_nested_levels_match_the_full_level_kernel_on_the_pins(name):
+    verts, f, tol, _, _, _ = TRIANGLE_PINS[name]
+    field = lambda p, ids: f(p)
+    _assert_cellwise_close(
+        triangle_means(field, verts, tol), _reference_triangle_means(field, verts, tol)
+    )
+
+
+def test_nested_levels_match_the_full_level_kernel_on_cut_pieces(nondyadic_csv_path):
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    mesh = build_uniform_mesh(3)
+    pieces, parent, _ = C._grid_pieces(mesh.cell_coordinates(), A.breaks)
+    assert len(pieces) > len(np.unique(parent))
+    field = lambda p, ids: A.evaluate(p)
+    tol = C.DEFAULT_PROJECTION_TOL
+    _assert_cellwise_close(
+        triangle_means(field, pieces, tol, cell_ids=parent),
+        _reference_triangle_means(field, pieces, tol, cell_ids=parent),
+    )
+
+
+def test_global_scale_floor_is_the_level_one_mean():
+    verts = build_uniform_mesh(2).cell_coordinates()
+    ids = np.arange(len(verts))
+    want = np.mean(Q._flat_norm(np.abs(_full_level_means(_matrix_field, verts, ids, 1))))
+    assert Q.global_scale_floor(_matrix_field, verts) == pytest.approx(want, rel=1e-15)
