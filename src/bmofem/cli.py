@@ -8,12 +8,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .errors import BmofemError, ConfigError
-from .harness import ExperimentConfig, config_from_dict, run_study
+from .harness import _CONFIG_KEYS, config_from_dict, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,9 +58,6 @@ def _load_config_data(path: str | None) -> dict:
 
 class _IOFailure(Exception):
     pass
-
-
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _merge_overrides(data, args: argparse.Namespace):

@@ -7,9 +7,9 @@ lower bound for the corresponding supremum, within a fixed constant of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -34,13 +34,12 @@ class CoefficientField:
 
     breaks = (xs, ys) are the fixture's breaklines: the lines x = xs[i] and
     y = ys[j], sorted, off which the field is smooth.  Cell quantities are
-    integrated piecewise between them (see project_coefficient).
+    integrated piecewise between them (see cell_means).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     alpha: float
     kind: str
-    params: Mapping[str, object] = field(default_factory=dict)
     breaks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
 
 
@@ -96,7 +95,7 @@ def constant_coefficient(matrix) -> CoefficientField:
     def evaluate(points):
         return np.broadcast_to(m, (points.shape[0], 2, 2))
 
-    return CoefficientField(evaluate, alpha, "constant", {"matrix": m})
+    return CoefficientField(evaluate, alpha, "constant")
 
 
 def identity_coefficient() -> CoefficientField:
@@ -112,7 +111,7 @@ def smooth_coefficient() -> CoefficientField:
         out[:, 1, 1] = 2.0 + np.cos(np.pi * points[:, 1])
         return out
 
-    return CoefficientField(evaluate, 1.0, "smooth", {})
+    return CoefficientField(evaluate, 1.0, "smooth")
 
 
 def log_singular_coefficient(beta: float, x0=(0.0, 0.0)) -> CoefficientField:
@@ -133,7 +132,7 @@ def log_singular_coefficient(beta: float, x0=(0.0, 0.0)) -> CoefficientField:
         out[:, 1, 1] = s
         return out
 
-    return CoefficientField(evaluate, 1.0, "log-singular", {"beta": beta, "x0": tuple(x0)})
+    return CoefficientField(evaluate, 1.0, "log-singular")
 
 
 def checkerboard_coefficient(kappa: float) -> CoefficientField:
@@ -151,7 +150,7 @@ def checkerboard_coefficient(kappa: float) -> CoefficientField:
         out[:, 1, 1] = s
         return out
 
-    return CoefficientField(evaluate, min(1.0, kappa), "checkerboard", {"kappa": kappa})
+    return CoefficientField(evaluate, min(1.0, kappa), "checkerboard")
 
 
 def _interval_finder(g: np.ndarray):
@@ -253,7 +252,7 @@ def load_sampled_coefficient(path) -> CoefficientField:
         return out
 
     breaks = (tuple(xs[1:-1].tolist()), tuple(ys[1:-1].tolist()))
-    return CoefficientField(evaluate, alpha, "sampled-grid", {"path": str(path)}, breaks)
+    return CoefficientField(evaluate, alpha, "sampled-grid", breaks)
 
 
 def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
@@ -380,54 +379,51 @@ def _level_pieces(mesh: Mesh, breaks):
     return out
 
 
-def _cut_cells(mesh: Mesh, breaks):
-    """The triangles cell quantities are integrated over: the cells no
-    breakline cuts, whole and in order, then the pieces of the cut cells.
+def cell_means(f, mesh: Mesh, rel_tol: float, floor: float = 0.0, breaks=((), ())) -> np.ndarray:
+    """Mean of f over each cell of mesh, to relative tolerance rel_tol in
+    the Euclidean norm over the value axes, with tolerance floor `floor`.
 
-    Returns (tris, parent, areas, whole): parent[k] is the cell of tris[k],
-    areas[k] its unsigned area, and the first `whole` entries are the uncut
-    cells.  Without cut cells these are the mesh's own cells and areas.
+    f(points (N, 2), cells (N,)) returns scalar, vector or matrix values;
+    cells holds the cell of each point.  A cell that a breakline of
+    breaks = (xs, ys) cuts is integrated piece by piece (f is smooth on
+    each piece), and its mean is the area-weighted mean of its pieces.  The
+    uncut cells and all pieces go to quadrature.triangle_means as one
+    batch; see the quadrature module for the refinement rule.  Raises
+    SingularityError for non-finite evaluations and QuadratureError if
+    refinement stalls.
     """
+    _validate_rel_tol(rel_tol)
     verts = mesh.cell_coordinates()
-    areas = np.abs(cell_areas(mesh))
-    pieces, parent, piece_areas = _level_pieces(mesh, breaks) if any(breaks) else ((), (), ())
+    pieces, parent, areas = _level_pieces(mesh, breaks) if any(breaks) else ((), (), ())
     if len(parent) == 0:
-        return verts, np.arange(len(verts)), areas, len(verts)
-    uncut = np.ones(len(verts), dtype=bool)
+        return quadrature.triangle_means(f, verts, rel_tol, abs_floor=floor)
+    n = mesh.num_cells
+    uncut = np.ones(n, dtype=bool)
     uncut[parent] = False
     whole = np.flatnonzero(uncut)
-    return (
+    means = quadrature.triangle_means(
+        f,
         np.concatenate([verts[whole], pieces]),
-        np.concatenate([whole, parent]),
-        np.concatenate([areas[whole], piece_areas]),
-        whole.size,
+        rel_tol,
+        cell_ids=np.concatenate([whole, parent]),
+        abs_floor=floor,
     )
+    shape = (-1,) + (1,) * (means.ndim - 1)
+    sums = np.zeros((n,) + means.shape[1:])
+    np.add.at(sums, parent, areas.reshape(shape) * means[whole.size :])
+    weights = np.bincount(parent, areas, minlength=n)
+    sums[whole] = means[: whole.size]
+    weights[whole] = 1.0
+    return sums / weights.reshape(shape)
 
 
 def project_coefficient(
     A: CoefficientField, mesh: Mesh, rel_tol: float = DEFAULT_PROJECTION_TOL
 ) -> PiecewiseConstantMatrixField:
-    """Cell averages of A, each to relative tolerance rel_tol in the
-    Frobenius norm of the cell's matrix.
-
-    Composite midpoint quadrature on uniformly subdivided cells, refined
-    until successive levels agree within rel_tol; see the quadrature
-    module for the refinement policy.  A cell that a breakline of A cuts is
-    integrated piece by piece (A is smooth on each piece) and its average
-    is the area-weighted mean of its pieces.  Raises SingularityError for
-    non-finite evaluations and QuadratureError if refinement stalls.
-    """
-    _validate_rel_tol(rel_tol)
-    tris, parent, areas, whole = _cut_cells(mesh, A.breaks)
-    means = quadrature.triangle_means(lambda pts, ids: A.evaluate(pts), tris, rel_tol)
-    if whole < len(tris):
-        n = mesh.num_cells
-        sums = np.zeros((n, 2, 2))
-        np.add.at(sums, parent[whole:], areas[whole:, None, None] * means[whole:])
-        weights = np.bincount(parent[whole:], areas[whole:], minlength=n)
-        sums[parent[:whole]] = means[:whole]
-        weights[parent[:whole]] = 1.0
-        means = sums / weights[:, None, None]
+    """Cell averages of A (cell_means along A's breaklines), each to
+    relative tolerance rel_tol in the Frobenius norm of the cell's matrix,
+    symmetrised."""
+    means = cell_means(lambda pts, ids: A.evaluate(pts), mesh, rel_tol, breaks=A.breaks)
     means = 0.5 * (means + means.transpose(0, 2, 1))
     return PiecewiseConstantMatrixField(mesh=mesh, values=means)
 
@@ -451,19 +447,17 @@ def coercivity_of_projection(A_h: PiecewiseConstantMatrixField) -> float:
     return float(np.min(_min_eigenvalues(v)))
 
 
-def lp_misfit(
-    f, consts: np.ndarray, mesh: Mesh, p: float, rel_tol: float, breaks=((), ())
-) -> float:
-    """||f - c||_{L^p} for a callable field f against cell constants c.
+def lp_misfit(f, field, p: float, rel_tol: float, breaks=((), ())) -> float:
+    """||f - c||_{L^p} for a callable field f against a cell field c.
 
-    f(points (N, 2)) returns scalar, vector or matrix values, and consts
-    holds one value of the same shape per cell; the pointwise norm is
-    Euclidean over the value axes.  Quadrature tolerance is relative to the
-    global scale of the misfit, so cells where f is nearly constant do not
-    force needless refinement.  Cells that the breaklines breaks = (xs, ys)
-    of f cut are integrated piece by piece.
+    f(points (N, 2)) returns scalar, vector or matrix values, and
+    field.values holds one value of the same shape per cell of field.mesh;
+    the pointwise norm is Euclidean over the value axes.  The cell means of
+    |f - c|^p come from cell_means, along the breaklines breaks = (xs, ys)
+    of f, with a floor at their global scale, so cells where f is nearly
+    constant do not force needless refinement.
     """
-    tris, parent, areas, _ = _cut_cells(mesh, breaks)
+    consts = field.values
 
     def integrand(pts, ids):
         d = np.asarray(f(pts), dtype=float) - np.take(consts, ids, axis=0)
@@ -473,9 +467,9 @@ def lp_misfit(
         cols = d.reshape(d.shape[0], -1).T
         return np.sqrt(sum(cols[1:], cols[0])) ** p
 
-    floor = quadrature.global_scale_floor(integrand, mesh.cell_coordinates())
-    means = quadrature.triangle_means(integrand, tris, rel_tol, cell_ids=parent, abs_floor=floor)
-    return float(np.sum(areas * means) ** (1.0 / p))
+    floor = quadrature.global_scale_floor(integrand, field.mesh.cell_coordinates())
+    means = cell_means(integrand, field.mesh, rel_tol, floor, breaks)
+    return float(np.sum(np.abs(cell_areas(field.mesh)) * means) ** (1.0 / p))
 
 
 def coefficient_error(
@@ -484,11 +478,11 @@ def coefficient_error(
     r: float,
     rel_tol: float = 1e-4,
 ) -> float:
-    """L^r norm of the pointwise Frobenius norm of A - A_h, r in [1.1, 10];
-    cells that a breakline of A cuts are integrated piece by piece."""
+    """L^r norm of the pointwise Frobenius norm of A - A_h, r in [1.1, 10],
+    integrated along A's breaklines."""
     if not (1.1 <= r <= 10.0):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
-    return lp_misfit(A.evaluate, A_h.values, A_h.mesh, r, rel_tol, A.breaks)
+    return lp_misfit(A.evaluate, A_h, r, rel_tol, A.breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +536,7 @@ def cells_containing(mesh: Mesh, x) -> list[int]:
 
 def cell_abs_means(w: ScalarField, mesh: Mesh, rel_tol=1e-6) -> np.ndarray:
     """Average of |w| over every cell."""
-    verts = mesh.cell_coordinates()
-    return quadrature.triangle_means(
-        lambda pts, ids: np.abs(w.evaluate(pts)), verts, rel_tol, abs_floor=1.0
-    )
+    return cell_means(lambda pts, ids: np.abs(w.evaluate(pts)), mesh, rel_tol, floor=1.0)
 
 
 def _generation_grid(level: int):

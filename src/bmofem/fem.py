@@ -2,13 +2,18 @@
 
 The discrete problem is posed on interior-vertex unknowns only
 (homogeneous Dirichlet data by elimination).  The right hand side is
-projected to cell averages before assembly, so every assembled integral is
-exact: both the coefficient and the test-function gradients are constant
-per cell.
+projected to cell averages (coeff.cell_means) before assembly, so every
+assembled integral is exact: both the coefficient and the test-function
+gradients are constant per cell.
 
 On the structured mesh the gradient G is four slice differences on the
 vertex grid, assemble_rhs is its exact adjoint, and the stiffness matrix
 G^T diag(|K| A_K) G is applied unassembled (StiffnessOperator).
+
+Functions of cell fields read the mesh from the field:
+assemble_rhs(f_h), assemble_stiffness(A_h) and
+solve_projected(A_h, f_h, solver_tol), which refuses A_h and f_h on two
+different meshes.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .coeff import (
     CoefficientField,
     PiecewiseConstantMatrixField,
     _min_eigenvalues,
+    cell_means,
     project_coefficient,
 )
 from .errors import (
@@ -58,19 +64,6 @@ class P1Function:
             raise InvariantError("vertex value count does not match the mesh")
         if self.zero_trace and np.any(self.values[self.mesh.boundary_vertex_flags] != 0.0):
             raise InvariantError("zero-trace function with nonzero boundary values")
-
-    def __add__(self, other):
-        _same_mesh(self.mesh, other.mesh)
-        return P1Function(self.mesh, self.values + other.values,
-                          self.zero_trace and other.zero_trace)
-
-    def __sub__(self, other):
-        _same_mesh(self.mesh, other.mesh)
-        return P1Function(self.mesh, self.values - other.values,
-                          self.zero_trace and other.zero_trace)
-
-    def __rmul__(self, c):
-        return P1Function(self.mesh, float(c) * self.values, self.zero_trace)
 
 
 @dataclass(frozen=True)
@@ -119,8 +112,7 @@ class StiffnessOperator:
             )
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        mesh = self.A_h.mesh
-        return assemble_rhs(mesh, flux(self.A_h, gradient(p1_zero_trace(mesh, x))))
+        return assemble_rhs(flux(self.A_h, gradient(p1_zero_trace(self.A_h.mesh, x))))
 
 
 def _same_mesh(a: Mesh, b: Mesh):
@@ -184,17 +176,15 @@ def project_rhs(f, mesh: Mesh, rel_tol: float = 1e-8) -> PCVectorField:
     if isinstance(f, PCVectorField):
         _same_mesh(f.mesh, mesh)
         return f
-    verts = mesh.cell_coordinates()
 
     def integrand(pts, ids):
         return np.asarray(f(pts), dtype=float)
 
-    floor = quadrature.global_scale_floor(integrand, verts)
-    vals = quadrature.triangle_means(integrand, verts, rel_tol, abs_floor=floor)
-    return PCVectorField(mesh, vals)
+    floor = quadrature.global_scale_floor(integrand, mesh.cell_coordinates())
+    return PCVectorField(mesh, cell_means(integrand, mesh, rel_tol, floor))
 
 
-def assemble_stiffness(mesh: Mesh, A_h: PiecewiseConstantMatrixField) -> SPDSystem:
+def assemble_stiffness(A_h: PiecewiseConstantMatrixField) -> SPDSystem:
     """Stiffness matrix over interior vertices for a cell-wise constant
     coefficient, as a scipy CSR matrix; every entry is an exact integral.
 
@@ -204,7 +194,7 @@ def assemble_stiffness(mesh: Mesh, A_h: PiecewiseConstantMatrixField) -> SPDSyst
     """
     import scipy.sparse as sp
 
-    _same_mesh(A_h.mesh, mesh)
+    mesh = A_h.mesh
     StiffnessOperator(A_h)  # the coercivity refusal
     g, areas = hat_gradients(mesh)
     local = np.einsum("k,kai,kij,kbj->kab", areas, g, A_h.values, g)
@@ -217,11 +207,11 @@ def assemble_stiffness(mesh: Mesh, A_h: PiecewiseConstantMatrixField) -> SPDSyst
     return SPDSystem(matrix=full[interior][:, interior], rhs=np.zeros(interior.size))
 
 
-def assemble_rhs(mesh: Mesh, f_h: PCVectorField) -> np.ndarray:
+def assemble_rhs(f_h: PCVectorField) -> np.ndarray:
     """b[i] = sum_K |K| <f_K, grad phi_i|K>, exactly: the adjoint of
-    gradient, scaled by |K| n = 1 / (2n), on the interior vertices."""
-    _same_mesh(f_h.mesh, mesh)
-    n = 2**mesh.level
+    gradient, scaled by |K| n = 1 / (2n), on the interior vertices of
+    f_h's mesh."""
+    n = 2**f_h.mesh.level
     lx, ly, ux, uy = np.moveaxis(f_h.values.reshape(n, n, 4), -1, 0)
     b = np.zeros((n + 1, n + 1))
     b[:-1, :-1] -= lx + uy  # ll
@@ -328,11 +318,10 @@ def solve_bvp(
     tol = DEFAULT_PROJECTION_TOL if projection_tol is None else projection_tol
     A_h = project_coefficient(A, mesh, tol)
     f_h = project_rhs(f, mesh, tol)
-    return solve_projected(mesh, A_h, f_h, solver_tol)
+    return solve_projected(A_h, f_h, solver_tol)
 
 
 def solve_projected(
-    mesh: Mesh,
     A_h: PiecewiseConstantMatrixField,
     f_h: PCVectorField,
     solver_tol: float = DEFAULT_SOLVER_TOL,
@@ -342,11 +331,13 @@ def solve_projected(
     CG applies the stiffness matrix unassembled (StiffnessOperator) and is
     preconditioned by the exact identity-coefficient inverse
     (poisson_solve), so the condition number is bounded by the spread of
-    the eigenvalues of A_h rather than growing like h^-2.
+    the eigenvalues of A_h rather than growing like h^-2.  A_h and f_h
+    must live on one mesh, the solution's.
     """
-    _same_mesh(A_h.mesh, mesh)
+    _same_mesh(A_h.mesh, f_h.mesh)
+    mesh = A_h.mesh
     K = StiffnessOperator(A_h)
-    b = assemble_rhs(mesh, f_h)
+    b = assemble_rhs(f_h)
     x = solve_spd(
         SPDSystem(K, b), solver_tol, precondition=lambda r: poisson_solve(mesh, r)
     )

@@ -284,12 +284,12 @@ def prolong(u: P1Function, fine: Mesh) -> P1Function:
 
 def data_oscillation(f, f_h: PCVectorField, p: float, rel_tol=1e-4) -> float:
     """||f - f_h||_{L^p} for a callable f against its cell averages."""
-    return coeff_mod.lp_misfit(f, f_h.values, f_h.mesh, p, rel_tol)
+    return coeff_mod.lp_misfit(f, f_h, p, rel_tol)
 
 
 def gradient_error_against(grad_exact, u: P1Function, p: float, rel_tol=1e-4) -> float:
     """||grad_exact - grad u||_{L^p} with grad_exact a callable field."""
-    return coeff_mod.lp_misfit(grad_exact, fem.gradient(u).values, u.mesh, p, rel_tol)
+    return coeff_mod.lp_misfit(grad_exact, fem.gradient(u), p, rel_tol)
 
 
 def _solve_level(cfg: ExperimentConfig, A, f, level: int):
@@ -299,7 +299,7 @@ def _solve_level(cfg: ExperimentConfig, A, f, level: int):
     mesh = build_uniform_mesh(level)
     A_h = coeff_mod.project_coefficient(A, mesh, cfg.projection_tol)
     f_h = fem.project_rhs(f, mesh, cfg.projection_tol)
-    u = fem.solve_projected(mesh, A_h, f_h, cfg.solver_tol)
+    u = fem.solve_projected(A_h, f_h, cfg.solver_tol)
     grad_lp = fem.lp_norm(fem.gradient(u), cfg.p)
     f_lp = fem.lp_norm(f_h, cfg.p)
     row = ReportRow(
@@ -310,7 +310,7 @@ def _solve_level(cfg: ExperimentConfig, A, f, level: int):
         stability_ratio=grad_lp / f_lp,
         coeff_err_l2=coeff_mod.coefficient_error(A, A_h, 2.0),
     )
-    return mesh, A_h, f_h, u, row
+    return A_h, f_h, u, row
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +327,11 @@ def run_stability_study(cfg: ExperimentConfig) -> StudyReport:
     timings = []
     for level in cfg.levels:
         t0 = time.perf_counter()
-        mesh, A_h, f_h, u, row = _solve_level(cfg, A, f, level)
+        A_h, f_h, u, row = _solve_level(cfg, A, f, level)
         # data whose discrete load vanishes gives u = 0; the split ratios
         # are undefined and their columns stay empty
         if row.grad_lp > 0.0:
-            _, conj_ratio = hodge.conjugate_gap(u, cfg.p, mesh, cfg.solver_tol)
+            _, conj_ratio = hodge.conjugate_gap(u, cfg.p, cfg.solver_tol)
             _, _, flux_ratio = hodge.flux_decompose(u, A_h, cfg.p, cfg.solver_tol)
             row = replace(row, conj_gap_ratio=conj_ratio, flux_ratio=flux_ratio)
         oscillations.append(data_oscillation(f, f_h, cfg.p))
@@ -354,7 +354,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyReport:
     f = rhs_fixture(cfg)
     ref_level = cfg.levels[-1]
     t0 = time.perf_counter()
-    ref_mesh, _, _, u_ref, ref_row = _solve_level(cfg, A, f, ref_level)
+    _, _, u_ref, ref_row = _solve_level(cfg, A, f, ref_level)
     g_ref = fem.gradient(u_ref)
     ref_time = time.perf_counter() - t0
     rows = []
@@ -362,8 +362,8 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyReport:
     prev_err = None
     for level in cfg.levels[:-1]:
         t0 = time.perf_counter()
-        _, _, _, u, row = _solve_level(cfg, A, f, level)
-        err = fem.lp_norm(g_ref - fem.gradient(prolong(u, ref_mesh)), cfg.p_hat)
+        _, _, u, row = _solve_level(cfg, A, f, level)
+        err = fem.lp_norm(g_ref - fem.gradient(prolong(u, u_ref.mesh)), cfg.p_hat)
         order = None if prev_err is None else float(np.log2(prev_err / err))
         prev_err = err
         rows.append(replace(row, err_phat=err, order=order))
@@ -413,7 +413,7 @@ def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
         worst_orth = 0.0
         for _ in range(HODGE_SUITE_FIELDS):
             s = PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-            split = hodge.hodge_decompose(s, mesh, cfg.solver_tol)
+            split = hodge.hodge_decompose(s, cfg.solver_tol)
             ratio = (
                 fem.lp_norm(fem.gradient(split.potential), cfg.p)
                 + fem.lp_norm(split.sigma, cfg.p)

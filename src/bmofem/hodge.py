@@ -11,6 +11,9 @@ On the structured mesh that Poisson problem is the 5-point Laplacian and is
 solved exactly by a sine transform (fem.poisson_solve); its normwise
 backward error is checked against the solver tolerance, with at most
 REFINEMENT_STEPS correction solves.
+
+Every function works on the mesh of the field it is given:
+hodge_decompose(s, solver_tol), conjugate_gap(u, p, solver_tol).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .fem import (
     p1_zero_trace,
     poisson_solve,
 )
-from .mesh import Mesh
 
 REFINEMENT_STEPS = 2
 # Bound on the 2-norm of the 5-point Laplacian: its eigenvalues
@@ -59,11 +61,9 @@ class HodgeSplit:
     orthogonality_residual: float
 
 
-def hodge_decompose(
-    s: PCVectorField, mesh: Mesh, solver_tol: float = DEFAULT_SOLVER_TOL
-) -> HodgeSplit:
+def hodge_decompose(s: PCVectorField, solver_tol: float = DEFAULT_SOLVER_TOL) -> HodgeSplit:
     """Split s into a discrete gradient plus a discretely divergence-free
-    remainder.
+    remainder, on s's mesh.
 
     The residual b - K x of the Poisson solve, with K x assembled from the
     gradient of the potential, must reach the normwise backward error
@@ -74,11 +74,12 @@ def hodge_decompose(
     the level when REFINEMENT_STEPS correction solves do not get there.
     """
     _require_solver_tol(solver_tol)
+    mesh = s.mesh
     if mesh.level == 0:
         raise MeshTooCoarseError(
             "mesh has no interior vertices; refine at least once"
         )
-    b = assemble_rhs(mesh, s)
+    b = assemble_rhs(s)
     b_norm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     residual = b
@@ -86,7 +87,7 @@ def hodge_decompose(
         x = x + poisson_solve(mesh, residual)
         phi = p1_zero_trace(mesh, x)
         grad_phi = gradient(phi)
-        residual = b - assemble_rhs(mesh, grad_phi)
+        residual = b - assemble_rhs(grad_phi)
         res_norm = float(np.linalg.norm(residual))
         scale = LAPLACIAN_NORM_BOUND * float(np.linalg.norm(x)) + b_norm
         if res_norm <= solver_tol * scale:
@@ -101,7 +102,7 @@ def hodge_decompose(
     g = s - grad_phi
     recon = s - (grad_phi + g)
     recon_res = float(np.max(np.linalg.norm(recon.values, axis=1), initial=0.0))
-    orth_res = float(np.max(np.abs(assemble_rhs(mesh, g)), initial=0.0))
+    orth_res = float(np.max(np.abs(assemble_rhs(g)), initial=0.0))
     return HodgeSplit(
         potential=phi,
         sigma=g,
@@ -127,7 +128,7 @@ def _conjugate(gu: PCVectorField, p: float) -> PCVectorField:
     return PCVectorField(gu.mesh, scale[:, None] * gu.values)
 
 
-def conjugate_gap(u: P1Function, p: float, mesh: Mesh, solver_tol: float = DEFAULT_SOLVER_TOL):
+def conjugate_gap(u: P1Function, p: float, solver_tol: float = DEFAULT_SOLVER_TOL):
     """Size of the divergence-free part of the conjugate of grad u.
 
     Returns (g_norm, bound_ratio) with g_norm the L^q norm of the
@@ -140,7 +141,7 @@ def conjugate_gap(u: P1Function, p: float, mesh: Mesh, solver_tol: float = DEFAU
     gu = gradient(u)
     if not np.any(gu.values):
         raise DegenerateFieldError("conjugate gap of a function with zero gradient")
-    split = hodge_decompose(_conjugate(gu, p), mesh, solver_tol)
+    split = hodge_decompose(_conjugate(gu, p), solver_tol)
     q = p / (p - 1.0)
     g_norm = lp_norm(split.sigma, q)
     if p == 2.0:
@@ -167,6 +168,6 @@ def flux_decompose(
     gu_norm = lp_norm(gu, p)
     if gu_norm == 0.0:
         raise DegenerateFieldError("flux decomposition of a function with zero gradient")
-    split = hodge_decompose(flux(A_h, gu), u.mesh, solver_tol)
+    split = hodge_decompose(flux(A_h, gu), solver_tol)
     ratio = lp_norm(split.sigma, p) / gu_norm
     return split.potential, split.sigma, ratio

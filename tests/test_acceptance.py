@@ -50,20 +50,18 @@ def test_c02_hodge_suite():
     worst = {"recon": 0.0, "orth": 0.0, "idem": 0.0, "pyth": 0.0}
     for level in (1, 2, 3, 4):
         mesh = build_uniform_mesh(level)
-        system = F.assemble_stiffness(
-            mesh, C.project_coefficient(C.identity_coefficient(), mesh)
-        )
+        system = F.assemble_stiffness(C.project_coefficient(C.identity_coefficient(), mesh))
         hat_scale = float(np.sqrt(system.matrix.diagonal().max()))
         for _ in range(50):
             s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-            split = H.hodge_decompose(s, mesh, solver_tol=1e-13)
+            split = H.hodge_decompose(s, solver_tol=1e-13)
             recon = split.reconstruction_residual / (1.0 + np.abs(s.values).max())
             assert recon <= 1e-10
             g_norm = F.lp_norm(split.sigma, 2.0)
             orth = split.orthogonality_residual
             assert orth <= 1e-9 * g_norm * hat_scale
-            again_g = H.hodge_decompose(F.gradient(split.potential), mesh, solver_tol=1e-13)
-            again_s = H.hodge_decompose(split.sigma, mesh, solver_tol=1e-13)
+            again_g = H.hodge_decompose(F.gradient(split.potential), solver_tol=1e-13)
+            again_s = H.hodge_decompose(split.sigma, solver_tol=1e-13)
             idem = max(
                 np.max(np.abs(again_g.potential.values - split.potential.values)),
                 np.max(np.abs(again_g.sigma.values)),
@@ -90,7 +88,7 @@ def test_c03_conjugate_split_bound():
         mesh = build_uniform_mesh(level)
         for _ in range(10):
             w = F.p1_zero_trace(mesh, rng.uniform(-1, 1, interior_vertex_indices(mesh).size))
-            g_norm, ratio = H.conjugate_gap(w, 2.0, mesh, solver_tol=1e-13)
+            g_norm, ratio = H.conjugate_gap(w, 2.0, solver_tol=1e-13)
             worst_g2 = max(worst_g2, g_norm)
             assert ratio == 0.0
     assert worst_g2 <= 1e-10
@@ -100,7 +98,7 @@ def test_c03_conjugate_split_bound():
         mesh = build_uniform_mesh(level)
         u = _sinsin(mesh)
         for p in (1.8, 1.9, 2.1, 2.2):
-            g, r = H.conjugate_gap(u, p, mesh, solver_tol=1e-13)
+            g, r = H.conjugate_gap(u, p, solver_tol=1e-13)
             sweeps.setdefault(p, []).append((g, r))
     # monotone in |p - 2| on the fixed function, every level
     for idx in range(4):
@@ -136,7 +134,7 @@ def test_c04_flux_split_bound():
     for level in (2, 3, 4, 5):
         m = build_uniform_mesh(level)
         A_h = C.project_coefficient(A, m)
-        u = F.solve_projected(m, A_h, F.project_rhs(_sincos, m, 1e-8))
+        u = F.solve_projected(A_h, F.project_rhs(_sincos, m, 1e-8))
         _, _, ratio = H.flux_decompose(u, A_h, 2.0)
         ratios.append(ratio)
     spread = max(ratios) / min(ratios)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmofem import coeff as C
+from bmofem import fem as F
 from bmofem import quadrature as Q
 from bmofem.errors import InvariantError, SingularityError
 from bmofem.mesh import build_uniform_mesh, triangle_areas
@@ -147,11 +148,18 @@ def test_log_reciprocal_agrees_with_hypot_form(x0):
 
 
 def test_projection_rel_tol_range(meshes):
+    # every cell mean checks the range, so each caller of cell_means does
     A = C.identity_coefficient()
-    with pytest.raises(ValueError):
-        C.project_coefficient(A, meshes[1], rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        C.project_coefficient(A, meshes[1], rel_tol=1e-13)
+    A_h = C.project_coefficient(A, meshes[1])
+    for tol in (1e-3, 1e-13):
+        for run in (
+            lambda: C.project_coefficient(A, meshes[1], rel_tol=tol),
+            lambda: F.project_rhs(lambda p: p, meshes[1], tol),
+            lambda: C.coefficient_error(A, A_h, 2.0, rel_tol=tol),
+            lambda: C.cell_abs_means(C.ScalarField(_wave), meshes[1], tol),
+        ):
+            with pytest.raises(ValueError, match="rel_tol"):
+                run()
 
 
 @settings(deadline=None, max_examples=15)
@@ -168,9 +176,9 @@ def test_projection_commutes_with_shift_exact_fields(c):
         out[:, 0, 1] = out[:, 1, 0] = 0.25 * p[:, 0]
         return out
 
-    A = C.CoefficientField(base, 1.0, "affine", {})
+    A = C.CoefficientField(base, 1.0, "affine")
     shifted = C.CoefficientField(
-        lambda p: base(p) + c * np.eye(2), 1.0, "affine-shifted", {}
+        lambda p: base(p) + c * np.eye(2), 1.0, "affine-shifted"
     )
     lhs = C.project_coefficient(shifted, mesh).values
     rhs = C.project_coefficient(A, mesh).values + c * np.eye(2)
@@ -182,7 +190,7 @@ def test_projection_commutes_with_shift_log_fixture(meshes):
     # once shifted, so the defect is bounded by the quadrature tolerance
     A = C.log_singular_coefficient(0.5)
     shifted = C.CoefficientField(
-        lambda p: A.evaluate(p) + 2.0 * np.eye(2), 1.0, "log-shifted", {}
+        lambda p: A.evaluate(p) + 2.0 * np.eye(2), 1.0, "log-shifted"
     )
     lhs = C.project_coefficient(shifted, meshes[3], rel_tol=1e-6).values
     rhs = C.project_coefficient(A, meshes[3], rel_tol=1e-6).values + 2.0 * np.eye(2)
@@ -233,7 +241,7 @@ def test_coefficient_error_affine_halves(meshes):
         out[:, 1, 1] = 1.0
         return out
 
-    A = C.CoefficientField(base, 1.0, "affine", {})
+    A = C.CoefficientField(base, 1.0, "affine")
     errs = [
         C.coefficient_error(A, C.project_coefficient(A, meshes[l]), 2.0)
         for l in (3, 4)
@@ -779,11 +787,21 @@ DEGREE4_RULE = (
 )
 
 
+def _uncut_cells(mesh, breaks):
+    _, parent, _ = C._grid_pieces(mesh.cell_coordinates(), breaks)
+    return np.setdiff1d(np.arange(mesh.num_cells), parent)
+
+
 def _cell_integrals(g, A, mesh, rule):
     """Integral of g(points, parent cells) over each cell by a fixed rule on
     every integration triangle: the cells no breakline of A cuts, whole,
     and the pieces of the cut ones."""
-    tris, parent, areas, _ = C._cut_cells(mesh, A.breaks)
+    verts = mesh.cell_coordinates()
+    pieces, cut, piece_areas = C._grid_pieces(verts, A.breaks)
+    whole = np.setdiff1d(np.arange(mesh.num_cells), cut)
+    tris = np.concatenate([verts[whole], pieces])
+    parent = np.concatenate([whole, cut])
+    areas = np.concatenate([np.abs(C.cell_areas(mesh))[whole], piece_areas])
     bary, weights = rule
     pts = np.einsum("qv,tvd->tqd", bary, tris).reshape(-1, 2)
     vals = np.asarray(g(pts, np.repeat(parent, len(weights))))
@@ -853,10 +871,28 @@ def test_grid_pieces_tile_each_cut_cell(meshes, nondyadic_csv_path, level):
 def test_grid_pieces_without_breaks_cut_nothing(meshes):
     pieces, parent, areas = C._grid_pieces(meshes[3].cell_coordinates(), ((), ()))
     assert pieces.shape == (0, 3, 2) and parent.size == 0 and areas.size == 0
-    tris, parent, areas, whole = C._cut_cells(meshes[3], ((), ()))
-    assert tris is meshes[3].cell_coordinates() and whole == meshes[3].num_cells
-    assert np.array_equal(parent, np.arange(whole))
-    assert np.array_equal(areas, np.abs(C.cell_areas(meshes[3])))
+    # uncut cells are integrated whole: breaklines on the mesh lines cut
+    # nothing either
+    mesh = meshes[3]
+    wave = lambda p, i: _wave(p)
+    plain = Q.triangle_means(wave, mesh.cell_coordinates(), 1e-8)
+    for breaks in (((), ()), ((0.5,), (0.25, 0.75))):
+        assert C._grid_pieces(mesh.cell_coordinates(), breaks)[1].size == 0
+        assert np.array_equal(C.cell_means(wave, mesh, 1e-8, 0.0, breaks), plain)
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_cell_means_pass_each_node_its_cell(meshes, nondyadic_csv_path, level):
+    # every node of a cut cell's pieces belongs to that cell, so a field
+    # that returns its cell id has the id as its mean on every cell
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    mesh = meshes[level]
+    assert _uncut_cells(mesh, A.breaks).size < mesh.num_cells
+    means = C.cell_means(
+        lambda p, ids: np.column_stack([ids, 2.0 * ids]), mesh, 1e-8, breaks=A.breaks
+    )
+    ids = np.arange(mesh.num_cells, dtype=float)
+    assert np.allclose(means, np.column_stack([ids, 2.0 * ids]), rtol=1e-15, atol=0)
 
 
 def test_cut_pieces_report_non_finite_samples(meshes, tmp_path):
@@ -883,9 +919,8 @@ def test_cut_projection_is_exact_for_sampled_data(meshes, nondyadic_csv_path, le
 def test_uncut_cells_keep_their_own_means(meshes, nondyadic_csv_path):
     A = C.load_sampled_coefficient(nondyadic_csv_path)
     mesh = meshes[4]
-    _, parent, _, whole = C._cut_cells(mesh, A.breaks)
-    uncut = parent[:whole]
-    assert 0 < whole < mesh.num_cells
+    uncut = _uncut_cells(mesh, A.breaks)
+    assert 0 < uncut.size < mesh.num_cells
     own = Q.triangle_means(lambda p, i: A.evaluate(p), mesh.cell_coordinates()[uncut], 1e-6)
     own = 0.5 * (own + own.transpose(0, 2, 1))
     assert np.array_equal(C.project_coefficient(A, mesh).values[uncut], own)

@@ -126,16 +126,16 @@ def test_project_rhs_sin_matches_closed_form(meshes):
 
 
 def test_stiffness_level1_single_entry(meshes):
-    system = F.assemble_stiffness(meshes[1], _identity_projected(meshes[1]))
+    system = F.assemble_stiffness(_identity_projected(meshes[1]))
     assert system.matrix.shape == (1, 1)
     assert system.matrix[0, 0] == 4.0
 
 
 def test_stiffness_doubles_exactly(meshes):
     mesh = meshes[2]
-    m1 = F.assemble_stiffness(mesh, _identity_projected(mesh)).matrix
+    m1 = F.assemble_stiffness(_identity_projected(mesh)).matrix
     A2 = C.PiecewiseConstantMatrixField(mesh, 2.0 * _identity_projected(mesh).values)
-    m2 = F.assemble_stiffness(mesh, A2).matrix
+    m2 = F.assemble_stiffness(A2).matrix
     assert (m2 - 2.0 * m1).nnz == 0
 
 
@@ -144,7 +144,7 @@ def test_stiffness_five_point_stencil(meshes):
     # 5-point pattern: 4 on the diagonal, -1 to grid neighbours, 0 across
     # the cell diagonals
     mesh = meshes[2]
-    system = F.assemble_stiffness(mesh, _identity_projected(mesh))
+    system = F.assemble_stiffness(_identity_projected(mesh))
     M = system.matrix.toarray()
     coords = mesh.vertices[interior_vertex_indices(mesh)]
     h = 0.25
@@ -163,7 +163,7 @@ def test_stiffness_five_point_stencil(meshes):
 def test_stiffness_exact_symmetry(meshes):
     mesh = meshes[3]
     A = C.project_coefficient(C.smooth_coefficient(), mesh)
-    M = F.assemble_stiffness(mesh, A).matrix
+    M = F.assemble_stiffness(A).matrix
     assert (M != M.T).nnz == 0
 
 
@@ -171,19 +171,19 @@ def test_assembly_refuses_noncoercive(meshes):
     vals = np.broadcast_to(np.diag([1.0, -1.0]), (meshes[1].num_cells, 2, 2)).copy()
     bad = C.PiecewiseConstantMatrixField(meshes[1], vals)
     with pytest.raises(AssemblyError):
-        F.assemble_stiffness(meshes[1], bad)
+        F.assemble_stiffness(bad)
 
 
 def test_rhs_zero_field(meshes):
     f_h = F.PCVectorField(meshes[2], np.zeros((meshes[2].num_cells, 2)))
-    assert not F.assemble_rhs(meshes[2], f_h).any()
+    assert not F.assemble_rhs(f_h).any()
 
 
 def test_rhs_of_gradient_matches_stiffness_action(meshes, rng):
     mesh = meshes[3]
     w = F.p1_zero_trace(mesh, rng.uniform(-1, 1, interior_vertex_indices(mesh).size))
-    b = F.assemble_rhs(mesh, F.gradient(w))
-    system = F.assemble_stiffness(mesh, _identity_projected(mesh))
+    b = F.assemble_rhs(F.gradient(w))
+    system = F.assemble_stiffness(_identity_projected(mesh))
     expected = system.matrix @ w.values[interior_vertex_indices(mesh)]
     assert np.max(np.abs(b - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
@@ -193,7 +193,7 @@ def test_grid_rhs_matches_hat_contributions(level, rng):
     mesh = build_uniform_mesh(level)
     f_h = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
     expected = _rhs_by_hats(mesh, f_h)
-    assert np.max(np.abs(F.assemble_rhs(mesh, f_h) - expected)) <= 1e-15 * np.max(
+    assert np.max(np.abs(F.assemble_rhs(f_h) - expected)) <= 1e-15 * np.max(
         np.abs(expected)
     )
 
@@ -213,7 +213,7 @@ def test_stiffness_operator_matches_assembled_matrix(name, level, sampled_csv_pa
     mesh = build_uniform_mesh(level)
     A_h = C.project_coefficient(A, mesh)
     x = rng.standard_normal((2**level - 1) ** 2)
-    expected = F.assemble_stiffness(mesh, A_h).matrix @ x
+    expected = F.assemble_stiffness(A_h).matrix @ x
     got = F.StiffnessOperator(A_h) @ x
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -224,7 +224,7 @@ def test_solve_projected_refuses_noncoercive(meshes):
     bad = C.PiecewiseConstantMatrixField(mesh, vals)
     f_h = F.PCVectorField(mesh, np.ones((mesh.num_cells, 2)))
     with pytest.raises(AssemblyError):
-        F.solve_projected(mesh, bad, f_h)
+        F.solve_projected(bad, f_h)
 
 
 def test_studies_import_no_scipy():
@@ -245,7 +245,7 @@ def test_rhs_constant_field_vanishes(meshes):
     # sum_K |K| d_x phi_i = integral of d_x phi_i = 0 for zero-trace hats
     mesh = meshes[3]
     f_h = F.PCVectorField(mesh, np.tile([1.0, 0.0], (mesh.num_cells, 1)))
-    b = F.assemble_rhs(mesh, f_h)
+    b = F.assemble_rhs(f_h)
     assert np.max(np.abs(b)) <= 1e-15
 
 
@@ -264,12 +264,12 @@ def test_solve_one_by_one():
 
 
 def test_solve_zero_rhs(meshes):
-    system = F.assemble_stiffness(meshes[2], _identity_projected(meshes[2]))
+    system = F.assemble_stiffness(_identity_projected(meshes[2]))
     assert not F.solve_spd(system, precondition=_jacobi(system.matrix)).any()
 
 
 def test_solver_tolerance_range(meshes):
-    system = F.assemble_stiffness(meshes[1], _identity_projected(meshes[1]))
+    system = F.assemble_stiffness(_identity_projected(meshes[1]))
     with pytest.raises(ValueError):
         F.solve_spd(system, 1e-5, precondition=_jacobi(system.matrix))
     with pytest.raises(ValueError):
@@ -295,8 +295,8 @@ def test_solver_iteration_cap():
 # sine-transform Poisson solve and the preconditioned coefficient solve
 
 
-def _direct(mesh, A_h, b):
-    return spla.spsolve(F.assemble_stiffness(mesh, A_h).matrix.tocsc(), b)
+def _direct(A_h, b):
+    return spla.spsolve(F.assemble_stiffness(A_h).matrix.tocsc(), b)
 
 
 @pytest.mark.parametrize("level", range(1, 9))
@@ -304,7 +304,7 @@ def test_poisson_solve_matches_direct_solve(level, rng):
     mesh = build_uniform_mesh(level)
     b = rng.standard_normal(interior_vertex_indices(mesh).size)
     x = F.poisson_solve(mesh, b)
-    expected = _direct(mesh, _identity_projected(mesh), b)
+    expected = _direct(_identity_projected(mesh), b)
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -321,8 +321,8 @@ def test_preconditioned_solve_matches_direct_solve(name, level, rng):
     mesh = build_uniform_mesh(level)
     A_h = C.project_coefficient(_FIXTURES[name](), mesh)
     f_h = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-    u = F.solve_projected(mesh, A_h, f_h)
-    expected = _direct(mesh, A_h, F.assemble_rhs(mesh, f_h))
+    u = F.solve_projected(A_h, f_h)
+    expected = _direct(A_h, F.assemble_rhs(f_h))
     err = np.max(np.abs(u.values[interior_vertex_indices(mesh)] - expected))
     assert err <= 1e-9 * np.max(np.abs(expected))
 
@@ -342,7 +342,7 @@ def test_preconditioner_bounds_cg_iterations(level, monkeypatch, rng):
         return kernel(mesh_, r)
 
     monkeypatch.setattr(F, "poisson_solve", counted)
-    F.solve_projected(mesh, A_h, f_h)
+    F.solve_projected(A_h, f_h)
     assert 0 < len(calls) <= 30
 
 
@@ -394,9 +394,9 @@ def test_galerkin_residual_small(meshes):
     A = C.log_singular_coefficient(0.5)
     A_h = C.project_coefficient(A, mesh)
     f_h = F.project_rhs(f, mesh, 1e-8)
-    u = F.solve_projected(mesh, A_h, f_h)
-    system = F.assemble_stiffness(mesh, A_h)
-    b = F.assemble_rhs(mesh, f_h)
+    u = F.solve_projected(A_h, f_h)
+    system = F.assemble_stiffness(A_h)
+    b = F.assemble_rhs(f_h)
     residual = np.abs(system.matrix @ u.values[interior_vertex_indices(mesh)] - b)
     assert np.max(residual) <= 1e-9 * np.max(np.abs(b))
 
@@ -405,7 +405,7 @@ def test_coercivity_transfers_to_algebra(meshes, rng):
     mesh = meshes[3]
     A = C.log_singular_coefficient(0.5)
     A_h = C.project_coefficient(A, mesh)
-    system = F.assemble_stiffness(mesh, A_h)
+    system = F.assemble_stiffness(A_h)
     for _ in range(100):
         x = rng.uniform(-1, 1, system.rhs.size)
         u = F.p1_zero_trace(mesh, x)
@@ -477,7 +477,11 @@ def test_zero_trace_invariant_enforced(meshes):
 
 
 def test_field_mesh_mismatch(meshes):
-    u = F.P1Function(meshes[1], np.zeros(meshes[1].num_vertices))
-    v = F.P1Function(meshes[2], np.zeros(meshes[2].num_vertices))
-    with pytest.raises(InvariantError):
+    u = F.PCVectorField(meshes[1], np.zeros((meshes[1].num_cells, 2)))
+    v = F.PCVectorField(meshes[2], np.zeros((meshes[2].num_cells, 2)))
+    with pytest.raises(InvariantError, match="different meshes"):
         _ = u + v
+    with pytest.raises(InvariantError, match="different meshes"):
+        _ = u - v
+    with pytest.raises(InvariantError, match="different meshes"):
+        F.solve_projected(_identity_projected(meshes[1]), v)

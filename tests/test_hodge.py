@@ -33,7 +33,7 @@ def _hat_at_center(mesh):
 def test_pure_gradient_input(meshes, rng):
     mesh = meshes[3]
     w = F.p1_zero_trace(mesh, rng.uniform(-1, 1, interior_vertex_indices(mesh).size))
-    split = H.hodge_decompose(F.gradient(w), mesh, solver_tol=1e-13)
+    split = H.hodge_decompose(F.gradient(w), solver_tol=1e-13)
     assert np.max(np.abs(split.potential.values - w.values)) <= 1e-10
     assert np.max(np.abs(split.sigma.values)) <= 1e-10
 
@@ -41,8 +41,8 @@ def test_pure_gradient_input(meshes, rng):
 def test_redecomposition_is_idempotent(meshes, rng):
     mesh = meshes[2]
     s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-    split = H.hodge_decompose(s, mesh, solver_tol=1e-13)
-    again = H.hodge_decompose(split.sigma, mesh, solver_tol=1e-13)
+    split = H.hodge_decompose(s, solver_tol=1e-13)
+    again = H.hodge_decompose(split.sigma, solver_tol=1e-13)
     assert np.max(np.abs(again.potential.values)) <= 1e-9
     assert np.max(np.abs(again.sigma.values - split.sigma.values)) <= 1e-9
 
@@ -52,7 +52,7 @@ def test_constant_field_on_level1(meshes):
     # field is already discretely divergence free
     mesh = meshes[1]
     s = F.PCVectorField(mesh, np.tile([1.0, 0.0], (mesh.num_cells, 1)))
-    split = H.hodge_decompose(s, mesh)
+    split = H.hodge_decompose(s)
     assert np.max(np.abs(split.potential.values)) == 0.0
     assert np.array_equal(split.sigma.values, s.values)
 
@@ -60,7 +60,7 @@ def test_constant_field_on_level1(meshes):
 def test_split_residual_invariants(meshes, rng):
     mesh = meshes[3]
     s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-    split = H.hodge_decompose(s, mesh, solver_tol=1e-13)
+    split = H.hodge_decompose(s, solver_tol=1e-13)
     assert split.reconstruction_residual <= 1e-10 * (1 + np.abs(s.values).max())
     g_l2 = F.lp_norm(split.sigma, 2.0)
     assert split.orthogonality_residual <= 1e-9 * max(g_l2, 1.0)
@@ -69,7 +69,7 @@ def test_split_residual_invariants(meshes, rng):
 def test_l2_pythagoras(meshes, rng):
     mesh = meshes[2]
     s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-    split = H.hodge_decompose(s, mesh, solver_tol=1e-13)
+    split = H.hodge_decompose(s, solver_tol=1e-13)
     lhs = F.lp_norm(s, 2.0) ** 2
     rhs = F.lp_norm(F.gradient(split.potential), 2.0) ** 2 + F.lp_norm(split.sigma, 2.0) ** 2
     assert abs(lhs - rhs) <= 1e-9 * lhs
@@ -86,9 +86,9 @@ def test_decomposition_is_linear(a, b):
     s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
     t = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
     combo = a * s + b * t
-    sp_c = H.hodge_decompose(combo, mesh, solver_tol=1e-13)
-    sp_s = H.hodge_decompose(s, mesh, solver_tol=1e-13)
-    sp_t = H.hodge_decompose(t, mesh, solver_tol=1e-13)
+    sp_c = H.hodge_decompose(combo, solver_tol=1e-13)
+    sp_s = H.hodge_decompose(s, solver_tol=1e-13)
+    sp_t = H.hodge_decompose(t, solver_tol=1e-13)
     expect = a * sp_s.potential.values + b * sp_t.potential.values
     scale = 1.0 + abs(a) + abs(b)
     assert np.max(np.abs(sp_c.potential.values - expect)) <= 1e-9 * scale
@@ -104,7 +104,7 @@ def test_stability_ratio_bounds(rng):
             worst = 0.0
             for _ in range(50):
                 s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-                split = H.hodge_decompose(s, mesh)
+                split = H.hodge_decompose(s)
                 ratio = (
                     F.lp_norm(F.gradient(split.potential), r) + F.lp_norm(split.sigma, r)
                 ) / F.lp_norm(s, r)
@@ -118,17 +118,17 @@ def test_stability_ratio_bounds(rng):
 def test_too_coarse_mesh_error(meshes):
     s = F.PCVectorField(meshes[0], np.ones((2, 2)))
     with pytest.raises(MeshTooCoarseError):
-        H.hodge_decompose(s, meshes[0])
+        H.hodge_decompose(s)
 
 
 @pytest.mark.parametrize("level", range(1, 9))
 def test_potential_matches_direct_solve(level, rng):
     mesh = build_uniform_mesh(level)
     s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-    split = H.hodge_decompose(s, mesh)
+    split = H.hodge_decompose(s)
     identity = C.project_coefficient(C.identity_coefficient(), mesh)
-    K = F.assemble_stiffness(mesh, identity).matrix.tocsc()
-    expected = spla.spsolve(K, F.assemble_rhs(mesh, s))
+    K = F.assemble_stiffness(identity).matrix.tocsc()
+    expected = spla.spsolve(K, F.assemble_rhs(s))
     got = split.potential.values[interior_vertex_indices(mesh)]
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -136,9 +136,9 @@ def test_potential_matches_direct_solve(level, rng):
 def test_tightest_tolerance_passes_at_level8(rng):
     mesh = build_uniform_mesh(8)
     s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-    split = H.hodge_decompose(s, mesh, solver_tol=1e-14)
-    b = F.assemble_rhs(mesh, s)
-    residual = b - F.assemble_rhs(mesh, F.gradient(split.potential))
+    split = H.hodge_decompose(s, solver_tol=1e-14)
+    b = F.assemble_rhs(s)
+    residual = b - F.assemble_rhs(F.gradient(split.potential))
     assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(b)
 
 
@@ -147,7 +147,7 @@ def test_correction_solves_recover_a_slightly_inexact_kernel(rng, monkeypatch):
     # so 1e-5 needs both correction solves to reach 1e-13
     mesh = build_uniform_mesh(5)
     s = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
-    exact = H.hodge_decompose(s, mesh, solver_tol=1e-13)
+    exact = H.hodge_decompose(s, solver_tol=1e-13)
     calls = []
     kernel = H.poisson_solve
 
@@ -156,7 +156,7 @@ def test_correction_solves_recover_a_slightly_inexact_kernel(rng, monkeypatch):
         return (1.0 + 1e-5) * kernel(mesh_, r)
 
     monkeypatch.setattr(H, "poisson_solve", inexact)
-    split = H.hodge_decompose(s, mesh, solver_tol=1e-13)
+    split = H.hodge_decompose(s, solver_tol=1e-13)
     assert len(calls) == 1 + H.REFINEMENT_STEPS
     scale = np.max(np.abs(exact.potential.values))
     assert np.max(np.abs(split.potential.values - exact.potential.values)) <= 1e-12 * scale
@@ -168,7 +168,7 @@ def test_inexact_kernel_raises_naming_level(rng, monkeypatch):
     kernel = H.poisson_solve
     monkeypatch.setattr(H, "poisson_solve", lambda mesh_, r: 1.5 * kernel(mesh_, r))
     with pytest.raises(IterationLimitError, match="level 5") as err:
-        H.hodge_decompose(s, mesh)
+        H.hodge_decompose(s)
     assert err.value.relative_residual > 1e-3
 
 
@@ -186,7 +186,7 @@ def fine_sinsin(request):
 
 
 def test_conjugate_gap_at_fine_levels(fine_sinsin):
-    _, ratio = H.conjugate_gap(fine_sinsin, 2.1, fine_sinsin.mesh)
+    _, ratio = H.conjugate_gap(fine_sinsin, 2.1)
     assert ratio == pytest.approx(GAP_RATIO_LIMIT, rel=1e-4)
 
 
@@ -203,10 +203,10 @@ def test_flux_decompose_at_fine_levels(fine_sinsin):
 def test_split_meets_backward_error_where_relative_residual_cannot():
     mesh = build_uniform_mesh(9)
     s = H.conjugate_field(_sinsin(mesh), 2.1)
-    split = H.hodge_decompose(s, mesh)
-    b = F.assemble_rhs(mesh, s)
+    split = H.hodge_decompose(s)
+    b = F.assemble_rhs(s)
     x = split.potential.values[interior_vertex_indices(mesh)]
-    res_norm = np.linalg.norm(b - F.assemble_rhs(mesh, F.gradient(split.potential)))
+    res_norm = np.linalg.norm(b - F.assemble_rhs(F.gradient(split.potential)))
     assert res_norm <= 1e-12 * (H.LAPLACIAN_NORM_BOUND * np.linalg.norm(x) + np.linalg.norm(b))
     assert res_norm > 1e-12 * np.linalg.norm(b)
 
@@ -258,7 +258,7 @@ def test_conjugate_norm_identity(meshes):
 def test_gap_vanishes_at_p2(meshes, rng):
     mesh = meshes[3]
     w = F.p1_zero_trace(mesh, rng.uniform(-1, 1, interior_vertex_indices(mesh).size))
-    g_norm, ratio = H.conjugate_gap(w, 2.0, mesh, solver_tol=1e-13)
+    g_norm, ratio = H.conjugate_gap(w, 2.0, solver_tol=1e-13)
     assert g_norm <= 1e-10
     assert ratio == 0.0
 
@@ -288,7 +288,7 @@ def test_gap_hand_oracle_level1_p4(meshes):
     g_vals = s_vals - phi * grads
     q = 4.0 / 3.0
     oracle = float(np.sum(areas * np.linalg.norm(g_vals, axis=1) ** q) ** (1.0 / q))
-    g_norm, _ = H.conjugate_gap(u, 4.0, mesh, solver_tol=1e-13)
+    g_norm, _ = H.conjugate_gap(u, 4.0, solver_tol=1e-13)
     assert g_norm == pytest.approx(oracle, abs=1e-10)
 
 
@@ -296,7 +296,7 @@ def test_gap_monotone_in_distance_from_two(meshes):
     u = _sinsin(meshes[3])
     mesh = meshes[3]
     gaps = {
-        p: H.conjugate_gap(u, p, mesh, solver_tol=1e-13)[0]
+        p: H.conjugate_gap(u, p, solver_tol=1e-13)[0]
         for p in (1.8, 1.9, 2.1, 2.2)
     }
     assert gaps[1.8] > gaps[1.9]
@@ -310,7 +310,7 @@ def test_gap_ratio_stable_across_levels():
         for level in (1, 2, 3, 4):
             mesh = build_uniform_mesh(level)
             u = _sinsin(mesh)
-            _, ratio = H.conjugate_gap(u, p, mesh, solver_tol=1e-13)
+            _, ratio = H.conjugate_gap(u, p, solver_tol=1e-13)
             ratios.append(ratio)
         assert max(ratios) / min(ratios) <= 2.0
 
@@ -318,7 +318,7 @@ def test_gap_ratio_stable_across_levels():
 def test_gap_rejects_zero_gradient(meshes):
     u = F.P1Function(meshes[1], np.zeros(meshes[1].num_vertices), zero_trace=True)
     with pytest.raises(DegenerateFieldError):
-        H.conjugate_gap(u, 2.5, meshes[1])
+        H.conjugate_gap(u, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_flux_ratio_bounded_for_checkerboard():
     for level in (2, 3, 4):
         mesh = build_uniform_mesh(level)
         A_h = C.project_coefficient(A, mesh)
-        u = F.solve_projected(mesh, A_h, F.project_rhs(f, mesh, 1e-8))
+        u = F.solve_projected(A_h, F.project_rhs(f, mesh, 1e-8))
         _, _, ratio = H.flux_decompose(u, A_h, 2.0)
         ratios.append(ratio)
     assert max(ratios) / min(ratios) <= 2.0

@@ -7,7 +7,7 @@ from bmofem import coeff as C
 from bmofem import fem as F
 from bmofem import harness as X
 from bmofem import quadrature as Q
-from bmofem.errors import SingularityError
+from bmofem.errors import QuadratureError, SingularityError
 from bmofem.mesh import build_uniform_mesh
 from bmofem.quadrature import square_means_batch, triangle_means
 
@@ -249,6 +249,54 @@ def test_dyadic_means_of_log_refinement_pins():
     oscs, fallbacks = Q.dyadic_means(g, 3, 1e-5, centres=means)
     assert (g.evals, fallbacks) == (DYADIC_PIN["osc_evals"], DYADIC_PIN["osc_fallbacks"])
     assert [o.sum() for o in oscs] == pytest.approx(DYADIC_PIN["osc_sums"], rel=1e-13)
+
+
+def _wave40(p):
+    return np.sin(40.0 * p[:, 0] + 7.0 * p[:, 1])
+
+
+def test_dyadic_means_without_centres_fall_back_to_square_means(monkeypatch):
+    # the 16/32/64 ladder under-resolves sin(40 x + 7 y) on the coarse
+    # squares, so their plain means go to square_means_batch, which must
+    # give exactly what it gives those squares on its own
+    calls = []
+    real = Q.square_means_batch
+
+    def spy(f, los, size, tol, square_ids=None):
+        out = real(f, los, size, tol, square_ids)
+        calls.append((size, square_ids, out))
+        return out
+
+    monkeypatch.setattr(Q, "square_means_batch", spy)
+    tol = 1e-5
+    means, fallbacks = Q.dyadic_means(_wave40, 2, tol)
+    monkeypatch.undo()
+    assert fallbacks == [1, 3, 0]
+    assert [ids.size for _, ids, _ in calls] == [1, 3]
+    for j in range(3):
+        n = 2**j
+        k = np.arange(4**j)
+        los = np.column_stack([k % n, k // n]) * (1.0 / n)
+        ref = square_means_batch(lambda p, i: _wave40(p), los, 1.0 / n, tol)
+        assert np.all(np.abs(means[j] - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+        for size, ids, out in calls:
+            if size == 1.0 / n:
+                assert np.array_equal(means[j][ids], ref[ids])
+                assert np.array_equal(out, ref[ids])
+
+
+@pytest.mark.parametrize("shape", ["triangle", "square"])
+def test_adaptive_rule_stops_at_the_node_cap(shape, monkeypatch):
+    # both pins reach the adaptive rule, which needs more than 8 leaves
+    monkeypatch.setattr(Q, "ADAPTIVE_NODE_CAP", 8)
+    if shape == "triangle":
+        verts, f, tol = TRIANGLE_PINS["kink"][:3]
+        run = lambda: triangle_means(lambda p, i: f(p), verts, tol)
+    else:
+        los, size, f, tol = SQUARE_PINS["log-corner"][:4]
+        run = lambda: square_means_batch(lambda p, i: f(p), np.asarray(los), size, tol)
+    with pytest.raises(QuadratureError, match="after 8 subdivisions"):
+        run()
 
 
 # ---------------------------------------------------------------------------
