@@ -607,7 +607,8 @@ def john_nirenberg_check(
     """Fraction of the square where |w - w_Q| exceeds each lambda.
 
     Estimated by sampling w at the centers of a 2^depth x 2^depth grid on
-    the square, in row strips of at most quadrature.STRIP_POINTS points.
+    the square, in row strips of at most quadrature.STRIP_POINTS = _CHUNK
+    points, so that a strip of the depth-12 grid holds four rows.
     Non-finite samples are skipped; more than 0.1% skipped is an error.
     The result is monotone nonincreasing in lambda.
     """

@@ -36,10 +36,12 @@ points.  Any non-finite evaluation raises SingularityError.
 Fields receive column-major float (N, 2) point batches, so P[:, 0] and
 P[:, 1] are contiguous: each batch's nodes are written into one planar
 (2, ...) buffer, by broadcasting corner plus offsets, and the field gets
-its transposed view.  A batch holds whole regions and at most _CHUNK
-points, except that a single region whose grid is larger is one batch;
-the ladder's strips hold at most STRIP_POINTS points.  Every mean sums the
-nodes of one region only, so the batch size changes no result.
+its transposed view.  A batch holds at most _CHUNK points: whole
+regions, or, when one square's grid is larger, a block of its grid rows;
+only a triangle level whose added nodes for one cell exceed the chunk is
+one larger batch.  The ladder's strips hold at most STRIP_POINTS = _CHUNK
+points.  Every mean sums the nodes of one region only, a square's by grid
+rows and then the row sums, so the batch size changes no result.
 """
 
 from __future__ import annotations
@@ -57,13 +59,13 @@ MIN_SQUARE_GRID = 16
 MAX_SQUARE_GRID = 1024
 STALL_RATIO = 0.45
 ADAPTIVE_NODE_CAP = 200_000
-STRIP_POINTS = 1 << 18
+_CHUNK = 1 << 14
+STRIP_POINTS = _CHUNK
 # the shared ladder's grids are 16, 32 and 64 = MIN_SQUARE_GRID * 2^k per
 # square side, k < _RUNGS; one row of the finest grid must fit a strip
 _RUNG0 = MIN_SQUARE_GRID.bit_length() - 1
 _RUNGS = 3
 MAX_LADDER_DEPTH = STRIP_POINTS.bit_length() - 1 - (_RUNG0 + _RUNGS - 1)
-_CHUNK = 1 << 14
 
 
 def _check_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -333,22 +335,32 @@ def _adaptive_mean(f, root, split, center, rel_tol, abs_floor):
 
 
 def _square_grid_means(f, los, size, n, square_ids):
-    """Tensor midpoint means on n x n grids for a batch of squares."""
+    """Tensor midpoint means on n x n grids for a batch of squares.
+
+    Fields get at most _CHUNK points at a time: whole squares, or blocks of
+    _CHUNK // n grid rows of one square whose grid is larger; a square's
+    blocks share one points buffer, the next block overwriting its y
+    column.  A mean sums each grid row, then the square's n row sums, and
+    divides by n^2, so the batching changes no bit of it."""
     k = los.shape[0]
     t = (np.arange(n) + 0.5) * (size / n)
     per = max(1, _CHUNK // (n * n))
+    rows = min(n, _CHUNK // n)
     out = np.empty(k)
     for start in range(0, k, per):
         lo = los[start : start + per]
         # (coordinate, square, row, column): x runs along rows, y down them
-        planar = np.empty((2, lo.shape[0], n, n))
+        planar = np.empty((2, lo.shape[0], rows, n))
         np.add(lo[:, 0, None, None], t, out=planar[0])
-        np.add(lo[:, 1, None, None], t[:, None], out=planar[1])
         # one square's ids stay a stride-0 view, not n * n stored copies
         ids = square_ids[start : start + per, None]
-        ids = np.broadcast_to(ids, (lo.shape[0], n * n)).reshape(-1)
-        vals = _eval(f, planar.reshape(2, -1).T, ids)
-        out[start : start + per] = vals.reshape(lo.shape[0], -1).mean(axis=1)
+        ids = np.broadcast_to(ids, (lo.shape[0], rows * n)).reshape(-1)
+        row_sums = np.empty((lo.shape[0], n))
+        for r0 in range(0, n, rows):
+            np.add(lo[:, 1, None, None], t[r0 : r0 + rows, None], out=planar[1])
+            vals = _eval(f, planar.reshape(2, -1).T, ids)
+            np.sum(vals.reshape(lo.shape[0], rows, n), axis=2, out=row_sums[:, r0 : r0 + rows])
+        out[start : start + per] = row_sums.sum(axis=1) / (n * n)
     return out
 
 
@@ -387,9 +399,10 @@ def square_means_batch(f, los, size, tol, square_ids=None):
 def _ladder_strips(f, g, lo=(0.0, 0.0), size=1.0):
     """Samples of f on the midpoint grid 2^g x 2^g of the square with lower
     corner lo and side size (the unit square by default), in row strips of
-    at most STRIP_POINTS points: yields (first row, points, values with
-    shape (rows, 2^g)).  Values are not checked for finiteness.  All strips
-    share one points buffer: the next strip overwrites its y column."""
+    at most STRIP_POINTS = _CHUNK points, so 2^g <= STRIP_POINTS: yields
+    (first row, points, values with shape (rows, 2^g)).  Values are not
+    checked for finiteness.  All strips share one points buffer: the next
+    strip overwrites its y column."""
     n = 2**g
     t = (np.arange(n) + 0.5) * (size / n)
     rows = min(n, STRIP_POINTS // n)

@@ -455,7 +455,7 @@ def test_dyadic_means_evaluates_each_grid_once_in_bounded_strips():
     rec = RecordingField(_wave)
     means, fallbacks = Q.dyadic_means(rec.evaluate, 6, C.DEFAULT_OSC_TOL)
     assert fallbacks == [0] * 7
-    assert max(rec.batches) <= Q.STRIP_POINTS
+    assert max(rec.batches) <= Q._CHUNK
     assert rec.column_major == {True}
     assert sum(rec.batches) == sum(4**g for g in range(4, 13))
     assert means[0][0] == pytest.approx(
@@ -494,14 +494,42 @@ def _traced_peak(run):
 
 
 def test_bmo_kernels_keep_their_point_buffers_small():
-    # the singular corner square's 1024^2 grid sets the peak: its planar
-    # nodes (16 MiB), values and one temporary of the field (8 MiB each),
-    # with its ids a stride-0 view and no tiled offsets or stacked copies
+    # in chunk units (one float per point of a full batch): every square
+    # grid, the singular corner's 1024^2 one too, comes in batches of at
+    # most a chunk, and no tiled offsets or stacked copies are made
+    chunk = Q._CHUNK * 8
     w = C.log_reciprocal_scalar()
-    assert _traced_peak(lambda: C.generation_abs_means(w, 5)) <= 36 * 2**20
-    # in strip units: the planar nodes (2), the last strip's values and
-    # distances to the centres (2), the field's result and temporary (2)
-    assert _traced_peak(lambda: C.dyadic_oscillations(w, 6)) <= 7 * Q.STRIP_POINTS * 8
+    # a many-square batch: planar nodes (2), its ids (1), the field's result
+    # and temporary (2), |w| (1); under one more for the refinement's
+    # per-square arrays over 1024 squares
+    assert _traced_peak(lambda: C.generation_abs_means(w, 5)) <= 8 * chunk
+    # a fallback square's row block: planar nodes (2), the field's result
+    # and temporary (2), the gathered centres, distances and their absolute
+    # values (3); plus 10 floats per square of generations 0..6: the
+    # ladder's sums (3), means and centres (2), and the finest generation's
+    # ladder means and refinement arrays
+    squares = sum(4**j for j in range(7))
+    assert _traced_peak(lambda: C.dyadic_oscillations(w, 6)) <= 7 * chunk + 10 * squares * 8
+    # a strip: planar nodes (2), its values (1), their finite subset,
+    # deviations and absolute deviations (3), with masks under one more
+    square = C.DyadicSquare(0, 0, 0)
+    jn = lambda: C.john_nirenberg_check(w, square, [0.5, 1.0, 2.0, 3.0], 10)
+    assert _traced_peak(jn) <= 7 * chunk
+
+
+def test_bmo_depths_fit_the_chunk_sized_ladder():
+    # bmo_seminorm_estimate accepts every depth up to MAX_BMO_DEPTH, so the
+    # ladder must reach it with strips of at most a chunk
+    assert Q.STRIP_POINTS <= Q._CHUNK
+    assert C.MAX_BMO_DEPTH <= Q.MAX_LADDER_DEPTH
+    finest = Q.MAX_LADDER_DEPTH + Q._RUNG0 + Q._RUNGS - 1
+    # the finest ladder grid, and the John-Nirenberg grid at depth 12: the
+    # first strip holds at least one whole row and at most a chunk
+    for g in (finest, 12):
+        rec = RecordingField(_wave)
+        r0, pts, values = next(Q._ladder_strips(rec.evaluate, g))
+        assert values.shape[1] == 2**g
+        assert rec.batches == [values.size] and values.size <= Q._CHUNK
 
 
 def test_dyadic_means_depth_range():
@@ -760,7 +788,7 @@ def test_jn_depth_12_samples_in_bounded_strips():
     rec = RecordingField(lambda p: p[:, 0] + p[:, 1])
     w = C.ScalarField(rec.evaluate, "x+y")
     table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.5], 12)
-    assert max(rec.batches) <= Q.STRIP_POINTS
+    assert max(rec.batches) <= Q._CHUNK
     assert rec.column_major == {True}
     assert sum(rec.batches) >= 4**12
     # |x + y - 1| > 1/2 on two corner triangles of total area 1/4

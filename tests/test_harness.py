@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,22 @@ def test_bmo_diagnostics_study_constant_scalar():
     assert all(frac == 0.0 for _, frac in jn)
     # a constant settles on the shared ladder in every generation
     assert report.metadata["dyadic_fallbacks"] == [0] * (X.BMO_DIAG_DEPTH + 1)
+
+
+def test_bmo_diagnostics_study_keeps_its_traced_peak_small():
+    # every BMO kernel samples in batches of at most quadrature._CHUNK
+    # points; a kernel that hands a field one 1024^2 square grid again
+    # (8 MiB of values alone, 32 MiB traced) exceeds this bound
+    cfg = X.config_from_dict(
+        {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..3"}
+    )
+    tracemalloc.start()
+    try:
+        X.run_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_maximal_bound_check_level1_oracle():

@@ -302,8 +302,9 @@ def test_adaptive_rule_stops_at_the_node_cap(shape, monkeypatch):
 # ---------------------------------------------------------------------------
 # Point batches.  Every mean is a sum over one region's nodes, so the size of
 # the batches a field is evaluated in cannot change any result; fields get
-# column-major (N, 2) batches of at most _CHUNK points, unless a single
-# region's grid is larger.
+# column-major (N, 2) batches of at most _CHUNK points.  A square larger than
+# a chunk comes in blocks of grid rows; only a triangle level whose added
+# nodes for one cell exceed the chunk is one larger batch.
 
 
 def _chunk_sensitive_results(sampled_path):
@@ -343,21 +344,25 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, nondyadic_csv_path
 
 class _RecordingIntegrand:
     """Integrand f(points, ids) that records, per batch, its layout and
-    whether it stays within the chunk or covers a single region."""
+    whether it stays within the chunk or, where one_cell_escape allows it,
+    covers a single region."""
 
     def __init__(self, f):
         self.f = f
+        self.one_cell_escape = True
         self.batches = []
 
     def __call__(self, p, ids):
+        one_region = self.one_cell_escape and np.unique(ids).size == 1
         self.batches.append(
             (p.dtype, p.ndim, p.shape[1], p.flags.f_contiguous,
-             p.shape[0] <= Q._CHUNK or np.unique(ids).size == 1)
+             p.shape[0] <= Q._CHUNK or one_region)
         )
         return self.f(p)
 
 
-@pytest.mark.parametrize("chunk", [None, 1 << 8])
+# 2^10 is the smallest chunk that holds one grid row of the finest square grid
+@pytest.mark.parametrize("chunk", [None, 1 << 10])
 def test_fields_get_column_major_batches_of_at_most_a_chunk(chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(Q, "_CHUNK", chunk)
@@ -366,6 +371,8 @@ def test_fields_get_column_major_batches_of_at_most_a_chunk(chunk, monkeypatch):
     # one cell refined past every chunk, then finished adaptively
     rec.f = TRIANGLE_PINS["kink"][1]
     triangle_means(rec, KINK_TRI, 1e-8)
+    # the singular corner square runs every grid up to 1024^2: no escape
+    rec.one_cell_escape = False
     rec.f = SQUARE_PINS["log-corner"][2]
     square_means_batch(rec, np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.5]]), 0.25, 1e-8)
     assert rec.batches and set(rec.batches) == {(np.dtype(float), 2, 2, True, True)}
@@ -374,6 +381,8 @@ def test_fields_get_column_major_batches_of_at_most_a_chunk(chunk, monkeypatch):
 def test_default_chunk_is_cache_sized():
     # the two coordinates of a full batch take at most 1 MB
     assert 2 * 8 * Q._CHUNK <= 1 << 20
+    # one grid row of the finest square grid fits a chunk
+    assert Q.MAX_SQUARE_GRID <= Q._CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +416,11 @@ def _tile_repeat_strips(g, lo, size):
 
 
 def _tile_repeat_square_grids(los, size, n, square_ids):
+    """Whole squares per chunk, or one square in blocks of _CHUNK // n rows."""
     t = (np.arange(n) + 0.5) * (size / n)
-    bx, by = np.tile(t, n), np.repeat(t, n)
-    per = max(1, Q._CHUNK // bx.size)
+    per = max(1, Q._CHUNK // (n * n))
+    rows = min(n, Q._CHUNK // n)
+    bx = np.tile(t, rows)
     return [
         (
             np.stack([lo[:, 0, None] + bx, lo[:, 1, None] + by]).reshape(2, -1).T,
@@ -417,6 +428,7 @@ def _tile_repeat_square_grids(los, size, n, square_ids):
         )
         for start in range(0, los.shape[0], per)
         for lo in [los[start : start + per]]
+        for by in [np.repeat(t[r0 : r0 + rows], n) for r0 in range(0, n, rows)]
     ]
 
 
@@ -446,7 +458,8 @@ def test_ladder_strip_nodes_match_tile_repeat(g, lo, size):
 
 @pytest.mark.parametrize(
     "n, size, count",
-    [(16, 0.25, 16), (32, 1.0 / 32.0, 40), (64, 0.125, 3), (256, 0.5, 2), (1024, 1.0, 1)],
+    [(16, 0.25, 16), (32, 1.0 / 32.0, 40), (64, 0.125, 3), (256, 0.5, 2), (1024, 1.0, 1),
+     (256, 0.25, 3)],
 )
 def test_square_grid_nodes_match_tile_repeat(n, size, count):
     rng = np.random.default_rng(n)
@@ -459,8 +472,10 @@ def test_square_grid_nodes_match_tile_repeat(n, size, count):
     for got, got_ids, (ref, ref_ids) in zip(rec.points, rec.ids, want):
         assert np.array_equal(got, ref)
         assert np.array_equal(got_ids, ref_ids)
-    ref_means = [(p[:, 0] + p[:, 1]).reshape(-1, n * n).mean(axis=1) for p, _ in want]
-    assert np.array_equal(means, np.concatenate(ref_means))
+    assert max(p.shape[0] for p in rec.points) <= Q._CHUNK
+    # each square's grid rows are summed, then its n row sums
+    vals = np.concatenate([p[:, 0] + p[:, 1] for p, _ in want]).reshape(count, n, n)
+    assert np.array_equal(means, vals.sum(axis=2).sum(axis=1) / (n * n))
 
 
 # ---------------------------------------------------------------------------
