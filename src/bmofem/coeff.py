@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import InvariantError, SingularityError
-from .mesh import Mesh, cell_areas, triangle_areas
+from .mesh import Mesh, triangle_areas
 
 PROJECTION_TOL_RANGE = (1e-12, 1e-4)
 DEFAULT_PROJECTION_TOL = 1e-6
@@ -424,7 +424,11 @@ def project_coefficient(
     relative tolerance rel_tol in the Frobenius norm of the cell's matrix,
     symmetrised."""
     means = cell_means(lambda pts, ids: A.evaluate(pts), mesh, rel_tol, breaks=A.breaks)
-    means = 0.5 * (means + means.transpose(0, 2, 1))
+    # 0.5 (A + A^T) in place: its diagonal is A's own, bit for bit
+    off = means[:, 0, 1] + means[:, 1, 0]
+    off *= 0.5
+    means[:, 0, 1] = off
+    means[:, 1, 0] = off
     return PiecewiseConstantMatrixField(mesh=mesh, values=means)
 
 
@@ -469,7 +473,8 @@ def lp_misfit(f, field, p: float, rel_tol: float, breaks=((), ())) -> float:
 
     floor = quadrature.global_scale_floor(integrand, field.mesh.cell_coordinates())
     means = cell_means(integrand, field.mesh, rel_tol, floor, breaks)
-    return float(np.sum(np.abs(cell_areas(field.mesh)) * means) ** (1.0 / p))
+    area = 0.5 / 4**field.mesh.level  # every cell's
+    return float(np.sum(area * means) ** (1.0 / p))
 
 
 def coefficient_error(

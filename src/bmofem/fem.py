@@ -347,9 +347,9 @@ def solve_projected(
 def lp_norm(field: PCVectorField, p: float) -> float:
     """(sum_K |K| |v_K|^p)^(1/p) with the Euclidean cell norm."""
     p = _require_p(p)
-    areas = np.abs(cell_areas(field.mesh))
+    area = 0.5 / 4**field.mesh.level  # every cell's
     mags = np.linalg.norm(field.values, axis=1)
-    return float(np.sum(areas * mags**p) ** (1.0 / p))
+    return float(np.sum(area * mags**p) ** (1.0 / p))
 
 
 def evaluate_p1(u: P1Function, points: np.ndarray) -> np.ndarray:

@@ -38,10 +38,13 @@ P[:, 1] are contiguous: each batch's nodes are written into one planar
 (2, ...) buffer, by broadcasting corner plus offsets, and the field gets
 its transposed view.  A batch holds at most _CHUNK points: whole
 regions, or, when one square's grid is larger, a block of its grid rows;
-only a triangle level whose added nodes for one cell exceed the chunk is
-one larger batch.  The ladder's strips hold at most STRIP_POINTS = _CHUNK
+a triangle level whose added nodes for one cell exceed the chunk is
+evaluated in halves, split where numpy's pairwise sum splits, until each
+part fits.  The ladder's strips hold at most STRIP_POINTS = _CHUNK
 points.  Every mean sums the nodes of one region only, a square's by grid
 rows and then the row sums, so the batch size changes no result.
+``triangle_means`` refines blocks of at most _CHUNK cells, one after the
+other, so besides its output it holds only block-sized arrays.
 """
 
 from __future__ import annotations
@@ -125,9 +128,21 @@ def _tri_sums(f, verts, cell_ids, offsets):
     """Sum of f over the nodes v0 + a*(v1-v0) + b*(v2-v0) of each triangle,
     (a, b) the columns of offsets.  Each value column is summed on its own:
     numpy reduces the middle axis of a (cells, nodes, values) block an order
-    of magnitude slower."""
+    of magnitude slower.
+
+    More than _CHUNK nodes per cell are summed in two parts, recursively,
+    and the parts' sums added.  The parts split where numpy's pairwise
+    summation splits an axis longer than its block of 128: the first holds
+    half the nodes, rounded down to a multiple of 8.  So, with _CHUNK at
+    least 128, the sums are the same bit for bit as one np.sum over all
+    nodes, and no batch exceeds the chunk."""
     a, b = offsets
     k = a.size
+    if k > _CHUNK:
+        half = k // 2 - k // 2 % 8
+        out = _tri_sums(f, verts, cell_ids, offsets[:, :half])
+        out += _tri_sums(f, verts, cell_ids, offsets[:, half:])
+        return out
     per = max(1, _CHUNK // k)
     out = None
     for start in range(0, verts.shape[0], per):
@@ -186,12 +201,17 @@ def _refine(means_at, count, levels, tol, floor, stall_after):
         if prev is None:
             prev = cur
             continue
-        extrap = (4.0 * cur - prev) / 3.0
+        extrap = cur * 4.0
+        extrap -= prev
+        extrap /= 3.0
         exact = np.all((cur == prev).reshape(active.size, -1), axis=1)
         if extrap_prev is None:
             d, done = None, exact
         else:
-            d = _flat_norm(extrap - extrap_prev)
+            # the squared difference in extrap_prev's buffer, x * x being x**2
+            sq = np.subtract(extrap, extrap_prev, out=extrap_prev)
+            sq *= sq
+            d = np.sqrt(np.sum(sq.reshape(active.size, -1), axis=1))
             done = exact | (d <= tol * np.maximum(_flat_norm(extrap), max(floor, 1e-300)))
         means[active[exact]] = cur[exact]
         means[active[done & ~exact]] = extrap[done & ~exact]
@@ -209,6 +229,7 @@ def _refine(means_at, count, levels, tol, floor, stall_after):
         prev = cur[keep]
         extrap_prev = extrap[keep]
         d_prev = None if d is None else d[keep]
+        del cur, extrap  # not held while the next level is evaluated
     return means, np.concatenate(stalled + [active])
 
 
@@ -222,10 +243,24 @@ def triangle_means(f, verts, rel_tol, cell_ids=None, abs_floor=0.0):
     Uniform levels m = 0..EXTENDED_CAP refine by the rule of ``_refine``
     with floor abs_floor; stalls count only above UNIFORM_CAP, so cells
     that still contract keep doubling.  Stalled and unsettled cells finish
-    with the locally adaptive rule.
+    with the locally adaptive rule.  Cells are refined and finished in
+    blocks of at most _CHUNK, each written into the output before the next
+    starts; a cell's mean depends only on its own nodes, so the blocks
+    change no result.
     """
     verts = np.asarray(verts, dtype=float)
     cell_ids = np.arange(verts.shape[0]) if cell_ids is None else np.asarray(cell_ids)
+    out = np.empty(0)
+    for start in range(0, verts.shape[0], _CHUNK):
+        block = slice(start, start + _CHUNK)
+        means = _triangle_block_means(f, verts[block], cell_ids[block], rel_tol, abs_floor)
+        if start == 0:
+            out = np.empty((verts.shape[0],) + means.shape[1:])
+        out[block] = means
+    return out
+
+
+def _triangle_block_means(f, verts, cell_ids, rel_tol, abs_floor):
     means, rest = _refine(
         lambda m, idx, prev: _tri_level_means(f, verts[idx], cell_ids[idx], m, prev),
         verts.shape[0],
@@ -242,14 +277,19 @@ def triangle_means(f, verts, rel_tol, cell_ids=None, abs_floor=0.0):
 def global_scale_floor(f, verts, cell_ids=None) -> float:
     """Mean magnitude of f over all cells, from a coarse (4 points per
     cell) composite rule; a tolerance floor so that cells with negligible
-    contribution to a global quantity are not over-refined."""
+    contribution to a global quantity are not over-refined.  Cells are
+    taken in blocks of _CHUNK, each block's magnitudes written into one
+    array of one number per cell before its mean is taken."""
     verts = np.asarray(verts, dtype=float)
     if verts.shape[0] == 0:
         return 0.0
-    if cell_ids is None:
-        cell_ids = np.arange(verts.shape[0])
-    vals = _tri_sums(f, verts, np.asarray(cell_ids), _centroid_offsets(1)) / 4.0
-    return float(np.mean(_flat_norm(np.abs(vals))))
+    cell_ids = np.arange(verts.shape[0]) if cell_ids is None else np.asarray(cell_ids)
+    norms = np.empty(verts.shape[0])
+    for start in range(0, verts.shape[0], _CHUNK):
+        block = slice(start, start + _CHUNK)
+        vals = _tri_sums(f, verts[block], cell_ids[block], _centroid_offsets(1)) / 4.0
+        norms[block] = _flat_norm(np.abs(vals))
+    return float(np.mean(norms))
 
 
 def _tri_children(v):

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from bmofem import coeff as C
 from bmofem import fem as F
+from bmofem import harness as X
 from bmofem import quadrature as Q
 from bmofem.errors import InvariantError, SingularityError
-from bmofem.mesh import build_uniform_mesh, triangle_areas
+from bmofem.mesh import build_uniform_mesh, cell_areas, triangle_areas
 
 # Frozen oracle: level-2 cell averages of (1 + 0.5 |log|x||), computed with
 # degree-10 Gauss (Duffy) on 4^8 subtriangles per cell before the build
@@ -517,6 +518,37 @@ def test_bmo_kernels_keep_their_point_buffers_small():
     assert _traced_peak(jn) <= 7 * chunk
 
 
+def test_cell_mean_passes_hold_their_output_and_one_block():
+    # triangle_means refines blocks of _CHUNK cells, so a cell-mean pass
+    # holds its output (one value per cell) and one block's arrays, whatever
+    # the level.  In chunk units (one float per cell of a block, or per point
+    # of a full batch), for values of at most 4 floats (a 2x2 matrix): the
+    # block's gathered vertices and their transposed copy (12); the
+    # refinement's means, previous and current level, both extrapolations
+    # and the level sum's scaled previous means (6 x 4); one batch's planar
+    # nodes with two temporaries (6), its ids (1), its values (4) and the
+    # field's own temporaries (under 12).  That is under 64 chunks (8 MiB);
+    # passes over the whole mesh at once take 16-34 MiB above the output at
+    # level 8
+    chunk = Q._CHUNK * 8
+    mesh = build_uniform_mesh(8)
+    mesh.cell_coordinates()  # the mesh's own arrays are cached, not traced
+    cell = mesh.num_cells * 8  # one float per cell
+    log = C.log_singular_coefficient(0.5)
+    A_h = C.project_coefficient(log, mesh)
+    f_h = F.project_rhs(lambda p: p, mesh)
+    runs = [
+        (lambda: C.project_coefficient(log, mesh), 4 * cell),
+        (lambda: F.project_rhs(lambda p: p, mesh), 2 * cell),
+        # the misfits return a number; their output is the cell means of
+        # |f - c|^p
+        (lambda: C.coefficient_error(log, A_h, 2.0), cell),
+        (lambda: X.data_oscillation(lambda p: p, f_h, 2.0), cell),
+    ]
+    for run, output in runs:
+        assert _traced_peak(run) <= output + 64 * chunk
+
+
 def test_bmo_depths_fit_the_chunk_sized_ladder():
     # bmo_seminorm_estimate accepts every depth up to MAX_BMO_DEPTH, so the
     # ladder must reach it with strips of at most a chunk
@@ -829,7 +861,7 @@ def _cell_integrals(g, A, mesh, rule):
     whole = np.setdiff1d(np.arange(mesh.num_cells), cut)
     tris = np.concatenate([verts[whole], pieces])
     parent = np.concatenate([whole, cut])
-    areas = np.concatenate([np.abs(C.cell_areas(mesh))[whole], piece_areas])
+    areas = np.concatenate([np.abs(cell_areas(mesh))[whole], piece_areas])
     bary, weights = rule
     pts = np.einsum("qv,tvd->tqd", bary, tris).reshape(-1, 2)
     vals = np.asarray(g(pts, np.repeat(parent, len(weights))))
@@ -843,7 +875,7 @@ def _cell_integrals(g, A, mesh, rule):
 def _exact_cell_means(A, mesh):
     """Cell averages of a sampled (piecewise bilinear) field."""
     integrals = _cell_integrals(lambda p, ids: A.evaluate(p), A, mesh, EDGE_MIDPOINT_RULE)
-    return integrals / np.abs(C.cell_areas(mesh))[:, None, None]
+    return integrals / np.abs(cell_areas(mesh))[:, None, None]
 
 
 def _cellwise_rel_error(values, exact):
@@ -875,7 +907,7 @@ def test_grid_pieces_tile_each_cut_cell(meshes, nondyadic_csv_path, level):
         lines = np.asarray(lines)
         crossed |= ((lines > lo[:, axis, None]) & (lines < hi[:, axis, None])).any(axis=1)
     assert np.array_equal(np.unique(parent), np.flatnonzero(crossed))
-    cell_area = np.abs(C.cell_areas(mesh))
+    cell_area = np.abs(cell_areas(mesh))
     for cell in np.flatnonzero(crossed):
         total = math.fsum(areas[parent == cell])
         assert abs(total - cell_area[cell]) <= 1e-15 * cell_area[cell]

@@ -303,8 +303,9 @@ def test_adaptive_rule_stops_at_the_node_cap(shape, monkeypatch):
 # Point batches.  Every mean is a sum over one region's nodes, so the size of
 # the batches a field is evaluated in cannot change any result; fields get
 # column-major (N, 2) batches of at most _CHUNK points.  A square larger than
-# a chunk comes in blocks of grid rows; only a triangle level whose added
-# nodes for one cell exceed the chunk is one larger batch.
+# a chunk comes in blocks of grid rows; a triangle level whose added nodes
+# for one cell exceed the chunk comes in halves, split as numpy's pairwise
+# sum splits them.
 
 
 def _chunk_sensitive_results(sampled_path):
@@ -344,19 +345,15 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, nondyadic_csv_path
 
 class _RecordingIntegrand:
     """Integrand f(points, ids) that records, per batch, its layout and
-    whether it stays within the chunk or, where one_cell_escape allows it,
-    covers a single region."""
+    whether it stays within the chunk."""
 
     def __init__(self, f):
         self.f = f
-        self.one_cell_escape = True
         self.batches = []
 
     def __call__(self, p, ids):
-        one_region = self.one_cell_escape and np.unique(ids).size == 1
         self.batches.append(
-            (p.dtype, p.ndim, p.shape[1], p.flags.f_contiguous,
-             p.shape[0] <= Q._CHUNK or one_region)
+            (p.dtype, p.ndim, p.shape[1], p.flags.f_contiguous, p.shape[0] <= Q._CHUNK)
         )
         return self.f(p)
 
@@ -368,14 +365,40 @@ def test_fields_get_column_major_batches_of_at_most_a_chunk(chunk, monkeypatch):
         monkeypatch.setattr(Q, "_CHUNK", chunk)
     rec = _RecordingIntegrand(lambda p: np.sin(np.pi * p[:, 0]) * np.cos(p[:, 1]))
     triangle_means(rec, build_uniform_mesh(3).cell_coordinates(), 1e-10)
-    # one cell refined past every chunk, then finished adaptively
+    # one cell refined past m = 8, whose added nodes exceed the chunk and
+    # come in halves, then finished adaptively
     rec.f = TRIANGLE_PINS["kink"][1]
     triangle_means(rec, KINK_TRI, 1e-8)
-    # the singular corner square runs every grid up to 1024^2: no escape
-    rec.one_cell_escape = False
+    # the singular corner square runs every grid up to 1024^2
     rec.f = SQUARE_PINS["log-corner"][2]
     square_means_batch(rec, np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.5]]), 0.25, 1e-8)
     assert rec.batches and set(rec.batches) == {(np.dtype(float), 2, 2, True, True)}
+
+
+@pytest.mark.parametrize("m", [8, 9])
+@pytest.mark.parametrize("values", ["scalar", "matrix"])
+def test_levels_past_the_chunk_sum_like_one_np_sum(m, values):
+    # the 3 * 4^(m-1) nodes level m adds to one cell exceed the chunk from
+    # m = 8; they are summed in halves, and the sums are one np.sum per
+    # value column over all of them, bit for bit
+    offsets = Q._centroid_offsets(m, added=True)
+    assert offsets.shape[1] > Q._CHUNK
+
+    def f(p, ids=None):
+        r = _log_reciprocal(p)
+        if values == "scalar":
+            return r
+        return np.stack([np.stack([r, np.sin(p[:, 0])], 1), np.stack([p[:, 1], r * r], 1)], 1)
+
+    rec = _RecordingIntegrand(f)
+    got = Q._tri_sums(rec, KINK_TRI, np.zeros(1, dtype=int), offsets)
+    assert all(batch[-1] for batch in rec.batches)
+    v0, v1, v2 = KINK_TRI[0]
+    a, b = offsets
+    nodes = np.column_stack([v0[i] + a * (v1[i] - v0[i]) + b * (v2[i] - v0[i]) for i in (0, 1)])
+    cols = f(nodes).reshape(a.size, -1)
+    want = np.array([np.sum(cols[:, c]) for c in range(cols.shape[1])])
+    assert np.array_equal(got.reshape(-1), want)
 
 
 def test_default_chunk_is_cache_sized():
