@@ -44,6 +44,13 @@ CONFIGS = [
      "out": "decay_smooth.csv"},
     {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0,
      "levels": "1..6", "out": "decay_log.csv"},
+    # the sampled grid is bilinear between its sample lines: at p = 2 the
+    # misfit |A - A_h|^2 has degree 4 and takes the fixed rule, at p = 3 it
+    # is no polynomial and is refined
+    {"kind": "coeff-decay", "coeff": "sampled", "coeff_csv": SAMPLED_GRID, "p": 2.0,
+     "levels": "1..6", "out": "decay_sampled_p2.csv"},
+    {"kind": "coeff-decay", "coeff": "sampled", "coeff_csv": SAMPLED_GRID, "p": 3.0,
+     "levels": "1..6", "out": "decay_sampled_p3.csv"},
     # split quality for random piecewise constant fields
     {"kind": "hodge-suite", "p": 2.0, "levels": "1..4", "seed": 7,
      "out": "hodge_suite.csv"},

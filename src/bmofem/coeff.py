@@ -34,13 +34,22 @@ class CoefficientField:
 
     breaks = (xs, ys) are the fixture's breaklines: the lines x = xs[i] and
     y = ys[j], sorted, off which the field is smooth.  Cell quantities are
-    integrated piecewise between them (see cell_means).
+    integrated piecewise between them (see cell_means).  degree, if not
+    None, is a bound on the polynomial degree of every entry on each
+    rectangle between the breaklines; cell_means then integrates with a
+    fixed rule where that is exact.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     alpha: float
     kind: str
     breaks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
+    degree: int | None = None
+
+    def __post_init__(self):
+        d = self.degree
+        if d is not None and not (isinstance(d, int) and not isinstance(d, bool) and d >= 0):
+            raise ValueError(f"degree must be None or a non-negative int, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ def constant_coefficient(matrix) -> CoefficientField:
     def evaluate(points):
         return np.broadcast_to(m, (points.shape[0], 2, 2))
 
-    return CoefficientField(evaluate, alpha, "constant")
+    return CoefficientField(evaluate, alpha, "constant", degree=0)
 
 
 def identity_coefficient() -> CoefficientField:
@@ -137,7 +146,8 @@ def log_singular_coefficient(beta: float, x0=(0.0, 0.0)) -> CoefficientField:
 
 def checkerboard_coefficient(kappa: float) -> CoefficientField:
     """Four-quadrant pattern: kappa I on the lower-left and upper-right
-    quadrants, I elsewhere.  Coercivity constant min(1, kappa)."""
+    quadrants, I elsewhere.  Coercivity constant min(1, kappa); the jump
+    lines x = 1/2 and y = 1/2 are its breaklines, constant between them."""
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
 
@@ -150,7 +160,7 @@ def checkerboard_coefficient(kappa: float) -> CoefficientField:
         out[:, 1, 1] = s
         return out
 
-    return CoefficientField(evaluate, min(1.0, kappa), "checkerboard")
+    return CoefficientField(evaluate, min(1.0, kappa), "checkerboard", ((0.5,), (0.5,)), 0)
 
 
 def _interval_finder(g: np.ndarray):
@@ -185,7 +195,8 @@ def load_sampled_coefficient(path) -> CoefficientField:
     then one row per sample on a rectilinear grid (any sorted abscissae
     times any sorted ordinates) covering the unit square, row-major.
     Evaluation interpolates bilinearly between samples, so the interior
-    sample lines are the field's breaklines.
+    sample lines are the field's breaklines, and between them every entry
+    is a polynomial of degree 2.
 
     The kernel is bit-identical to scipy's RegularGridInterpolator: per
     axis an exact interval search (_interval_finder) and the weight
@@ -252,7 +263,7 @@ def load_sampled_coefficient(path) -> CoefficientField:
         return out
 
     breaks = (tuple(xs[1:-1].tolist()), tuple(ys[1:-1].tolist()))
-    return CoefficientField(evaluate, alpha, "sampled-grid", breaks)
+    return CoefficientField(evaluate, alpha, "sampled-grid", breaks, degree=2)
 
 
 def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
@@ -379,7 +390,15 @@ def _level_pieces(mesh: Mesh, breaks):
     return out
 
 
-def cell_means(f, mesh: Mesh, rel_tol: float, floor: float = 0.0, breaks=((), ())) -> np.ndarray:
+def _exact(degree) -> bool:
+    """Whether quadrature.polynomial_means is exact for a field of this
+    declared degree on each piece."""
+    return degree is not None and degree <= quadrature.POLYNOMIAL_DEGREE
+
+
+def cell_means(
+    f, mesh: Mesh, rel_tol: float, floor: float = 0.0, breaks=((), ()), degree=None
+) -> np.ndarray:
     """Mean of f over each cell of mesh, to relative tolerance rel_tol in
     the Euclidean norm over the value axes, with tolerance floor `floor`.
 
@@ -387,27 +406,29 @@ def cell_means(f, mesh: Mesh, rel_tol: float, floor: float = 0.0, breaks=((), ()
     cells holds the cell of each point.  A cell that a breakline of
     breaks = (xs, ys) cuts is integrated piece by piece (f is smooth on
     each piece), and its mean is the area-weighted mean of its pieces.  The
-    uncut cells and all pieces go to quadrature.triangle_means as one
-    batch; see the quadrature module for the refinement rule.  Raises
-    SingularityError for non-finite evaluations and QuadratureError if
-    refinement stalls.
+    uncut cells and all pieces go to quadrature as one batch: to
+    quadrature.polynomial_means, which is exact, when f declares a
+    polynomial degree of at most quadrature.POLYNOMIAL_DEGREE on each piece,
+    and to quadrature.triangle_means, by its refinement rule, otherwise.
+    rel_tol is validated either way.  Raises SingularityError for
+    non-finite evaluations and QuadratureError if refinement stalls.
     """
     _validate_rel_tol(rel_tol)
     verts = mesh.cell_coordinates()
     pieces, parent, areas = _level_pieces(mesh, breaks) if any(breaks) else ((), (), ())
+    tris, ids = verts, None
+    if len(parent):
+        uncut = np.ones(mesh.num_cells, dtype=bool)
+        uncut[parent] = False
+        whole = np.flatnonzero(uncut)
+        tris, ids = np.concatenate([verts[whole], pieces]), np.concatenate([whole, parent])
+    if _exact(degree):
+        means = quadrature.polynomial_means(f, tris, ids)
+    else:
+        means = quadrature.triangle_means(f, tris, rel_tol, cell_ids=ids, abs_floor=floor)
     if len(parent) == 0:
-        return quadrature.triangle_means(f, verts, rel_tol, abs_floor=floor)
+        return means
     n = mesh.num_cells
-    uncut = np.ones(n, dtype=bool)
-    uncut[parent] = False
-    whole = np.flatnonzero(uncut)
-    means = quadrature.triangle_means(
-        f,
-        np.concatenate([verts[whole], pieces]),
-        rel_tol,
-        cell_ids=np.concatenate([whole, parent]),
-        abs_floor=floor,
-    )
     shape = (-1,) + (1,) * (means.ndim - 1)
     sums = np.zeros((n,) + means.shape[1:])
     np.add.at(sums, parent, areas.reshape(shape) * means[whole.size :])
@@ -420,10 +441,12 @@ def cell_means(f, mesh: Mesh, rel_tol: float, floor: float = 0.0, breaks=((), ()
 def project_coefficient(
     A: CoefficientField, mesh: Mesh, rel_tol: float = DEFAULT_PROJECTION_TOL
 ) -> PiecewiseConstantMatrixField:
-    """Cell averages of A (cell_means along A's breaklines), each to
-    relative tolerance rel_tol in the Frobenius norm of the cell's matrix,
-    symmetrised."""
-    means = cell_means(lambda pts, ids: A.evaluate(pts), mesh, rel_tol, breaks=A.breaks)
+    """Cell averages of A (cell_means along A's breaklines, of A's declared
+    degree), each to relative tolerance rel_tol in the Frobenius norm of
+    the cell's matrix, symmetrised."""
+    means = cell_means(
+        lambda pts, ids: A.evaluate(pts), mesh, rel_tol, breaks=A.breaks, degree=A.degree
+    )
     # 0.5 (A + A^T) in place: its diagonal is A's own, bit for bit
     off = means[:, 0, 1] + means[:, 1, 0]
     off *= 0.5
@@ -451,17 +474,26 @@ def coercivity_of_projection(A_h: PiecewiseConstantMatrixField) -> float:
     return float(np.min(_min_eigenvalues(v)))
 
 
-def lp_misfit(f, field, p: float, rel_tol: float, breaks=((), ())) -> float:
+def lp_misfit(f, field, p: float, rel_tol: float, breaks=((), ()), degree=None) -> float:
     """||f - c||_{L^p} for a callable field f against a cell field c.
 
     f(points (N, 2)) returns scalar, vector or matrix values, and
     field.values holds one value of the same shape per cell of field.mesh;
     the pointwise norm is Euclidean over the value axes.  The cell means of
     |f - c|^p come from cell_means, along the breaklines breaks = (xs, ys)
-    of f, with a floor at their global scale, so cells where f is nearly
-    constant do not force needless refinement.
+    of f.  When f declares a polynomial degree between them, |f - c|^p is a
+    polynomial of degree 0 if that degree is 0, and of degree p * degree if
+    p is an even integer; cell_means integrates it exactly when that is at
+    most quadrature.POLYNOMIAL_DEGREE.  Otherwise the means are refined
+    with a floor at their global scale, so cells where f is nearly constant
+    do not force needless refinement.
     """
     consts = field.values
+    power = None  # the degree of |f - c|^p, if it is a polynomial
+    if degree == 0:
+        power = 0
+    elif degree is not None and p % 2 == 0:
+        power = p * degree
 
     def integrand(pts, ids):
         d = np.asarray(f(pts), dtype=float) - np.take(consts, ids, axis=0)
@@ -471,8 +503,10 @@ def lp_misfit(f, field, p: float, rel_tol: float, breaks=((), ())) -> float:
         cols = d.reshape(d.shape[0], -1).T
         return np.sqrt(sum(cols[1:], cols[0])) ** p
 
-    floor = quadrature.global_scale_floor(integrand, field.mesh.cell_coordinates())
-    means = cell_means(integrand, field.mesh, rel_tol, floor, breaks)
+    floor = 0.0
+    if not _exact(power):
+        floor = quadrature.global_scale_floor(integrand, field.mesh.cell_coordinates())
+    means = cell_means(integrand, field.mesh, rel_tol, floor, breaks, power)
     area = 0.5 / 4**field.mesh.level  # every cell's
     return float(np.sum(area * means) ** (1.0 / p))
 
@@ -484,10 +518,10 @@ def coefficient_error(
     rel_tol: float = 1e-4,
 ) -> float:
     """L^r norm of the pointwise Frobenius norm of A - A_h, r in [1.1, 10],
-    integrated along A's breaklines."""
+    integrated along A's breaklines, of A's declared degree."""
     if not (1.1 <= r <= 10.0):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
-    return lp_misfit(A.evaluate, A_h, r, rel_tol, A.breaks)
+    return lp_misfit(A.evaluate, A_h, r, rel_tol, A.breaks, A.degree)
 
 
 # ---------------------------------------------------------------------------

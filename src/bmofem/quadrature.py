@@ -1,6 +1,12 @@
-"""Composite midpoint quadrature with adaptive refinement.
+"""Composite midpoint quadrature with adaptive refinement, and one fixed
+rule for polynomial fields.
 
-Every mean in the package settles by one rule (``_refine``).  Composite
+``polynomial_means`` is the one mean that is not refined: the 6-point
+degree-4 rule, exact for a field that is a polynomial of degree at most 4
+on each triangle.  coeff.cell_means uses it for fields that declare such a
+degree between their breaklines.
+
+Every other mean in the package settles by one rule (``_refine``).  Composite
 midpoint means are taken at successive levels, each on four times the
 subcells of the last.  A mean is done when two successive levels agree
 exactly, or when the Richardson extrapolations (4 I_l - I_{l-1}) / 3 of
@@ -69,6 +75,27 @@ STRIP_POINTS = _CHUNK
 _RUNG0 = MIN_SQUARE_GRID.bit_length() - 1
 _RUNGS = 3
 MAX_LADDER_DEPTH = STRIP_POINTS.bit_length() - 1 - (_RUNG0 + _RUNGS - 1)
+
+POLYNOMIAL_DEGREE = 4
+
+
+def _degree4_orbit(a: float) -> np.ndarray:
+    """Affine coordinates, as in _centroid_offsets, of the three nodes with
+    barycentric coordinates the permutations of (a, a, 1 - 2a)."""
+    out = np.array([[a, 1.0 - 2.0 * a, a], [1.0 - 2.0 * a, a, a]])
+    out.setflags(write=False)
+    return out
+
+
+# the 6-point rule: nodes the permutations of (a, a, 1 - 2a) with
+# a = (8 - sqrt 10 +- sqrt(38 - 44 sqrt(2/5))) / 18, and weights
+# (620 +- sqrt(213125 - 53320 sqrt 10)) / 3720, the upper signs together
+_DEGREE4_ORBITS = tuple(
+    _degree4_orbit((8.0 - np.sqrt(10.0) + sign * np.sqrt(38.0 - 44.0 * np.sqrt(0.4))) / 18.0)
+    for sign in (1.0, -1.0)
+)
+# half the difference of the orbits' weights, which sum to 1/3
+_DEGREE4_SPREAD = np.sqrt(213125.0 - 53320.0 * np.sqrt(10.0)) / 3720.0
 
 
 def _check_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -272,6 +299,37 @@ def _triangle_block_means(f, verts, cell_ids, rel_tol, abs_floor):
     for i in rest:
         means[i] = _adaptive_tri_mean(f, verts[i], int(cell_ids[i]), rel_tol, abs_floor)
     return means
+
+
+def polynomial_means(f, verts, cell_ids=None):
+    """Mean of f over each triangle by the 6-point interior rule exact for
+    polynomials of degree POLYNOMIAL_DEGREE = 4 (Strang & Fix 1973;
+    Dunavant 1985): exact, up to rounding, for fields polynomial of degree
+    at most 4 on each triangle, and not refined.
+
+    Same call form and value shapes as triangle_means, without a tolerance.
+    Each of the rule's two orbits of three nodes is summed by _tri_sums, so
+    fields get batches of at most _CHUNK points and each triangle costs 6
+    evaluations.  The weights are 1/6 + d and 1/6 - d, and the mean is
+    taken as (S1 + S2) / 6 + d (S1 - S2): a constant c whose 3c is exact
+    comes out as c, bit for bit.  Triangles are taken in blocks of at most
+    _CHUNK, each written into the output before the next starts.
+    """
+    verts = np.asarray(verts, dtype=float)
+    cell_ids = np.arange(verts.shape[0]) if cell_ids is None else np.asarray(cell_ids)
+    out = np.empty(0)
+    for start in range(0, verts.shape[0], _CHUNK):
+        block = slice(start, start + _CHUNK)
+        s1, s2 = (_tri_sums(f, verts[block], cell_ids[block], o) for o in _DEGREE4_ORBITS)
+        if start == 0:
+            out = np.empty((verts.shape[0],) + s1.shape[1:])
+        mean = out[block]
+        np.add(s1, s2, out=mean)
+        mean /= 6.0
+        s1 -= s2
+        s1 *= _DEGREE4_SPREAD
+        mean += s1
+    return out
 
 
 def global_scale_floor(f, verts, cell_ids=None) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -539,6 +540,8 @@ def test_cell_mean_passes_hold_their_output_and_one_block():
     f_h = F.project_rhs(lambda p: p, mesh)
     runs = [
         (lambda: C.project_coefficient(log, mesh), 4 * cell),
+        # by the fixed rule, which takes the same blocks
+        (lambda: C.project_coefficient(C.identity_coefficient(), mesh), 4 * cell),
         (lambda: F.project_rhs(lambda p: p, mesh), 2 * cell),
         # the misfits return a number; their output is the cell means of
         # |f - c|^p
@@ -887,9 +890,9 @@ def test_sampled_breaks_are_the_interior_sample_lines(nondyadic_csv_path, sample
     assert A.breaks == (tuple(np.linspace(0, 1, 10)[1:-1]),) * 2
     B = C.load_sampled_coefficient(sampled_grid_csv([0.0, 0.3, 1.0], [0.0, 0.55, 1.0]))
     assert B.breaks == ((0.3,), (0.55,))
-    for A in (C.identity_coefficient(), C.smooth_coefficient(),
-              C.log_singular_coefficient(0.5), C.checkerboard_coefficient(5.0)):
+    for A in (C.identity_coefficient(), C.smooth_coefficient(), C.log_singular_coefficient(0.5)):
         assert A.breaks == ((), ())
+    assert C.checkerboard_coefficient(5.0).breaks == ((0.5,), (0.5,))
 
 
 @pytest.mark.parametrize("level", range(7))
@@ -977,13 +980,18 @@ def test_cut_projection_is_exact_for_sampled_data(meshes, nondyadic_csv_path, le
 
 
 def test_uncut_cells_keep_their_own_means(meshes, nondyadic_csv_path):
+    # the uncut cells keep the fixed rule's means of their own nodes, bit
+    # for bit, and those agree with the refinement rule's
     A = C.load_sampled_coefficient(nondyadic_csv_path)
     mesh = meshes[4]
     uncut = _uncut_cells(mesh, A.breaks)
     assert 0 < uncut.size < mesh.num_cells
-    own = Q.triangle_means(lambda p, i: A.evaluate(p), mesh.cell_coordinates()[uncut], 1e-6)
+    verts = mesh.cell_coordinates()[uncut]
+    own = Q.polynomial_means(lambda p, i: A.evaluate(p), verts)
     own = 0.5 * (own + own.transpose(0, 2, 1))
     assert np.array_equal(C.project_coefficient(A, mesh).values[uncut], own)
+    refined = Q.triangle_means(lambda p, i: A.evaluate(p), verts, 1e-10)
+    assert _cellwise_rel_error(own, refined).max() <= 1e-10
 
 
 @pytest.mark.parametrize("level", [0, 2, 4])
@@ -1016,3 +1024,143 @@ def test_rectilinear_sample_grid_projection_is_exact(meshes, sampled_grid_csv):
         values = C.project_coefficient(A, meshes[level]).values
         exact = _exact_cell_means(A, meshes[level])
         assert _cellwise_rel_error(values, exact).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# declared degrees: the fixed rule between the breaklines
+
+DEGREE_FIXTURES = {
+    "identity": lambda paths: C.identity_coefficient(),
+    "constant": lambda paths: C.constant_coefficient([[2.0, 0.3], [0.3, 3.0]]),
+    "checkerboard": lambda paths: C.checkerboard_coefficient(100.0),
+    "sampled-dyadic": lambda paths: C.load_sampled_coefficient(paths[0]),
+    "sampled-nondyadic": lambda paths: C.load_sampled_coefficient(paths[1]),
+}
+
+
+@pytest.fixture()
+def degree_fixture(request, sampled_csv_path, nondyadic_csv_path):
+    return DEGREE_FIXTURES[request.param]((sampled_csv_path, nondyadic_csv_path))
+
+
+def test_fixtures_declare_their_degrees(sampled_csv_path):
+    assert C.identity_coefficient().degree == 0
+    assert C.constant_coefficient(np.diag([2.0, 3.0])).degree == 0
+    assert C.checkerboard_coefficient(5.0).degree == 0
+    assert C.load_sampled_coefficient(sampled_csv_path).degree == 2
+    assert C.smooth_coefficient().degree is None
+    assert C.log_singular_coefficient(0.5).degree is None
+
+
+def test_degree_must_be_a_non_negative_int():
+    for degree in (None, 0, 3):
+        assert C.CoefficientField(_wave, 1.0, "any", degree=degree).degree == degree
+    for degree in (-1, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="degree"):
+            C.CoefficientField(_wave, 1.0, "any", degree=degree)
+
+
+@pytest.mark.parametrize("degree_fixture", list(DEGREE_FIXTURES), indirect=True)
+def test_declared_degree_fits_each_breakline_rectangle(degree_fixture, rng):
+    # a least-squares polynomial of the declared degree reproduces random
+    # samples inside every rectangle between the breaklines
+    A = degree_fixture
+    d = A.degree
+    exps = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    xs, ys = ([0.0, *b, 1.0] for b in A.breaks)
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            p = rng.uniform([x0, y0], [x1, y1], (3 * len(exps) + 5, 2))
+            vander = np.column_stack([p[:, 0] ** i * p[:, 1] ** j for i, j in exps])
+            vals = A.evaluate(p).reshape(len(p), 4)
+            coef = np.linalg.lstsq(vander, vals, rcond=None)[0]
+            assert np.max(np.abs(vander @ coef - vals)) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [100.0, 0.1, 7.3])
+def test_checkerboard_cuts_only_the_level_zero_cells(meshes, kappa):
+    A = C.checkerboard_coefficient(kappa)
+    for level in range(1, 7):
+        assert C._grid_pieces(meshes[level].cell_coordinates(), A.breaks)[1].size == 0
+    assert np.unique(C._grid_pieces(meshes[0].cell_coordinates(), A.breaks)[1]).size == 2
+    values = C.project_coefficient(A, meshes[0]).values
+    assert np.allclose(values, 0.5 * (kappa + 1.0) * np.eye(2), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("degree_fixture", list(DEGREE_FIXTURES)[1:], indirect=True)
+@pytest.mark.parametrize("level", range(6))
+def test_fixed_rule_agrees_with_refinement(meshes, degree_fixture, level):
+    # the refinement rule on the same cut, with the degree left undeclared
+    A = degree_fixture
+    slow = dataclasses.replace(A, degree=None)
+    fast_h = C.project_coefficient(A, meshes[level])
+    slow_h = C.project_coefficient(slow, meshes[level])
+    assert np.max(np.abs(fast_h.values - slow_h.values)) <= 1e-9 * np.max(np.abs(slow_h.values))
+    err = C.coefficient_error(A, fast_h, 2.0)
+    assert err == pytest.approx(C.coefficient_error(slow, slow_h, 2.0), rel=1e-4, abs=1e-12)
+
+
+def _quadrature_calls(monkeypatch):
+    """Count the calls of each cell-mean rule and of the tolerance floor."""
+    calls = {"triangle_means": 0, "polynomial_means": 0, "global_scale_floor": 0}
+    for name in calls:
+        original = getattr(Q, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Q, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fixture, r, exact",
+    [
+        ("sampled", 2.0, True),
+        ("checkerboard", 2.5, True),  # degree 0: |A - A_h|^r is constant per piece
+        ("sampled", 2.5, False),
+        ("sampled", 1.5, False),  # r * degree = 3 <= 4, but |A - A_h|^1.5 is no polynomial
+        ("sampled", 3.0, False),
+        ("sampled", 4.0, False),  # r * degree = 8 > 4
+        ("smooth", 2.0, False),  # no degree declared
+    ],
+)
+def test_coefficient_error_takes_the_fixed_rule_only_for_polynomials(
+    monkeypatch, meshes, nondyadic_csv_path, fixture, r, exact
+):
+    A = {
+        "sampled": lambda: C.load_sampled_coefficient(nondyadic_csv_path),
+        "checkerboard": lambda: C.checkerboard_coefficient(100.0),
+        "smooth": C.smooth_coefficient,
+    }[fixture]()
+    A_h = C.project_coefficient(A, meshes[3])
+    calls = _quadrature_calls(monkeypatch)
+    C.coefficient_error(A, A_h, r)
+    if exact:
+        assert calls == {"triangle_means": 0, "polynomial_means": 1, "global_scale_floor": 0}
+    else:
+        assert calls == {"triangle_means": 1, "polynomial_means": 0, "global_scale_floor": 1}
+
+
+def test_fixed_rule_evaluates_six_nodes_per_cell_and_piece(meshes, nondyadic_csv_path):
+    base = C.load_sampled_coefficient(nondyadic_csv_path)
+    mesh = meshes[3]
+    count = [0]
+
+    def evaluate(p):
+        count[0] += len(p)
+        return base.evaluate(p)
+
+    A = dataclasses.replace(base, evaluate=evaluate)
+    pieces = C._grid_pieces(mesh.cell_coordinates(), A.breaks)[0]
+    integration_triangles = _uncut_cells(mesh, A.breaks).size + len(pieces)
+    A_h = C.project_coefficient(A, mesh)
+    assert count[0] == 6 * integration_triangles
+    count[0] = 0
+    C.coefficient_error(A, A_h, 2.0)
+    assert count[0] == 6 * integration_triangles
+    count[0] = 0
+    D = dataclasses.replace(C.identity_coefficient(), evaluate=evaluate)
+    C.project_coefficient(D, mesh)
+    assert count[0] == 6 * mesh.num_cells

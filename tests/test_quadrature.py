@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,9 +318,12 @@ def _chunk_sensitive_results(sampled_path):
         return np.column_stack([np.sin(np.pi * P[:, 0]), np.cos(np.pi * P[:, 1])])
 
     sampled = C.load_sampled_coefficient(sampled_path)  # cut cells
+    S_h = C.project_coefficient(sampled, build_uniform_mesh(3))  # by the fixed rule
     means, oscs, fallbacks = C.dyadic_oscillations(C.log_reciprocal_scalar(), 3)
     return [
-        C.project_coefficient(sampled, build_uniform_mesh(3)).values,
+        S_h.values,
+        # refined piece by piece: |A - A_h|^3 is no polynomial
+        np.array([C.coefficient_error(sampled, S_h, 3.0)]),
         A_h.values,
         np.array([C.coefficient_error(log, A_h, 2.0)]),
         np.array([X.data_oscillation(rhs, F.project_rhs(rhs, mesh), 2.1)]),
@@ -372,6 +376,8 @@ def test_fields_get_column_major_batches_of_at_most_a_chunk(chunk, monkeypatch):
     # the singular corner square runs every grid up to 1024^2
     rec.f = SQUARE_PINS["log-corner"][2]
     square_means_batch(rec, np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.5]]), 0.25, 1e-8)
+    rec.f = lambda p: p[:, 0] * p[:, 1]
+    Q.polynomial_means(rec, build_uniform_mesh(5).cell_coordinates())
     assert rec.batches and set(rec.batches) == {(np.dtype(float), 2, 2, True, True)}
 
 
@@ -619,3 +625,70 @@ def test_global_scale_floor_is_the_level_one_mean():
     ids = np.arange(len(verts))
     want = np.mean(Q._flat_norm(np.abs(_full_level_means(_matrix_field, verts, ids, 1))))
     assert Q.global_scale_floor(_matrix_field, verts) == pytest.approx(want, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The fixed degree-4 rule
+
+
+def _exact_monomial_mean(tri, i, j):
+    """Mean of x^i y^j over the triangle tri, in exact rational arithmetic:
+    x and y are linear in the barycentric coordinates, and the mean of
+    l0^a l1^b l2^c is 2 a! b! c! / (a + b + c + 2)!."""
+    xs, ys = ([Fraction(float(v[k])) for v in tri] for k in (0, 1))
+
+    def times(poly, coords):
+        out = {}
+        for exps, c in poly.items():
+            for k in range(3):
+                key = tuple(e + (n == k) for n, e in enumerate(exps))
+                out[key] = out.get(key, 0) + c * coords[k]
+        return out
+
+    poly = {(0, 0, 0): Fraction(1)}
+    for coords in [xs] * i + [ys] * j:
+        poly = times(poly, coords)
+    f = math.factorial
+    return sum(c * 2 * f(a) * f(b) * f(e) / f(a + b + e + 2) for (a, b, e), c in poly.items())
+
+
+def _rule_test_triangles(sampled_path):
+    pieces, _, _ = C._grid_pieces(
+        build_uniform_mesh(2).cell_coordinates(), C.load_sampled_coefficient(sampled_path).breaks
+    )
+    sheared = np.array([[[0.1, 0.2], [0.9, 0.35], [0.95, 0.4]], [[0.3, 0.9], [0.31, 0.1], [0.8, 0.6]]])
+    return np.concatenate([UNIT_TRI, sheared, pieces[::7]])
+
+
+def test_polynomial_means_are_exact_to_degree_four(nondyadic_csv_path):
+    # on the reference triangle, on sheared ones and on pieces of cut cells
+    tris = _rule_test_triangles(nondyadic_csv_path)
+    assert len(tris) > 10
+    for i in range(5):
+        for j in range(5 - i):
+            got = Q.polynomial_means(lambda p, ids: p[:, 0] ** i * p[:, 1] ** j, tris)
+            want = np.array([float(_exact_monomial_mean(t, i, j)) for t in tris])
+            assert np.max(np.abs(got - want)) <= 1e-15, (i, j)
+    # a degree-5 monomial is beyond it
+    got = Q.polynomial_means(lambda p, ids: p[:, 0] ** 5, UNIT_TRI)[0]
+    assert abs(got - float(_exact_monomial_mean(UNIT_TRI[0], 5, 0))) > 1e-6
+
+
+def test_polynomial_means_keep_constants_and_value_shapes():
+    verts = build_uniform_mesh(3).cell_coordinates()
+    for c in (1.0, 100.0, 0.5, 3.5):
+        assert np.all(Q.polynomial_means(lambda p, ids: np.full(len(p), c), verts) == c)
+    got = Q.polynomial_means(_matrix_field, verts)
+    assert got.shape == (len(verts), 2, 2)
+    for r in range(2):
+        for c in range(2):
+            col = Q.polynomial_means(lambda p, ids: _matrix_field(p, ids)[:, r, c], verts)
+            assert np.array_equal(got[:, r, c], col)
+    assert Q.polynomial_means(_matrix_field, np.empty((0, 3, 2))).size == 0
+
+
+def test_polynomial_means_pass_each_node_its_cell_id():
+    verts = build_uniform_mesh(2).cell_coordinates()
+    ids = np.arange(len(verts)) + 11
+    got = Q.polynomial_means(lambda p, i: i.astype(float), verts, cell_ids=ids)
+    assert np.allclose(got, ids, rtol=1e-15, atol=0)
