@@ -49,15 +49,11 @@ def _load_config_data(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _IOFailure(f"cannot read config file {path}: {exc}") from exc
+        raise OSError(f"cannot read config file {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-
-
-class _IOFailure(Exception):
-    pass
 
 
 def _merge_overrides(data, args: argparse.Namespace):
@@ -90,16 +86,7 @@ def _print_report(report) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        data = _load_config_data(args.config)
-        data = _merge_overrides(data, args)
-        cfg = config_from_dict(data)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _IOFailure as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+        cfg = config_from_dict(_merge_overrides(_load_config_data(args.config), args))
         report = run_study(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

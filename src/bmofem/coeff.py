@@ -209,23 +209,31 @@ def load_sampled_coefficient(path) -> CoefficientField:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header_seen = False
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("alpha="):
-                    alpha = float(body.split("=", 1)[1])
-                continue
-            if not header_seen:
-                if [c.strip() for c in line.split(",")] != ["x", "y", "a11", "a12", "a22"]:
-                    raise InvariantError(f"bad sampled-coefficient header: {line!r}")
-                header_seen = True
-                continue
-            rows.append([float(c) for c in line.split(",")])
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("alpha="):
+                        alpha = float(body.split("=", 1)[1])
+                elif not header_seen:
+                    if [c.strip() for c in line.split(",")] != ["x", "y", "a11", "a12", "a22"]:
+                        raise InvariantError(f"bad sampled-coefficient header: {line!r}")
+                    header_seen = True
+                else:
+                    x, y, a11, a12, a22 = map(float, line.split(","))
+                    rows.append((x, y, a11, a12, a22))
+            except ValueError:
+                raise InvariantError(
+                    f"sampled coefficient line {lineno}: expected a number for alpha "
+                    f"or five numbers in a row, got {line!r}"
+                ) from None
     if alpha is None:
         raise InvariantError("sampled coefficient file must declare '# alpha=<value>'")
+    if not rows:
+        raise InvariantError("sampled coefficient file has no sample rows")
     data = np.asarray(rows)
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])

@@ -346,7 +346,11 @@ def solve_projected(
 
 def lp_norm(field: PCVectorField, p: float) -> float:
     """(sum_K |K| |v_K|^p)^(1/p) with the Euclidean cell norm."""
-    p = _require_p(p)
+    return _lp_norm(field, _require_p(p))
+
+
+def _lp_norm(field: PCVectorField, p: float) -> float:
+    """lp_norm for any p > 0, such as a conjugate exponent above P_RANGE."""
     area = 0.5 / 4**field.mesh.level  # every cell's
     mags = np.linalg.norm(field.values, axis=1)
     return float(np.sum(area * mags**p) ** (1.0 / p))

@@ -28,6 +28,7 @@ from .fem import (
     DEFAULT_SOLVER_TOL,
     P1Function,
     PCVectorField,
+    _lp_norm,
     _require_p,
     _require_solver_tol,
     assemble_rhs,
@@ -143,7 +144,7 @@ def conjugate_gap(u: P1Function, p: float, solver_tol: float = DEFAULT_SOLVER_TO
         raise DegenerateFieldError("conjugate gap of a function with zero gradient")
     split = hodge_decompose(_conjugate(gu, p), solver_tol)
     q = p / (p - 1.0)
-    g_norm = lp_norm(split.sigma, q)
+    g_norm = _lp_norm(split.sigma, q)
     if p == 2.0:
         return g_norm, 0.0
     denom = abs(p - 2.0) * lp_norm(gu, p) ** (p / q)

@@ -7,6 +7,11 @@ nested (each cell is the union of four children one level down), shape
 regular with a level-independent diameter/inradius ratio, and every grid
 square is a dyadic square, which is what the maximal-function comparisons
 rely on.
+
+Everything is read off one vertex grid, grid[j, i] = (i / n, j / n) with
+n = 2^L: cell coordinates are its corner slices and every cell has area
+1 / (2 n^2).  The connectivity table is built only when read; no study
+reads it.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ class Mesh:
     level; the level determines everything else, and meshes compare equal
     by level.
 
-    vertices: ((2^level + 1)^2, 2) coordinates on the uniform grid.
-    cells: (2 * 4^level, 3) vertex indices, positively oriented.
+    grid: (2^level + 1, 2^level + 1, 2), grid[j, i] the vertex in column i
+    and row j; vertices: its ((2^level + 1)^2, 2) view.
+    cells: (2 * 4^level, 3) vertex indices, positively oriented: per grid
+    square, row-major, the lower (ll, lr, ur) and upper (ll, ur, ul) cell.
     boundary_vertex_flags: (num_vertices,) bool, True on the boundary.
 
     These arrays and the derived geometry (cell coordinates, areas) are
-    computed once per instance on first use and cached read-only on it.
+    computed on first use and cached read-only on the instance.
     Raises MeshBoundsError for level outside [0, 12].
     """
 
@@ -45,20 +52,30 @@ class Mesh:
             )
 
     @cached_property
-    def _arrays(self):
-        return tuple(_freeze(a) for a in _uniform_arrays(self.level))
+    def grid(self) -> np.ndarray:
+        n = 2**self.level
+        side = np.arange(n + 1) * (1.0 / n)
+        grid = np.empty((n + 1, n + 1, 2))
+        grid[:, :, 0] = side
+        grid[:, :, 1] = side[:, None]
+        return _freeze(grid)
 
-    @property
+    @cached_property
     def vertices(self) -> np.ndarray:
-        return self._arrays[0]
+        return self.grid.reshape(-1, 2)
 
-    @property
+    @cached_property
     def cells(self) -> np.ndarray:
-        return self._arrays[1]
+        n = 2**self.level
+        k = np.arange(n) + (n + 1) * np.arange(n)[:, None]  # lower-left corners
+        corners = np.array([[0, 1, n + 2], [0, n + 2, n + 1]], dtype=np.int64)
+        return _freeze((k[:, :, None, None] + corners).reshape(-1, 3))
 
-    @property
+    @cached_property
     def boundary_vertex_flags(self) -> np.ndarray:
-        return self._arrays[2]
+        flags = np.ones(self.grid.shape[:2], dtype=bool)
+        flags[1:-1, 1:-1] = False
+        return _freeze(flags.ravel())
 
     @property
     def num_vertices(self) -> int:
@@ -74,47 +91,21 @@ class Mesh:
 
     @cached_property
     def _cell_coordinates(self) -> np.ndarray:
-        return _freeze(self.vertices[self.cells])
+        g = self.grid
+        ll, lr, ul, ur = g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:]
+        coords = np.empty(ll.shape[:2] + (2, 3, 2))  # (row, column, cell, vertex, xy)
+        for v, (lower, upper) in enumerate(((ll, ll), (lr, ur), (ur, ul))):
+            coords[:, :, 0, v], coords[:, :, 1, v] = lower, upper
+        return _freeze(coords.reshape(-1, 3, 2))
 
     @cached_property
     def _cell_areas(self) -> np.ndarray:
-        return _freeze(triangle_areas(self.cell_coordinates()))
+        return _freeze(np.full(self.num_cells, 0.5 / 4**self.level))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _uniform_arrays(level: int):
-    """Vertices, cells and boundary flags of the structured mesh."""
-    n = 2**level
-    h = 1.0 / n
-    side = np.arange(n + 1) * h
-    xx, yy = np.meshgrid(side, side, indexing="xy")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    ll = vid(ii, jj)
-    lr = vid(ii + 1, jj)
-    ul = vid(ii, jj + 1)
-    ur = vid(ii + 1, jj + 1)
-    # Two triangles per grid square, diagonal from lower-left to upper-right.
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    cells = np.empty((2 * n * n, 3), dtype=np.int64)
-    cells[0::2] = lower
-    cells[1::2] = upper
-
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
-    return vertices, cells, boundary
 
 
 def build_uniform_mesh(level: int) -> Mesh:
@@ -132,7 +123,7 @@ def triangle_areas(tris: np.ndarray) -> np.ndarray:
 
 
 def cell_areas(mesh: Mesh) -> np.ndarray:
-    """Cell areas, positive (cells are counterclockwise), cached read-only."""
+    """Cell areas, all 1 / (2 * 4^level), cached read-only."""
     return mesh._cell_areas
 
 

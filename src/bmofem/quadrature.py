@@ -69,6 +69,8 @@ MAX_SQUARE_GRID = 1024
 STALL_RATIO = 0.45
 ADAPTIVE_NODE_CAP = 200_000
 _CHUNK = 1 << 14
+# not tied to _CHUNK: the ladder sums each strip inside a square before
+# adding it to the square's sum, so the strip size rounds the ladder's means
 STRIP_POINTS = _CHUNK
 # the shared ladder's grids are 16, 32 and 64 = MIN_SQUARE_GRID * 2^k per
 # square side, k < _RUNGS; one row of the finest grid must fit a strip

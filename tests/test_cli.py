@@ -95,3 +95,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("0.0,1.0,2.0,zero,2.0", 5), ("0.0,1.0,2.0,0.0", 5), ("1.0,1.0,2.0,0.0,2.0,7", 6),
+     ("# alpha=one", 1)],
+)
+def test_malformed_sampled_line_is_a_numerical_failure_naming_it(text, line, tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    lines = ["# alpha=1.0", "x,y,a11,a12,a22", "0.0,0.0,2.0,0.0,2.0", "1.0,0.0,2.0,0.0,2.0",
+             "0.0,1.0,2.0,0.0,2.0", "1.0,1.0,2.0,0.0,2.0"]
+    lines[line - 1] = text
+    csv.write_text("\n".join(lines) + "\n")
+    cfg = _write_config(
+        tmp_path,
+        {"kind": "coeff-decay", "coeff": "sampled", "coeff_csv": str(csv), "levels": [1]},
+    )
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and f"line {line}:" in err

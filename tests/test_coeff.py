@@ -662,6 +662,13 @@ def test_sampled_rejects_bad_header(tmp_path):
         C.load_sampled_coefficient(p)
 
 
+def test_sampled_rejects_a_file_without_samples(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("# alpha=1.0\nx,y,a11,a12,a22\n")
+    with pytest.raises(InvariantError, match="no sample rows"):
+        C.load_sampled_coefficient(p)
+
+
 def test_make_sampled_coefficient_script_writes_a_valid_file(tmp_path):
     script = pathlib.Path(__file__).parents[1] / "scripts" / "make_sampled_coefficient.py"
     out = tmp_path / "coeff.csv"

@@ -11,7 +11,7 @@ from bmofem import coeff as C
 from bmofem import fem as F
 from bmofem import harness as X
 from bmofem.errors import ConfigError, LineageError
-from bmofem.mesh import build_uniform_mesh, interior_vertex_indices
+from bmofem.mesh import Mesh, build_uniform_mesh, interior_vertex_indices
 
 
 # ---------------------------------------------------------------------------
@@ -459,3 +459,35 @@ def test_study_csv_bytes_reproducible(tmp_path):
     X.run_study(X.config_from_dict({**base, "out": str(out1)}))
     X.run_study(X.config_from_dict({**base, "out": str(out2)}))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# connectivity
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "stability", "coeff": "log", "levels": [3]},
+        {"kind": "convergence", "coeff": "sampled", "levels": [2, 4]},  # cut cells
+        {"kind": "coeff-decay", "coeff": "log", "levels": [3]},
+        {"kind": "bmo-diagnostics", "coeff": "log", "levels": [2]},
+    ],
+)
+def test_studies_never_read_the_connectivity(config, monkeypatch, nondyadic_csv_path):
+    def refuse(mesh):
+        raise AssertionError(f"a study read the cells of the level-{mesh.level} mesh")
+
+    monkeypatch.setattr(Mesh, "cells", property(refuse))
+    if config["coeff"] == "sampled":
+        config = {**config, "coeff_csv": nondyadic_csv_path}
+    assert X.run_study(X.config_from_dict(config)).rows
+
+
+@pytest.mark.parametrize("p", [1.1, 10.0])
+def test_stability_study_at_the_ends_of_the_p_range(p):
+    # at p = 1.1 the conjugate exponent q = 11 lies outside the p range
+    report = X.run_study(
+        X.config_from_dict({"kind": "stability", "coeff": "log", "p": p, "levels": [2, 3]})
+    )
+    assert all(math.isfinite(r.conj_gap_ratio) for r in report.rows)

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmofem.errors import MeshBoundsError
-from bmofem.mesh import Mesh, build_uniform_mesh, cell_areas, interior_vertex_indices
+from bmofem.mesh import (
+    Mesh,
+    build_uniform_mesh,
+    cell_areas,
+    interior_vertex_indices,
+    triangle_areas,
+)
 
 # diameter / inradius of a right isoceles triangle with legs h:
 # sqrt(2) h / ((2 - sqrt(2)) h / 2) = 2 + 2 sqrt(2)
@@ -24,6 +30,61 @@ def _edge_lengths(mesh):
 
 def _diameters(mesh):
     return _edge_lengths(mesh).max(axis=1)
+
+
+def _reference_arrays(level):
+    """The mesh arrays by index arithmetic on flat vertex ids, with the
+    cell coordinates gathered through the connectivity and the areas
+    computed from them: the construction the grid slices replace."""
+    n = 2**level
+    side = np.arange(n + 1) * (1.0 / n)
+    xx, yy = np.meshgrid(side, side, indexing="xy")
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    ii, jj = ii.ravel(), jj.ravel()
+    ll, lr, ul, ur = vid(ii, jj), vid(ii + 1, jj), vid(ii, jj + 1), vid(ii + 1, jj + 1)
+    cells = np.empty((2 * n * n, 3), dtype=np.int64)
+    cells[0::2] = np.column_stack([ll, lr, ur])
+    cells[1::2] = np.column_stack([ll, ur, ul])
+    x, y = vertices[:, 0], vertices[:, 1]
+    boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
+    coords = vertices[cells]
+    return {
+        "vertices": vertices,
+        "cells": cells,
+        "boundary_vertex_flags": boundary,
+        "cell_coordinates": coords,
+        "cell_areas": triangle_areas(coords),
+        "interior_vertex_indices": np.flatnonzero(~boundary),
+    }
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_arrays_match_the_index_arithmetic_bit_for_bit(level):
+    m = Mesh(level)
+    got = {
+        "vertices": m.vertices,
+        "cells": m.cells,
+        "boundary_vertex_flags": m.boundary_vertex_flags,
+        "cell_coordinates": m.cell_coordinates(),
+        "cell_areas": cell_areas(m),
+        "interior_vertex_indices": interior_vertex_indices(m),
+    }
+    for name, want in _reference_arrays(level).items():
+        a = got[name]
+        assert (a.dtype, a.shape) == (want.dtype, want.shape), name
+        assert a.tobytes() == want.tobytes(), name
+
+
+def test_vertices_view_the_grid():
+    m = Mesh(2)
+    assert m.grid.shape == (5, 5, 2) and not m.grid.flags.writeable
+    assert np.shares_memory(m.vertices, m.grid)
+    assert tuple(m.grid[3, 1]) == (0.25, 0.75)
 
 
 def test_level0_base_decomposition():
