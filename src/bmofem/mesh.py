@@ -39,7 +39,7 @@ class Mesh:
     boundary_vertex_flags: (num_vertices,) bool, True on the boundary.
 
     These arrays and the derived geometry (cell coordinates, areas) are
-    computed on first use and cached read-only on the instance.
+    computed once per instance on first use and cached read-only on it.
     Raises MeshBoundsError for level outside [0, 12].
     """
 
@@ -55,10 +55,7 @@ class Mesh:
     def grid(self) -> np.ndarray:
         n = 2**self.level
         side = np.arange(n + 1) * (1.0 / n)
-        grid = np.empty((n + 1, n + 1, 2))
-        grid[:, :, 0] = side
-        grid[:, :, 1] = side[:, None]
-        return _freeze(grid)
+        return _freeze(np.stack(np.meshgrid(side, side, copy=False), axis=-1))
 
     @cached_property
     def vertices(self) -> np.ndarray:
