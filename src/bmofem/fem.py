@@ -62,7 +62,8 @@ class P1Function:
     def __post_init__(self):
         if self.values.shape != (self.mesh.num_vertices,):
             raise InvariantError("vertex value count does not match the mesh")
-        if self.zero_trace and np.any(self.values[self.mesh.boundary_vertex_flags] != 0.0):
+        U = self.values.reshape(2**self.mesh.level + 1, -1)  # .any(): NaN is nonzero, -0.0 zero
+        if self.zero_trace and any(edge.any() for edge in (U[0], U[-1], U[:, 0], U[:, -1])):
             raise InvariantError("zero-trace function with nonzero boundary values")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -97,15 +98,21 @@ class ExperimentConfig:
         lo, hi = coeff_mod.PROJECTION_TOL_RANGE
         if not (lo <= self.projection_tol <= hi):
             raise ConfigError(f"projection_tol must be in [{lo}, {hi}]")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= _integer("seed", self.seed) < 2**64):
             raise ConfigError("seed must fit in 64 bits")
         return self
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"invalid config value: {name} takes integers only, got {value!r}")
+    return int(value)
 
 
 def parse_levels(spec) -> tuple[int, ...]:
     """Accept [2,3,4], "2..4", or "2..4,7" (range plus extra levels)."""
     if isinstance(spec, (list, tuple)):
-        return tuple(int(x) for x in spec)
+        return tuple(_integer("levels", x) for x in spec)
     if isinstance(spec, str):
         out: list[int] = []
         for part in spec.split(","):

@@ -10,14 +10,13 @@ rely on.
 
 Everything is read off one vertex grid, grid[j, i] = (i / n, j / n) with
 n = 2^L: cell coordinates are its corner slices and every cell has area
-1 / (2 n^2).  The connectivity table is built only when read; no study
-reads it.
+1 / (2 n^2).  A mesh holds only its level and builds each array when it is
+read; no study reads the connectivity table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +32,13 @@ class Mesh:
     by level.
 
     grid: (2^level + 1, 2^level + 1, 2), grid[j, i] the vertex in column i
-    and row j; vertices: its ((2^level + 1)^2, 2) view.
+    and row j; vertices: the grid reshaped to ((2^level + 1)^2, 2).
     cells: (2 * 4^level, 3) vertex indices, positively oriented: per grid
     square, row-major, the lower (ll, lr, ur) and upper (ll, ur, ul) cell.
     boundary_vertex_flags: (num_vertices,) bool, True on the boundary.
 
     These arrays and the derived geometry (cell coordinates, areas) are
-    computed once per instance on first use and cached read-only on it.
+    computed on each read and returned read-only; the mesh keeps none.
     Raises MeshBoundsError for level outside [0, 12].
     """
 
@@ -51,26 +50,26 @@ class Mesh:
                 f"refinement level must be in [0, {MAX_LEVEL}], got {self.level}"
             )
 
-    @cached_property
+    @property
     def grid(self) -> np.ndarray:
         n = 2**self.level
         side = np.arange(n + 1) * (1.0 / n)
         return _freeze(np.stack(np.meshgrid(side, side, copy=False), axis=-1))
 
-    @cached_property
+    @property
     def vertices(self) -> np.ndarray:
         return self.grid.reshape(-1, 2)
 
-    @cached_property
+    @property
     def cells(self) -> np.ndarray:
         n = 2**self.level
         k = np.arange(n) + (n + 1) * np.arange(n)[:, None]  # lower-left corners
         corners = np.array([[0, 1, n + 2], [0, n + 2, n + 1]], dtype=np.int64)
         return _freeze((k[:, :, None, None] + corners).reshape(-1, 3))
 
-    @cached_property
+    @property
     def boundary_vertex_flags(self) -> np.ndarray:
-        flags = np.ones(self.grid.shape[:2], dtype=bool)
+        flags = np.ones((2**self.level + 1,) * 2, dtype=bool)
         flags[1:-1, 1:-1] = False
         return _freeze(flags.ravel())
 
@@ -84,20 +83,12 @@ class Mesh:
 
     def cell_coordinates(self) -> np.ndarray:
         """Vertex coordinates per cell, shape (m, 3, 2)."""
-        return self._cell_coordinates
-
-    @cached_property
-    def _cell_coordinates(self) -> np.ndarray:
         g = self.grid
         ll, lr, ul, ur = g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:]
         coords = np.empty(ll.shape[:2] + (2, 3, 2))  # (row, column, cell, vertex, xy)
         for v, (lower, upper) in enumerate(((ll, ll), (lr, ur), (ur, ul))):
             coords[:, :, 0, v], coords[:, :, 1, v] = lower, upper
         return _freeze(coords.reshape(-1, 3, 2))
-
-    @cached_property
-    def _cell_areas(self) -> np.ndarray:
-        return _freeze(np.full(self.num_cells, 0.5 / 4**self.level))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -120,8 +111,8 @@ def triangle_areas(tris: np.ndarray) -> np.ndarray:
 
 
 def cell_areas(mesh: Mesh) -> np.ndarray:
-    """Cell areas, all 1 / (2 * 4^level), cached read-only."""
-    return mesh._cell_areas
+    """Cell areas, all 1 / (2 * 4^level), read-only."""
+    return _freeze(np.full(mesh.num_cells, 0.5 / 4**mesh.level))
 
 
 def interior_vertex_indices(mesh: Mesh) -> np.ndarray:

@@ -53,6 +53,27 @@ def test_bad_levels_flag_is_a_config_error(levels, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, key",
+    [
+        # int() would run levels 1 and 2
+        ({"kind": "coeff-decay", "coeff": "smooth", "levels": [1.7, 2.9]}, "levels"),
+        # numpy's default_rng would raise TypeError mid-study
+        ({"kind": "hodge-suite", "levels": "1..2", "seed": 1.5}, "seed"),
+        ({"kind": "coeff-decay", "coeff": "smooth", "levels": [True, 2]}, "levels"),
+        ({"kind": "hodge-suite", "levels": "1..2", "seed": True}, "seed"),
+        ({"kind": "hodge-suite", "levels": "1..2", "seed": "7"}, "seed"),
+    ],
+)
+def test_non_integer_levels_or_seed_is_a_config_error(data, key, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    cfg = _write_config(tmp_path, {**data, "out": str(out)})
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "fixture",
     [
         {"coeff": "log", "beta": -1},

@@ -476,6 +476,52 @@ def test_zero_trace_invariant_enforced(meshes):
         F.P1Function(meshes[1], vals, zero_trace=True)
 
 
+def test_zero_trace_check_reads_every_edge_and_corner(meshes):
+    mesh = meshes[2]
+    n = 2**mesh.level
+    interior = np.zeros((n + 1, n + 1))
+    interior[1:-1, 1:-1] = 1.0
+    interior[1, 2] = np.nan
+    F.P1Function(mesh, interior.ravel(), zero_trace=True)  # interior values are free
+    signed_zero = np.zeros((n + 1, n + 1))
+    signed_zero[0], signed_zero[:, -1] = -0.0, -0.0
+    F.P1Function(mesh, signed_zero.ravel(), zero_trace=True)
+    # the middle of each edge, then each corner
+    points = [(0, 2), (n, 2), (2, 0), (2, n), (0, 0), (0, n), (n, 0), (n, n)]
+    for j, i in points:
+        for bad in (1e-300, -2.0, np.nan):
+            U = np.zeros((n + 1, n + 1))
+            U[j, i] = bad
+            with pytest.raises(InvariantError, match="nonzero boundary"):
+                F.P1Function(mesh, U.ravel(), zero_trace=True)
+            F.P1Function(mesh, U.ravel())  # no trace claimed, nothing checked
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_zero_trace_check_agrees_with_the_boundary_mask(level, rng):
+    # the edge check against the boundary-flag gather it replaced, on zero
+    # traces (of either sign) with one random value at one random vertex,
+    # a boundary vertex every other time
+    mesh = build_uniform_mesh(level)
+    boundary = mesh.boundary_vertex_flags
+    on_boundary = np.flatnonzero(boundary)
+    verdicts = set()
+    for trial in range(40):
+        vals = rng.choice([0.0, -0.0, 1.0, np.nan], mesh.num_vertices)
+        vals[boundary] = rng.choice([0.0, -0.0], on_boundary.size)
+        k = rng.choice(on_boundary) if trial % 2 else rng.integers(mesh.num_vertices)
+        vals[k] = rng.choice([-0.0, 3.0, np.nan])
+        want = bool(np.any(vals[boundary] != 0.0))
+        try:
+            F.P1Function(mesh, vals, zero_trace=True)
+            got = False
+        except InvariantError:
+            got = True
+        assert got == want
+        verdicts.add(got)
+    assert verdicts == {False, True}
+
+
 def test_field_mesh_mismatch(meshes):
     u = F.PCVectorField(meshes[1], np.zeros((meshes[1].num_cells, 2)))
     v = F.PCVectorField(meshes[2], np.zeros((meshes[2].num_cells, 2)))

@@ -80,11 +80,32 @@ def test_arrays_match_the_index_arithmetic_bit_for_bit(level):
         assert a.tobytes() == want.tobytes(), name
 
 
-def test_vertices_view_the_grid():
+def test_vertices_are_the_grid_flattened():
     m = Mesh(2)
     assert m.grid.shape == (5, 5, 2) and not m.grid.flags.writeable
-    assert np.shares_memory(m.vertices, m.grid)
+    flat = m.grid.reshape(-1, 2)
+    assert m.vertices.dtype == flat.dtype and np.array_equal(m.vertices, flat)
     assert tuple(m.grid[3, 1]) == (0.25, 0.75)
+
+
+# every array a mesh hands out, read-only
+_ARRAYS = {
+    "grid": lambda m: m.grid,
+    "vertices": lambda m: m.vertices,
+    "cells": lambda m: m.cells,
+    "boundary_vertex_flags": lambda m: m.boundary_vertex_flags,
+    "cell_coordinates": lambda m: m.cell_coordinates(),
+    "cell_areas": cell_areas,
+}
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_mesh_holds_only_its_level(level):
+    m = Mesh(level)
+    for read in _ARRAYS.values():
+        read(m)
+    interior_vertex_indices(m)
+    assert vars(m) == {"level": level}
 
 
 def test_level0_base_decomposition():
@@ -205,20 +226,19 @@ def test_mesh_is_immutable():
         m.level = 2
 
 
-def test_geometry_cached_read_only_per_mesh():
+@pytest.mark.parametrize("name", sorted(_ARRAYS))
+def test_arrays_are_computed_per_read_and_not_kept(name):
     m = build_uniform_mesh(2)
-    arrays = (m.cell_coordinates(), cell_areas(m))
-    assert m.cell_coordinates() is arrays[0]
-    assert cell_areas(m) is arrays[1]
-    for a in arrays:
+    read = _ARRAYS[name]
+    first, second = read(m), read(m)
+    assert first.dtype == second.dtype and np.array_equal(first, second)
+    for a in (first, second):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a.flat[0] = 1.0
-    # the cache lives on the instance: another mesh of the same level gets
-    # its own arrays, and they are freed with their mesh
-    other = build_uniform_mesh(2)
-    assert cell_areas(other) is not arrays[1]
-    refs = [weakref.ref(other.cell_coordinates()), weakref.ref(cell_areas(other))]
-    del other
+            a.flat[0] = a.flat[0]
+    # the mesh keeps no reference: the array dies with its reader's last
+    # reference while the mesh lives on
+    ref = weakref.ref(first)
+    del first
     gc.collect()
-    assert all(r() is None for r in refs)
+    assert ref() is None
