@@ -56,6 +56,9 @@ CONFIGS = [
      "out": "hodge_suite.csv"},
     {"kind": "hodge-suite", "p": 3.0, "levels": "1..4", "seed": 7,
      "out": "hodge_suite_p3.csv"},
+    # the levels of the benchmark's hodge-suite workload
+    {"kind": "hodge-suite", "p": 3.0, "levels": "5..6", "seed": 7,
+     "out": "hodge_suite_p3_fine.csv"},
     # oscillation diagnostics for the classical unbounded example
     {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..4",
      "out": "bmo_log.csv"},

@@ -505,11 +505,7 @@ def lp_misfit(f, field, p: float, rel_tol: float, breaks=((), ()), degree=None) 
 
     def integrand(pts, ids):
         d = np.asarray(f(pts), dtype=float) - np.take(consts, ids, axis=0)
-        d *= d
-        # the value columns added in np.sum's order, without its strided
-        # reduction over a short trailing axis
-        cols = d.reshape(d.shape[0], -1).T
-        return np.sqrt(sum(cols[1:], cols[0])) ** p
+        return quadrature._flat_norm(d) ** p
 
     floor = 0.0
     if not _exact(power):

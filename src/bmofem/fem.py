@@ -213,7 +213,8 @@ def assemble_rhs(f_h: PCVectorField) -> np.ndarray:
     gradient, scaled by |K| n = 1 / (2n), on the interior vertices of
     f_h's mesh."""
     n = 2**f_h.mesh.level
-    lx, ly, ux, uy = np.moveaxis(f_h.values.reshape(n, n, 4), -1, 0)
+    v = f_h.values.reshape(n, n, 4)
+    lx, ly, ux, uy = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
     b = np.zeros((n + 1, n + 1))
     b[:-1, :-1] -= lx + uy  # ll
     b[:-1, 1:] += lx - ly  # lr
@@ -267,8 +268,11 @@ def solve_spd(
 
     precondition(r) applies a symmetric positive definite approximation of
     the inverse matrix to a residual.  Zero initial guess, fixed iteration
-    order, cap 50 n.  Raises NotSPDError on nonpositive curvature and
-    IterationLimitError at the cap, reporting the final relative residual.
+    order, cap 50 n.  Raises NotSPDError on nonpositive or non-finite
+    curvature, and IterationLimitError on a non-finite residual norm or at
+    the cap, with the relative residual; the messages name the iteration.
+    No comparison is true of NaN, so without the finiteness checks a NaN
+    iterate would run to the cap.
     """
     _require_solver_tol(rel_residual_tol)
     A = system.matrix
@@ -279,28 +283,38 @@ def solve_spd(
         return np.zeros(n)
     x = np.zeros(n)
     r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
     threshold = rel_residual_tol * b_norm
-    for _ in range(ITERATION_FACTOR * n):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise NotSPDError("nonpositive curvature encountered in CG")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if float(np.linalg.norm(r)) <= threshold:
-            return x
+    # overflow and NaN raise below, naming the iteration, instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
         z = precondition(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = z.copy()
+        rz = float(r @ z)
+        for it in range(1, ITERATION_FACTOR * n + 1):
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if not np.isfinite(pAp):
+                raise NotSPDError(f"non-finite curvature {pAp} at CG iteration {it}")
+            if pAp <= 0.0:
+                raise NotSPDError(f"nonpositive curvature at CG iteration {it}")
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            r_norm = float(np.linalg.norm(r))
+            if r_norm <= threshold:
+                return x
+            if not np.isfinite(r_norm):
+                raise IterationLimitError(
+                    f"CG residual norm {r_norm} at iteration {it} is not finite",
+                    relative_residual=r_norm / b_norm,
+                )
+            z = precondition(r)
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
     raise IterationLimitError(
         f"CG did not converge in {ITERATION_FACTOR * n} iterations "
-        f"(relative residual {np.linalg.norm(r) / b_norm:.3e})",
-        relative_residual=float(np.linalg.norm(r) / b_norm),
+        f"(relative residual {r_norm / b_norm:.3e})",
+        relative_residual=r_norm / b_norm,
     )
 
 
@@ -353,7 +367,7 @@ def lp_norm(field: PCVectorField, p: float) -> float:
 def _lp_norm(field: PCVectorField, p: float) -> float:
     """lp_norm for any p > 0, such as a conjugate exponent above P_RANGE."""
     area = 0.5 / 4**field.mesh.level  # every cell's
-    mags = np.linalg.norm(field.values, axis=1)
+    mags = quadrature._flat_norm(field.values)
     return float(np.sum(area * mags**p) ** (1.0 / p))
 
 

@@ -22,7 +22,6 @@ only in their levels:
   keep doubling a few extra levels.  The levels nest: level m evaluates
   only the 3 * 4^(m-1) centroids that level m-1 lacks and adds their sum
   to the carried mean, so a cell settled at level M costs 4^M evaluations.
-  Cell sums reduce one value column at a time.
 
 * ``square_means_batch``: averages of scalars over axis aligned squares
   on tensor midpoint grids of 16..MAX_SQUARE_GRID points per side, floor 1.
@@ -34,6 +33,12 @@ only in their levels:
   broadcasting, and block sums give each square its 16/32/64-per-side
   grid means.  The rule runs on those three levels, and only squares it
   leaves in rest go to ``square_means_batch``.
+
+Cell sums reduce one value column at a time, and so do norms: every
+Euclidean norm over a cell's or node's value axes in the package is
+``_flat_norm``, which adds the squared columns left to right and takes one
+sqrt.  numpy reduces a short trailing axis an order of magnitude slower,
+in the same order, so the norms are np.linalg.norm's bit for bit.
 
 Midpoint nodes are strictly interior to their subcells, so fields with an
 integrable singularity at a mesh vertex are only evaluated at finite
@@ -56,6 +61,7 @@ other, so besides its output it holds only block-sized arrays.
 from __future__ import annotations
 
 import heapq
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -118,7 +124,6 @@ def _eval(f, points, region_ids):
     return values
 
 
-@lru_cache(maxsize=None)
 def _centroid_offsets(m: int, added: bool = False) -> np.ndarray:
     """Affine coordinates (a, b) of the 4^m subtriangle centroids, as the
     rows of a (2, 4^m) array; with added, only the centroids that level
@@ -132,25 +137,71 @@ def _centroid_offsets(m: int, added: bool = False) -> np.ndarray:
     the level-m upward cell (2i+1, 2j+1).  Both sides are correctly
     rounded quotients of one rational, (3i+1)/(3n/2) = (6i+2)/(3n), so the
     nodes agree bit for bit.
+
+    Arrays of at most _CHUNK columns, those of m <= 7, are cached.  Larger
+    ones, 192 MiB at m = 12, are built on each call and freed with the
+    caller's reference, so a cell refined that deep does not hold them for
+    the rest of the process.
     """
+    if 4**m <= _CHUNK:
+        return _cached_centroid_offsets(m, added)
+    return _build_centroid_offsets(m, added)
+
+
+def _build_centroid_offsets(m: int, added: bool) -> np.ndarray:
+    """_centroid_offsets, the upward cells first, each kind row by row (i,
+    then j) into the output, so that building holds nothing beside it."""
     n = 2**m
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    up = i + j <= n - 1
-    down = i + j <= n - 2
-    if added:
-        i_odd, j_odd = i % 2 == 1, j % 2 == 1
-        up &= ~(i_odd & j_odd)
-        down &= i_odd | j_odd
-    a = np.concatenate([(3 * i[up] + 1), (3 * i[down] + 2)]) / (3 * n)
-    b = np.concatenate([(3 * j[up] + 1), (3 * j[down] + 2)]) / (3 * n)
-    out = np.stack([a, b])
+    out = np.empty((2, 4**m - (4 ** (m - 1) if added and m else 0)))
+    k = 0
+    for shift in (1, 2):  # the upward cells' numerators 3i + 1, the downward 3i + 2
+        t = (3 * np.arange(n) + shift) / (3 * n)
+        for i in range(n + 1 - shift):
+            js = t[: n + 1 - shift - i]
+            if added and i % 2 == shift % 2:
+                # level m - 1 has the upward cells with i and j odd and the
+                # downward ones with i and j even
+                js = js[shift - 1 :: 2]
+            out[0, k : k + js.size] = t[i]
+            out[1, k : k + js.size] = js
+            k += js.size
     out.setflags(write=False)
     return out
 
 
+_cached_centroid_offsets = lru_cache(maxsize=None)(_build_centroid_offsets)
+
+
+def _columns(a: np.ndarray) -> np.ndarray:
+    """a as a (value columns, items) view: row c holds the c-th entry of
+    every item's value, whatever the value shape."""
+    return a.reshape(a.shape[0], math.prod(a.shape[1:])).T
+
+
+def _column_norm(columns) -> np.ndarray:
+    """Euclidean norm, element by element, across equal-length columns: the
+    squares added left to right, then one sqrt.  columns may be an
+    iterable, so that each column is made only when it is added.
+
+    For fewer than 8 columns this is np.linalg.norm over the stacked
+    columns' short axis bit for bit, since numpy reduces such an axis left
+    to right too, but an order of magnitude faster."""
+    it = iter(columns)
+    first = next(it)
+    out = first * first
+    for c in it:
+        out += c * c
+    return np.sqrt(out, out=out)
+
+
 def _flat_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm over all trailing value axes, one number per row."""
-    return np.sqrt(np.sum(a.reshape(a.shape[0], -1) ** 2, axis=1))
+    return _column_norm(_columns(a))
+
+
+def _value_norm(v) -> float:
+    """Euclidean norm of one value of any shape."""
+    return float(_column_norm(np.reshape(v, (-1, 1)))[0])
 
 
 def _tri_sums(f, verts, cell_ids, offsets):
@@ -233,14 +284,12 @@ def _refine(means_at, count, levels, tol, floor, stall_after):
         extrap = cur * 4.0
         extrap -= prev
         extrap /= 3.0
-        exact = np.all((cur == prev).reshape(active.size, -1), axis=1)
+        exact = np.logical_and.reduce([c == q for c, q in zip(_columns(cur), _columns(prev))])
         if extrap_prev is None:
             d, done = None, exact
         else:
-            # the squared difference in extrap_prev's buffer, x * x being x**2
-            sq = np.subtract(extrap, extrap_prev, out=extrap_prev)
-            sq *= sq
-            d = np.sqrt(np.sum(sq.reshape(active.size, -1), axis=1))
+            # the difference in extrap_prev's buffer
+            d = _flat_norm(np.subtract(extrap, extrap_prev, out=extrap_prev))
             done = exact | (d <= tol * np.maximum(_flat_norm(extrap), max(floor, 1e-300)))
         means[active[exact]] = cur[exact]
         means[active[done & ~exact]] = extrap[done & ~exact]
@@ -348,7 +397,7 @@ def global_scale_floor(f, verts, cell_ids=None) -> float:
     for start in range(0, verts.shape[0], _CHUNK):
         block = slice(start, start + _CHUNK)
         vals = _tri_sums(f, verts[block], cell_ids[block], _centroid_offsets(1)) / 4.0
-        norms[block] = _flat_norm(np.abs(vals))
+        norms[block] = _flat_norm(vals)
     return float(np.mean(norms))
 
 
@@ -402,7 +451,7 @@ def _adaptive_mean(f, root, split, center, rel_tol, abs_floor):
         _check_finite(vals, pts)
         coarse = frac * vals[0]
         fine = 0.25 * frac * (vals[1] + vals[2] + vals[3] + vals[4])
-        err = float(np.sqrt(np.sum((coarse - fine) ** 2)))
+        err = _value_norm(coarse - fine)
         # Richardson-corrected leaf value; err stays the conservative
         # two-level difference.
         value = fine + (fine - coarse) / 3.0
@@ -414,7 +463,7 @@ def _adaptive_mean(f, root, split, center, rel_tol, abs_floor):
     err_total = err0
     heap = [(-err0, 0, first)]
     nodes = 1
-    while err_total > rel_tol * max(float(np.sqrt(np.sum(integral**2))), abs_floor, 1e-300):
+    while err_total > rel_tol * max(_value_norm(integral), abs_floor, 1e-300):
         if nodes > ADAPTIVE_NODE_CAP:
             raise QuadratureError(
                 f"adaptive quadrature stalled above tolerance {rel_tol} "

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -116,6 +117,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_overflowing_coefficient_fails_fast(tmp_path, capsys):
+    # the CG curvature overflows at kappa 1e300; no comparison is true of
+    # NaN, so without the finiteness checks CG would run to its cap, about
+    # 15 s at level 5
+    cfg = _write_config(
+        tmp_path,
+        {"kind": "stability", "coeff": "checkerboard", "kappa": 1e300, "rhs": "sin-cos",
+         "p": 2.0, "levels": "5"},
+    )
+    start = time.perf_counter()
+    assert main(["run", "--config", cfg]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "non-finite curvature inf at CG iteration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -282,6 +282,24 @@ def test_solver_not_spd():
         F.solve_spd(F.SPDSystem(M, np.array([1.0, -1.0])), precondition=_jacobi(M))
 
 
+@pytest.mark.parametrize("entry", [1e300, np.nan])
+def test_solver_fails_fast_on_nonfinite_curvature(entry):
+    # p A p overflows, or is NaN, at the first iteration; no comparison
+    # with it is true, so without the check CG would run to its cap
+    M = np.array([[entry, 0.0], [0.0, entry]])
+    with pytest.raises(NotSPDError, match="non-finite curvature .* at CG iteration 1$"):
+        F.solve_spd(F.SPDSystem(M, np.array([1e10, 1e10])), precondition=lambda r: r)
+
+
+def test_solver_fails_fast_on_nonfinite_residual():
+    # r z overflows, so the step is infinite and so is the residual, while
+    # the curvature, about 1e300, stays finite
+    M = 1e-300 * np.eye(2)
+    with pytest.raises(IterationLimitError, match="residual norm inf at iteration 1 ") as err:
+        F.solve_spd(F.SPDSystem(M, np.array([1e100, 1.0])), precondition=lambda r: 1e200 * r)
+    assert err.value.relative_residual == math.inf
+
+
 def test_solver_iteration_cap():
     # a small very ill-conditioned dense SPD matrix cannot reach 1e-14
     n = 12

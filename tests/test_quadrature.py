@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -530,6 +532,81 @@ def test_added_centroids_complete_the_last_level_bit_for_bit(m):
 
 def test_level_zero_adds_the_centroid():
     assert np.array_equal(Q._centroid_offsets(0, added=True), [[1.0 / 3.0], [1.0 / 3.0]])
+
+
+def _grid_centroid_offsets(m, added):
+    # the construction the row-by-row build replaced: masks on the full
+    # (i, j) grid, the cells taken in row-major order
+    n = 2**m
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    up = i + j <= n - 1
+    down = i + j <= n - 2
+    if added:
+        i_odd, j_odd = i % 2 == 1, j % 2 == 1
+        up &= ~(i_odd & j_odd)
+        down &= i_odd | j_odd
+    a = np.concatenate([(3 * i[up] + 1), (3 * i[down] + 2)]) / (3 * n)
+    b = np.concatenate([(3 * j[up] + 1), (3 * j[down] + 2)]) / (3 * n)
+    return np.stack([a, b])
+
+
+@pytest.mark.parametrize("m", range(10))
+@pytest.mark.parametrize("added", [False, True])
+def test_centroid_offsets_are_the_grid_construction_bit_for_bit(m, added):
+    got = Q._centroid_offsets(m, added)
+    assert np.array_equal(got.view(np.int64), _grid_centroid_offsets(m, added).view(np.int64))
+
+
+@pytest.mark.parametrize("added", [False, True])
+def test_centroid_offsets_are_cached_only_up_to_the_chunk(added):
+    assert Q._centroid_offsets(7, added) is Q._centroid_offsets(7, added)
+    big = Q._centroid_offsets(9, added)
+    again = Q._centroid_offsets(9, added)
+    assert big is not again and np.array_equal(big, again)
+    assert not big.flags.writeable
+    ref = weakref.ref(big)
+    del big
+    gc.collect()
+    assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# The norm kernel
+
+
+def _special_values(rng, n):
+    tiny = np.finfo(float).tiny
+    pool = np.array(
+        [0.0, -0.0, 5e-324, -5e-324, tiny / 3, 1e-160, 1e154, -1e155, 1e200, 1.7e308,
+         np.inf, -np.inf, np.nan, 1.0, -2.5]
+    )
+    out = rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))
+    pick = rng.random(n) < 0.3
+    out[pick] = rng.choice(pool, int(pick.sum()))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2), (3,)])
+def test_flat_norm_is_linalg_norm_bit_for_bit(shape, rng):
+    n = 20000
+    a = _special_values(rng, n * math.prod(shape)).reshape((n,) + shape)
+    a[:4] = 0.0
+    a[1] = -0.0
+    # a strided view, as of every other row, too
+    for x in (a, a[::2]):
+        with np.errstate(over="ignore"):
+            got = Q._flat_norm(x)
+            want = np.linalg.norm(x.reshape(x.shape[0], -1), axis=1)
+        assert got.dtype == want.dtype and got.shape == (x.shape[0],)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isinf(got).any() and np.isnan(got).any() and (got == 0.0).any()
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+def test_value_norm_is_the_old_sum_of_squares(shape, rng):
+    for _ in range(2000):
+        v = rng.standard_normal(shape) * np.exp(rng.uniform(-5, 5, shape))
+        assert Q._value_norm(v) == float(np.sqrt(np.sum(v**2)))
 
 
 def _full_level_means(f, verts, cell_ids, m):
