@@ -51,6 +51,10 @@ CONFIGS = [
      "levels": "1..6", "out": "decay_sampled_p2.csv"},
     {"kind": "coeff-decay", "coeff": "sampled", "coeff_csv": SAMPLED_GRID, "p": 3.0,
      "levels": "1..6", "out": "decay_sampled_p3.csv"},
+    # the checkerboard's lines cut only the level-0 cells, where the
+    # diagonal meets the corners of the rectangles between them
+    {"kind": "coeff-decay", "coeff": "checkerboard", "kappa": 100.0, "p": 2.0,
+     "levels": "0..3", "out": "decay_checkerboard.csv"},
     # split quality for random piecewise constant fields
     {"kind": "hodge-suite", "p": 2.0, "levels": "1..4", "seed": 7,
      "out": "hodge_suite.csv"},

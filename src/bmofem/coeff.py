@@ -8,7 +8,6 @@ lower bound for the corresponding supremum, within a fixed constant of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,11 +32,12 @@ class CoefficientField:
     eigenvalue).  No upper eigenvalue bound is assumed anywhere.
 
     breaks = (xs, ys) are the fixture's breaklines: the lines x = xs[i] and
-    y = ys[j], sorted, off which the field is smooth.  Cell quantities are
-    integrated piecewise between them (see cell_means).  degree, if not
-    None, is a bound on the polynomial degree of every entry on each
-    rectangle between the breaklines; cell_means then integrates with a
-    fixed rule where that is exact.
+    y = ys[j], strictly increasing inside (0, 1), off which the field is
+    smooth.  Cell quantities are integrated piecewise between them (see
+    cell_means).  degree, if not None, is a bound on the polynomial degree
+    of every entry on each rectangle between the breaklines; cell_means
+    then integrates with a fixed rule where that is exact.  Raises
+    ValueError for other breaks or degrees.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -50,6 +50,9 @@ class CoefficientField:
         d = self.degree
         if d is not None and not (isinstance(d, int) and not isinstance(d, bool) and d >= 0):
             raise ValueError(f"degree must be None or a non-negative int, got {d!r}")
+        for b in map(np.asarray, self.breaks):
+            if not (np.all(b > 0.0) and np.all(b < 1.0) and np.all(np.diff(b) > 0.0)):
+                raise ValueError(f"breaks must increase strictly inside (0, 1), got {self.breaks}")
 
 
 @dataclass(frozen=True)
@@ -311,91 +314,73 @@ def _validate_rel_tol(rel_tol):
         raise ValueError(f"rel_tol must be in [{lo}, {hi}], got {rel_tol}")
 
 
-def _clip(poly, count, axis, bound, sign):
-    """One Sutherland-Hodgman step: clip convex polygons poly (P, M, 2),
-    holding count (P,) vertices each, to the half-planes
-    sign * (x[axis] - bound) >= 0.
+def _clip(poly, s):
+    """One Sutherland-Hodgman step: clip convex polygons poly (P, M, 2) to
+    where s >= 0, s (P, M) the signed distances of their vertices from one
+    line.  Returns the polygons, padded to a common width, and their vertex
+    counts (P,).
     """
-    width = poly.shape[1]
-    valid = np.arange(width) < count[:, None]
-    nxt = np.where(np.arange(1, width + 1) < count[:, None], np.arange(1, width + 1), 0)
-    s = sign * (poly[..., axis] - bound[:, None])
-    s_next = np.take_along_axis(s, nxt, axis=1)
-    keep = valid & (s >= 0)
-    cross = valid & (((s > 0) & (s_next < 0)) | ((s < 0) & (s_next > 0)))
+    s_next = np.roll(s, -1, axis=1)
+    keep = s >= 0
+    cross = ((s > 0) & (s_next < 0)) | ((s < 0) & (s_next > 0))
     t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
-    hit = poly + t[..., None] * (np.take_along_axis(poly, nxt[..., None], axis=1) - poly)
+    hit = poly + t[..., None] * (np.roll(poly, -1, axis=1) - poly)
     # vertex k, then the crossing on the edge leaving it
-    mask = np.stack([keep, cross], axis=2).reshape(len(poly), 2 * width)
+    width = 2 * poly.shape[1]
+    mask = np.stack([keep, cross], axis=2).reshape(len(poly), width)
     count = mask.sum(axis=1)
     order = np.argsort(~mask, axis=1, kind="stable")[:, : count.max(initial=0)]
-    cand = np.stack([poly, hit], axis=2).reshape(len(poly), 2 * width, 2)
+    cand = np.stack([poly, hit], axis=2).reshape(len(poly), width, 2)
     return np.take_along_axis(cand, order[..., None], axis=1), count
 
 
-def _grid_pieces(verts, breaks):
-    """Cut triangles along axis-parallel breaklines.
+def _grid_pieces(level, breaks):
+    """Cut the cells of the level-`level` mesh along axis-parallel breaklines.
 
-    verts (N, 3, 2) are counterclockwise triangles and breaks = (xs, ys)
-    sorted breakline coordinates.  A triangle is cut when a breakline passes
-    strictly between its extreme coordinates; it is clipped against every
-    rectangle of the breakline grid that its bounding box overlaps (a convex
-    polygon of at most 7 vertices), and each polygon is fan-triangulated.
-    All (cell, rectangle) pairs are clipped at once, in coordinates relative
-    to each triangle's first vertex: there the crossing points and areas
-    are accurate to a few ulps of the triangle's size, not of the unit square.
+    breaks = (xs, ys) are strictly increasing breakline coordinates in
+    (0, 1).  With n = 2^level, a breakline at t / n passes strictly inside
+    grid column (or row) floor(t) when t is no integer, and then cuts both
+    cells of every square there.  In square-local units (u, v) in [0, 1]^2
+    such a square splits into the rectangles between its breaklines; each
+    is clipped once to the cell's side of the diagonal (the lower cell
+    u >= v, the upper v >= u), and the convex polygon left, of at most 5
+    vertices, is fan-triangulated.  Local crossing points and areas are
+    accurate to a few ulps of the square, and the power-of-two scale 1 / n
+    maps them back.
 
     Returns (pieces (K, 3, 2), parent (K,), areas (K,)), ordered by parent:
-    the pieces of the cut triangles only, each inside one rectangle.
+    the pieces of the cut cells only, each inside one rectangle, every
+    area > 0.
     """
-    verts = np.asarray(verts, dtype=float)
-    if not any(len(b) for b in breaks):
-        return np.empty((0, 3, 2)), np.empty(0, dtype=np.intp), np.empty(0)
-    lo = np.minimum(np.minimum(verts[:, 0], verts[:, 1]), verts[:, 2])
-    hi = np.maximum(np.maximum(verts[:, 0], verts[:, 1]), verts[:, 2])
-    first, span, lines = [], [], []
-    for axis in range(2):
-        b = np.asarray(breaks[axis], dtype=float)
-        first.append(np.searchsorted(b, lo[:, axis], side="right"))
-        span.append(np.searchsorted(b, hi[:, axis], side="left") - first[axis] + 1)
-        # rectangle i spans lines[i]..lines[i + 1]; the outer lines lie
-        # beyond every triangle, so clipping against them changes nothing
-        outer = np.array([lo[:, axis].min(initial=0.0) - 1.0, hi[:, axis].max(initial=0.0) + 1.0])
-        lines.append(np.concatenate([outer[:1], b, outer[1:]]))
-    cut = np.flatnonzero((span[0] > 1) | (span[1] > 1))
-    nx, ny = span[0][cut], span[1][cut]
-    pairs = nx * ny
-    cell = np.repeat(cut, pairs)
-    k = np.arange(cell.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-    nx = nx.repeat(pairs)
-    rect = (first[0][cell] + k % nx, first[1][cell] + k // nx)
-    origin = verts[cell, 0]
-    poly = verts[cell] - origin[:, None, :]
-    count = np.full(cell.size, 3)
-    for axis in range(2):
-        for step, sign in ((0, 1.0), (1, -1.0)):
-            bound = lines[axis][rect[axis] + step] - origin[:, axis]
-            poly, count = _clip(poly, count, axis, bound, sign)
+    n = 2**level
+    spans = []
+    for b in breaks:
+        # grid lines and breaklines in grid units: interval k spans
+        # edges[k]..edges[k + 1] inside column floor(edges[k])
+        edges = np.union1d(np.arange(n + 1.0), np.asarray(b, dtype=float) * n)
+        col = np.floor(edges[:-1])
+        count = np.bincount(col.astype(np.intp), minlength=n)
+        spans.append((edges[:-1] - col, edges[1:] - col, count, np.cumsum(count) - count))
+    (u0, u1, nx, fx), (v0, v1, ny, fy) = spans
+    square = np.flatnonzero((ny[:, None] > 1) | (nx > 1))  # j n + i
+    rects = np.repeat(nx[square % n] * ny[square // n], 2)  # per cut cell
+    # one (cell, rectangle) pair per entry, rectangle k of the cell's square
+    cell = np.repeat((2 * square[:, None] + [0, 1]).ravel(), rects)
+    k = np.arange(cell.size) - np.repeat(np.cumsum(rects) - rects, rects)
+    j, i = np.divmod(cell // 2, n)
+    x, y = fx[i] + k % nx[i], fy[j] + k // nx[i]
+    us = np.stack([u0[x], u1[x], u1[x], u0[x]], axis=1)
+    vs = np.stack([v0[y], v0[y], v1[y], v1[y]], axis=1)
+    side = np.where(cell % 2, -1.0, 1.0)[:, None]
+    poly, count = _clip(np.stack([us, vs], axis=2), side * (us - vs))
     fan = np.stack(
         [np.broadcast_to(poly[:, :1], poly[:, 2:].shape), poly[:, 1:-1], poly[:, 2:]], axis=2
     )
     areas = triangle_areas(fan)
-    ok = np.arange(2, poly.shape[1]) < count[:, None]
-    owner = np.broadcast_to(cell[:, None], ok.shape)[ok]
-    return fan[ok] + verts[owner, None, 0], owner, areas[ok]
-
-
-@lru_cache(maxsize=1)
-def _level_pieces(mesh: Mesh, breaks):
-    """_grid_pieces of the cells of mesh, as read-only arrays.
-
-    Meshes compare equal by level and only the last (mesh, breaks) is kept,
-    so a level's projection and its coefficient error share one cut.
-    """
-    out = _grid_pieces(mesh.cell_coordinates(), breaks)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    ok = (np.arange(2, poly.shape[1]) < count[:, None]) & (areas > 0)
+    pair = np.broadcast_to(np.arange(cell.size)[:, None], ok.shape)[ok]
+    corner = np.stack([i, j], axis=1)[pair, None, :]
+    return (fan[ok] + corner) / n, cell[pair], areas[ok] / (n * n)
 
 
 def _exact(degree) -> bool:
@@ -423,7 +408,7 @@ def cell_means(
     """
     _validate_rel_tol(rel_tol)
     verts = mesh.cell_coordinates()
-    pieces, parent, areas = _level_pieces(mesh, breaks) if any(breaks) else ((), (), ())
+    pieces, parent, areas = _grid_pieces(mesh.level, breaks) if any(breaks) else ((), (), ())
     tris, ids = verts, None
     if len(parent):
         uncut = np.ones(mesh.num_cells, dtype=bool)

@@ -371,7 +371,9 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyReport:
         t0 = time.perf_counter()
         _, _, u, row = _solve_level(cfg, A, f, level)
         err = fem.lp_norm(g_ref - fem.gradient(prolong(u, u_ref.mesh)), cfg.p_hat)
-        order = None if prev_err is None else float(np.log2(prev_err / err))
+        order = None
+        if prev_err is not None and err != 0 and prev_err != 0:
+            order = float(np.log2(prev_err / err))
         prev_err = err
         rows.append(replace(row, err_phat=err, order=order))
         timings.append(time.perf_counter() - t0)

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -138,19 +137,11 @@ def _centroid_offsets(m: int, added: bool = False) -> np.ndarray:
     rounded quotients of one rational, (3i+1)/(3n/2) = (6i+2)/(3n), so the
     nodes agree bit for bit.
 
-    Arrays of at most _CHUNK columns, those of m <= 7, are cached.  Larger
-    ones, 192 MiB at m = 12, are built on each call and freed with the
-    caller's reference, so a cell refined that deep does not hold them for
-    the rest of the process.
+    The array is built on each call, the upward cells first, each kind
+    row by row (i, then j) straight into the output, so that building holds
+    nothing beside it and the caller's reference is the only one: 192 MiB
+    at m = 12.
     """
-    if 4**m <= _CHUNK:
-        return _cached_centroid_offsets(m, added)
-    return _build_centroid_offsets(m, added)
-
-
-def _build_centroid_offsets(m: int, added: bool) -> np.ndarray:
-    """_centroid_offsets, the upward cells first, each kind row by row (i,
-    then j) into the output, so that building holds nothing beside it."""
     n = 2**m
     out = np.empty((2, 4**m - (4 ** (m - 1) if added and m else 0)))
     k = 0
@@ -167,9 +158,6 @@ def _build_centroid_offsets(m: int, added: bool) -> np.ndarray:
             k += js.size
     out.setflags(write=False)
     return out
-
-
-_cached_centroid_offsets = lru_cache(maxsize=None)(_build_centroid_offsets)
 
 
 def _columns(a: np.ndarray) -> np.ndarray:

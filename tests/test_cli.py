@@ -152,3 +152,20 @@ def test_malformed_sampled_line_is_a_numerical_failure_naming_it(text, line, tmp
     assert main(["run", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and f"line {line}:" in err
+
+
+def test_convergence_with_a_vanishing_load_reports_no_order(tmp_path, capsys):
+    # rhs constant projects to the zero load, so u_h = 0 on every level and
+    # every error is 0: the order is left empty, as in coeff-decay
+    out = tmp_path / "zero.csv"
+    cfg = _write_config(
+        tmp_path,
+        {"kind": "convergence", "coeff": "identity", "rhs": "constant", "levels": "2..3,5",
+         "out": str(out)},
+    )
+    assert main(["run", "--config", cfg]) == 0
+    header, *rows = out.read_text().strip().split("\n")
+    columns = header.split(",")
+    study = [dict(zip(columns, row.split(","))) for row in rows][:2]
+    assert [r["level"] for r in study] == ["2", "3"]
+    assert all(r["order"] == "" and float(r["err_phat"]) == 0.0 for r in study)

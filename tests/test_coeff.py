@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import time
@@ -758,22 +760,16 @@ def test_nan_sample_raises_singularity_through_projection(meshes, tmp_path):
     assert abs(x - side[4]) < 1 / 9 and abs(y - side[7]) < 1 / 9
 
 
-def test_cut_pieces_are_memoised_per_level(meshes, nondyadic_csv_path):
-    A = C.load_sampled_coefficient(nondyadic_csv_path)
-    mesh = meshes[4]
-    C._level_pieces.cache_clear()
-    C.coefficient_error(A, C.project_coefficient(A, mesh), 2.0)
-    info = C._level_pieces.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    cached = C._level_pieces(mesh, A.breaks)
-    fresh = C._grid_pieces(mesh.cell_coordinates(), A.breaks)
-    for a, b in zip(cached, fresh, strict=True):
-        assert np.array_equal(a, b) and a.dtype == b.dtype
-        assert not a.flags.writeable
-    # without breaklines nothing is cut and nothing is kept
-    smooth = C.smooth_coefficient()
-    C.coefficient_error(smooth, C.project_coefficient(smooth, mesh), 2.0)
-    assert C._level_pieces.cache_info().misses == 1
+def test_no_module_keeps_a_cache():
+    # no functools cache anywhere in the package: every array is built by
+    # the call that needs it and freed with the caller's reference
+    import bmofem
+
+    names = [f"bmofem.{m.name}" for m in pkgutil.iter_modules(bmofem.__path__)]
+    assert {"bmofem.coeff", "bmofem.quadrature", "bmofem.mesh"} <= set(names)
+    for module in [bmofem] + [importlib.import_module(name) for name in names]:
+        for name, value in vars(module).items():
+            assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
 
 
 def test_sampled_study_imports_no_scipy(nondyadic_csv_path, tmp_path):
@@ -858,7 +854,7 @@ DEGREE4_RULE = (
 
 
 def _uncut_cells(mesh, breaks):
-    _, parent, _ = C._grid_pieces(mesh.cell_coordinates(), breaks)
+    _, parent, _ = C._grid_pieces(mesh.level, breaks)
     return np.setdiff1d(np.arange(mesh.num_cells), parent)
 
 
@@ -867,7 +863,7 @@ def _cell_integrals(g, A, mesh, rule):
     every integration triangle: the cells no breakline of A cuts, whole,
     and the pieces of the cut ones."""
     verts = mesh.cell_coordinates()
-    pieces, cut, piece_areas = C._grid_pieces(verts, A.breaks)
+    pieces, cut, piece_areas = C._grid_pieces(mesh.level, A.breaks)
     whole = np.setdiff1d(np.arange(mesh.num_cells), cut)
     tris = np.concatenate([verts[whole], pieces])
     parent = np.concatenate([whole, cut])
@@ -907,7 +903,7 @@ def test_grid_pieces_tile_each_cut_cell(meshes, nondyadic_csv_path, level):
     A = C.load_sampled_coefficient(nondyadic_csv_path)
     mesh = meshes[level]
     verts = mesh.cell_coordinates()
-    pieces, parent, areas = C._grid_pieces(verts, A.breaks)
+    pieces, parent, areas = C._grid_pieces(level, A.breaks)
     assert np.all(np.diff(parent) >= 0) and np.all(areas > 0)
     assert np.allclose(areas, triangle_areas(pieces), rtol=1e-10, atol=0)
     # the cut cells are those a sample line passes strictly through
@@ -938,8 +934,110 @@ def test_grid_pieces_tile_each_cut_cell(meshes, nondyadic_csv_path, level):
     assert np.all(a >= -1e-12) and np.all(b >= -1e-12) and np.all(a + b <= 1 + 1e-12)
 
 
+def _four_pass_clip(poly, count, axis, bound, sign):
+    """One Sutherland-Hodgman step on polygons of count vertices each, to
+    the half-planes sign * (x[axis] - bound) >= 0."""
+    width = poly.shape[1]
+    valid = np.arange(width) < count[:, None]
+    nxt = np.where(np.arange(1, width + 1) < count[:, None], np.arange(1, width + 1), 0)
+    s = sign * (poly[..., axis] - bound[:, None])
+    s_next = np.take_along_axis(s, nxt, axis=1)
+    keep = valid & (s >= 0)
+    cross = valid & (((s > 0) & (s_next < 0)) | ((s < 0) & (s_next > 0)))
+    t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
+    hit = poly + t[..., None] * (np.take_along_axis(poly, nxt[..., None], axis=1) - poly)
+    mask = np.stack([keep, cross], axis=2).reshape(len(poly), 2 * width)
+    count = mask.sum(axis=1)
+    order = np.argsort(~mask, axis=1, kind="stable")[:, : count.max(initial=0)]
+    cand = np.stack([poly, hit], axis=2).reshape(len(poly), 2 * width, 2)
+    return np.take_along_axis(cand, order[..., None], axis=1), count
+
+
+def _four_pass_pieces(verts, breaks):
+    """Reference cut, the generic one the grid cut replaced: every triangle
+    whose bounding box a breakline crosses is clipped against each
+    breakline rectangle its box overlaps, in four half-plane passes, in
+    coordinates relative to its first vertex."""
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    first, span, lines = [], [], []
+    for axis in range(2):
+        b = np.asarray(breaks[axis], dtype=float)
+        first.append(np.searchsorted(b, lo[:, axis], side="right"))
+        span.append(np.searchsorted(b, hi[:, axis], side="left") - first[axis] + 1)
+        lines.append(np.concatenate([[-1.0], b, [2.0]]))  # outer lines beyond every cell
+    cut = np.flatnonzero((span[0] > 1) | (span[1] > 1))
+    nx, ny = span[0][cut], span[1][cut]
+    pairs = nx * ny
+    cell = np.repeat(cut, pairs)
+    k = np.arange(cell.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    nx = nx.repeat(pairs)
+    rect = (first[0][cell] + k % nx, first[1][cell] + k // nx)
+    origin = verts[cell, 0]
+    poly = verts[cell] - origin[:, None, :]
+    count = np.full(cell.size, 3)
+    for axis in range(2):
+        for step, sign in ((0, 1.0), (1, -1.0)):
+            bound = lines[axis][rect[axis] + step] - origin[:, axis]
+            poly, count = _four_pass_clip(poly, count, axis, bound, sign)
+    fan = np.stack(
+        [np.broadcast_to(poly[:, :1], poly[:, 2:].shape), poly[:, 1:-1], poly[:, 2:]], axis=2
+    )
+    areas = triangle_areas(fan)
+    ok = np.arange(2, poly.shape[1]) < count[:, None]
+    owner = np.broadcast_to(cell[:, None], ok.shape)[ok]
+    return fan[ok] + verts[owner, None, 0], owner, areas[ok]
+
+
+CUT_GRIDS = {
+    "10x10": (np.linspace(0.0, 1.0, 10),) * 2,
+    "0.3x0.55": ([0.0, 0.3, 1.0], [0.0, 0.55, 1.0]),
+    # two breaklines per axis inside the level-2 square (1, 2)
+    "two-per-square": ([0.0, 0.3, 0.35, 1.0], [0.0, 0.6, 0.7, 1.0]),
+    # the checkerboard's lines: at level 0 the diagonal meets rectangle corners
+    "checkerboard": ([0.0, 0.5, 1.0],) * 2,
+}
+
+
+def _cut_cell_means(field, pieces, parent, areas):
+    """The fixed-rule mean of field over each cut cell, from its pieces."""
+    means = Q.polynomial_means(field, pieces, parent)
+    cut, first = np.unique(parent, return_index=True)
+    sums = np.add.reduceat(areas[:, None, None] * means, first)
+    return cut, sums / np.add.reduceat(areas, first)[:, None, None]
+
+
+@pytest.mark.parametrize("grid", sorted(CUT_GRIDS))
+@pytest.mark.parametrize("level", range(8))
+def test_grid_cut_matches_the_four_pass_clip(meshes, sampled_grid_csv, grid, level):
+    A = C.load_sampled_coefficient(sampled_grid_csv(*CUT_GRIDS[grid]))
+    pieces, parent, areas = C._grid_pieces(level, A.breaks)
+    old = _four_pass_pieces(meshes[level].cell_coordinates(), A.breaks)
+    assert np.all(np.diff(parent) >= 0) and np.all(areas > 0)
+    cut = np.unique(parent)
+    assert np.array_equal(cut, np.unique(old[1]))
+    if cut.size == 0:  # the checkerboard's lines are mesh lines from level 1
+        return
+    cell_area = 0.5 / 4**level
+    for part in np.split(areas, np.flatnonzero(np.diff(parent)) + 1):
+        assert abs(math.fsum(part) - cell_area) <= 1e-15 * cell_area
+    field = lambda p, ids: A.evaluate(p)
+    _, got = _cut_cell_means(field, pieces, parent, areas)
+    _, want = _cut_cell_means(field, *old)
+    err = np.linalg.norm(got - want, axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [((0.0, 0.5), ()), ((), (0.5, 1.0)), ((0.6, 0.3), ()), ((), (0.3, 0.3)), ((np.nan,), ())],
+)
+def test_breaks_must_increase_strictly_inside_the_unit_interval(breaks):
+    with pytest.raises(ValueError, match="breaks"):
+        C.CoefficientField(C.identity_coefficient().evaluate, 1.0, "bad", breaks)
+
+
 def test_grid_pieces_without_breaks_cut_nothing(meshes):
-    pieces, parent, areas = C._grid_pieces(meshes[3].cell_coordinates(), ((), ()))
+    pieces, parent, areas = C._grid_pieces(3, ((), ()))
     assert pieces.shape == (0, 3, 2) and parent.size == 0 and areas.size == 0
     # uncut cells are integrated whole: breaklines on the mesh lines cut
     # nothing either
@@ -947,7 +1045,7 @@ def test_grid_pieces_without_breaks_cut_nothing(meshes):
     wave = lambda p, i: _wave(p)
     plain = Q.triangle_means(wave, mesh.cell_coordinates(), 1e-8)
     for breaks in (((), ()), ((0.5,), (0.25, 0.75))):
-        assert C._grid_pieces(mesh.cell_coordinates(), breaks)[1].size == 0
+        assert C._grid_pieces(mesh.level, breaks)[1].size == 0
         assert np.array_equal(C.cell_means(wave, mesh, 1e-8, 0.0, breaks), plain)
 
 
@@ -1088,8 +1186,8 @@ def test_declared_degree_fits_each_breakline_rectangle(degree_fixture, rng):
 def test_checkerboard_cuts_only_the_level_zero_cells(meshes, kappa):
     A = C.checkerboard_coefficient(kappa)
     for level in range(1, 7):
-        assert C._grid_pieces(meshes[level].cell_coordinates(), A.breaks)[1].size == 0
-    assert np.unique(C._grid_pieces(meshes[0].cell_coordinates(), A.breaks)[1]).size == 2
+        assert C._grid_pieces(level, A.breaks)[1].size == 0
+    assert np.unique(C._grid_pieces(0, A.breaks)[1]).size == 2
     values = C.project_coefficient(A, meshes[0]).values
     assert np.allclose(values, 0.5 * (kappa + 1.0) * np.eye(2), rtol=1e-14, atol=0)
 
@@ -1160,7 +1258,7 @@ def test_fixed_rule_evaluates_six_nodes_per_cell_and_piece(meshes, nondyadic_csv
         return base.evaluate(p)
 
     A = dataclasses.replace(base, evaluate=evaluate)
-    pieces = C._grid_pieces(mesh.cell_coordinates(), A.breaks)[0]
+    pieces = C._grid_pieces(mesh.level, A.breaks)[0]
     integration_triangles = _uncut_cells(mesh, A.breaks).size + len(pieces)
     A_h = C.project_coefficient(A, mesh)
     assert count[0] == 6 * integration_triangles

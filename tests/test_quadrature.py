@@ -557,15 +557,13 @@ def test_centroid_offsets_are_the_grid_construction_bit_for_bit(m, added):
     assert np.array_equal(got.view(np.int64), _grid_centroid_offsets(m, added).view(np.int64))
 
 
-@pytest.mark.parametrize("added", [False, True])
-def test_centroid_offsets_are_cached_only_up_to_the_chunk(added):
-    assert Q._centroid_offsets(7, added) is Q._centroid_offsets(7, added)
-    big = Q._centroid_offsets(9, added)
-    again = Q._centroid_offsets(9, added)
-    assert big is not again and np.array_equal(big, again)
-    assert not big.flags.writeable
-    ref = weakref.ref(big)
-    del big
+def test_centroid_offsets_are_built_on_each_call():
+    offsets = Q._centroid_offsets(3, True)
+    again = Q._centroid_offsets(3, True)
+    assert offsets is not again and not offsets.flags.writeable
+    assert np.array_equal(offsets.view(np.int64), again.view(np.int64))
+    ref = weakref.ref(offsets)
+    del offsets
     gc.collect()
     assert ref() is None
 
@@ -687,7 +685,7 @@ def test_nested_levels_match_the_full_level_kernel_on_the_pins(name):
 def test_nested_levels_match_the_full_level_kernel_on_cut_pieces(nondyadic_csv_path):
     A = C.load_sampled_coefficient(nondyadic_csv_path)
     mesh = build_uniform_mesh(3)
-    pieces, parent, _ = C._grid_pieces(mesh.cell_coordinates(), A.breaks)
+    pieces, parent, _ = C._grid_pieces(mesh.level, A.breaks)
     assert len(pieces) > len(np.unique(parent))
     field = lambda p, ids: A.evaluate(p)
     tol = C.DEFAULT_PROJECTION_TOL
@@ -730,9 +728,7 @@ def _exact_monomial_mean(tri, i, j):
 
 
 def _rule_test_triangles(sampled_path):
-    pieces, _, _ = C._grid_pieces(
-        build_uniform_mesh(2).cell_coordinates(), C.load_sampled_coefficient(sampled_path).breaks
-    )
+    pieces, _, _ = C._grid_pieces(2, C.load_sampled_coefficient(sampled_path).breaks)
     sheared = np.array([[[0.1, 0.2], [0.9, 0.35], [0.95, 0.4]], [[0.3, 0.9], [0.31, 0.1], [0.8, 0.6]]])
     return np.concatenate([UNIT_TRI, sheared, pieces[::7]])
 
