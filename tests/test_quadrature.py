@@ -557,15 +557,19 @@ def test_centroid_offsets_are_the_grid_construction_bit_for_bit(m, added):
     assert np.array_equal(got.view(np.int64), _grid_centroid_offsets(m, added).view(np.int64))
 
 
-def test_centroid_offsets_are_built_on_each_call():
-    offsets = Q._centroid_offsets(3, True)
-    again = Q._centroid_offsets(3, True)
-    assert offsets is not again and not offsets.flags.writeable
-    assert np.array_equal(offsets.view(np.int64), again.view(np.int64))
-    ref = weakref.ref(offsets)
-    del offsets
-    gc.collect()
-    assert ref() is None
+@pytest.mark.parametrize("added", [False, True])
+def test_centroid_offsets_are_cached_only_up_to_the_chunk(added):
+    # No level is cached any more, below the chunk (7) or above it (9): each
+    # call builds a fresh read-only array that is freed when dropped.
+    for m in (3, 7, 9):
+        offsets = Q._centroid_offsets(m, added)
+        again = Q._centroid_offsets(m, added)
+        assert offsets is not again and not offsets.flags.writeable
+        assert np.array_equal(offsets.view(np.int64), again.view(np.int64))
+        ref = weakref.ref(offsets)
+        del offsets
+        gc.collect()
+        assert ref() is None
 
 
 # ---------------------------------------------------------------------------
