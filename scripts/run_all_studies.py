@@ -28,6 +28,10 @@ CONFIGS = [
     # how fast the stability ratio degrades as |p - 2| grows
     {"kind": "stability", "coeff": "log", "beta": 1.0, "rhs": "sin-cos",
      "p": 3.0, "levels": "2..5", "out": "stability_log_p3.csv"},
+    # a constant load's discrete load vector vanishes, so u = 0: the split
+    # columns stay empty and there is no ratio spread
+    {"kind": "stability", "coeff": "log", "beta": 0.5, "rhs": "constant",
+     "p": 2.1, "levels": "1..4", "out": "stability_log_constant.csv"},
     # strong convergence against a fine discrete reference
     {"kind": "convergence", "coeff": "checkerboard", "kappa": 100.0,
      "rhs": "sin-cos", "p": 2.0, "p_hat": 2.0, "levels": "2..5,7",
@@ -114,7 +118,8 @@ def main():
         )
         summary = ""
         if cfg.kind == "stability":
-            summary = f"ratio spread {report.metadata['stability_ratio_max_over_min']:.4f}"
+            spread = report.metadata["stability_ratio_max_over_min"]
+            summary = "no ratio spread" if spread is None else f"ratio spread {spread:.4f}"
         elif cfg.kind == "convergence":
             orders = [r.order for r in report.rows if r.order is not None]
             summary = "orders " + ", ".join(f"{o:.3f}" for o in orders)

@@ -16,6 +16,7 @@ from . import quadrature
 from .errors import InvariantError, SingularityError
 from .mesh import Mesh, triangle_areas
 
+P_RANGE = (1.1, 10.0)  # Lebesgue exponents of every norm and study
 PROJECTION_TOL_RANGE = (1e-12, 1e-4)
 DEFAULT_PROJECTION_TOL = 1e-6
 DEFAULT_SQUARE_TOL = 1e-8
@@ -70,6 +71,10 @@ class PiecewiseConstantMatrixField:
     mesh: Mesh
     values: np.ndarray  # (ncells, 2, 2)
 
+    def __post_init__(self):
+        if self.values.shape != (self.mesh.num_cells, 2, 2):
+            raise InvariantError("cell matrix count does not match the mesh")
+
 
 @dataclass(frozen=True)
 class DyadicSquare:
@@ -114,35 +119,35 @@ def identity_coefficient() -> CoefficientField:
     return constant_coefficient(np.eye(2))
 
 
+def _diagonal(d11: np.ndarray, d22: np.ndarray) -> np.ndarray:
+    """The matrices diag(d11[k], d22[k]), (N, 2, 2)."""
+    out = np.zeros((d11.shape[0], 2, 2))
+    out[:, 0, 0] = d11
+    out[:, 1, 1] = d22
+    return out
+
+
 def smooth_coefficient() -> CoefficientField:
     """diag(2 + sin(pi x), 2 + cos(pi y)); coercivity constant 1."""
 
     def evaluate(points):
-        out = np.zeros((points.shape[0], 2, 2))
-        out[:, 0, 0] = 2.0 + np.sin(np.pi * points[:, 0])
-        out[:, 1, 1] = 2.0 + np.cos(np.pi * points[:, 1])
-        return out
+        return _diagonal(2.0 + np.sin(np.pi * points[:, 0]), 2.0 + np.cos(np.pi * points[:, 1]))
 
     return CoefficientField(evaluate, 1.0, "smooth")
 
 
 def log_singular_coefficient(beta: float, x0=(0.0, 0.0)) -> CoefficientField:
-    """(1 + beta |log |x - x0||) I: unbounded but of bounded mean
-    oscillation.  x0 should be a mesh vertex so quadrature nodes, which are
-    strictly interior, never hit the singularity."""
+    """(1 + beta |w|) I with w = log(1/|x - x0|), log_reciprocal_scalar's
+    kernel: unbounded but of bounded mean oscillation.  x0 should be a mesh
+    vertex so quadrature nodes, which are strictly interior, never hit the
+    singularity."""
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
+    w = log_reciprocal_scalar(x0).evaluate
 
     def evaluate(points):
-        dx = points[:, 0] - x0[0]
-        dy = points[:, 1] - x0[1]
-        r = np.sqrt(dx * dx + dy * dy)
-        s = 1.0 + beta * np.abs(np.log(r))
-        out = np.zeros((points.shape[0], 2, 2))
-        out[:, 0, 0] = s
-        out[:, 1, 1] = s
-        return out
+        s = 1.0 + beta * np.abs(w(points))
+        return _diagonal(s, s)
 
     return CoefficientField(evaluate, 1.0, "log-singular")
 
@@ -158,10 +163,7 @@ def checkerboard_coefficient(kappa: float) -> CoefficientField:
         right = points[:, 0] >= 0.5
         top = points[:, 1] >= 0.5
         s = np.where(right ^ top, 1.0, kappa)
-        out = np.zeros((points.shape[0], 2, 2))
-        out[:, 0, 0] = s
-        out[:, 1, 1] = s
-        return out
+        return _diagonal(s, s)
 
     return CoefficientField(evaluate, min(1.0, kappa), "checkerboard", ((0.5,), (0.5,)), 0)
 
@@ -196,7 +198,9 @@ def load_sampled_coefficient(path) -> CoefficientField:
 
     Format: a comment line `# alpha=<value>`, a header `x,y,a11,a12,a22`,
     then one row per sample on a rectilinear grid (any sorted abscissae
-    times any sorted ordinates) covering the unit square, row-major.
+    times any sorted ordinates) covering the unit square, row-major; every
+    grid point appears exactly once, else InvariantError names the first
+    one missing or repeated.
     Evaluation interpolates bilinearly between samples, so the interior
     sample lines are the field's breaklines, and between them every entry
     is a polynomial of degree 2.
@@ -238,17 +242,25 @@ def load_sampled_coefficient(path) -> CoefficientField:
     if not rows:
         raise InvariantError("sampled coefficient file has no sample rows")
     data = np.asarray(rows)
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
-    if data.shape[0] != xs.size * ys.size:
-        raise InvariantError("sampled coefficient rows do not form a full grid")
+    xs, ix = np.unique(data[:, 0], return_inverse=True)
+    ys, iy = np.unique(data[:, 1], return_inverse=True)
+    # np.unique sorts NaN last, so this also rejects a non-finite coordinate
     if not (xs[0] == 0.0 and xs[-1] == 1.0 and ys[0] == 0.0 and ys[-1] == 1.0):
         raise InvariantError("sample grid must cover the unit square")
-    order = np.lexsort((data[:, 0], data[:, 1]))  # y-major, x fastest
-    # one contiguous (ys.size * xs.size) plane per entry a11, a12, a22
-    planes = np.ascontiguousarray(data[order][:, 2:].T)
-    locate_x, locate_y = _interval_finder(xs), _interval_finder(ys)
     nx = xs.size
+    k = iy * nx + ix  # each row's grid point, y-major, x fastest
+    counts = np.bincount(k, minlength=nx * ys.size)
+    if (counts != 1).any():
+        bad = int(np.argmax(counts != 1))
+        what = "missing" if counts[bad] == 0 else f"given {counts[bad]} times"
+        raise InvariantError(
+            f"sampled coefficient rows do not form a full grid: "
+            f"point ({xs[bad % nx]}, {ys[bad // nx]}) is {what}"
+        )
+    # one contiguous (ys.size * xs.size) plane per entry a11, a12, a22
+    planes = np.empty((3, k.size))
+    planes[:, k] = data[:, 2:].T
+    locate_x, locate_y = _interval_finder(xs), _interval_finder(ys)
 
     def evaluate(points):
         x, y = points[:, 0], points[:, 1]
@@ -506,9 +518,9 @@ def coefficient_error(
     r: float,
     rel_tol: float = 1e-4,
 ) -> float:
-    """L^r norm of the pointwise Frobenius norm of A - A_h, r in [1.1, 10],
-    integrated along A's breaklines, of A's declared degree."""
-    if not (1.1 <= r <= 10.0):
+    """L^r norm of the pointwise Frobenius norm of A - A_h, r in P_RANGE
+    = [1.1, 10], integrated along A's breaklines, of A's declared degree."""
+    if not (P_RANGE[0] <= r <= P_RANGE[1]):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
     return lp_misfit(A.evaluate, A_h, r, rel_tol, A.breaks, A.degree)
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import quadrature
 from .coeff import (
     DEFAULT_PROJECTION_TOL,
+    P_RANGE,
     CoefficientField,
     PiecewiseConstantMatrixField,
     _min_eigenvalues,
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .mesh import Mesh, cell_areas, interior_vertex_indices
 
-P_RANGE = (1.1, 10.0)
 SOLVER_TOL_RANGE = (1e-14, 1e-6)
 DEFAULT_SOLVER_TOL = 1e-12
 ITERATION_FACTOR = 50

@@ -189,14 +189,6 @@ def rhs_fixture(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray]:
     )
 
 
-def diagnostic_scalar(cfg: ExperimentConfig) -> coeff_mod.ScalarField:
-    """Scalar used by the BMO diagnostics: the classical log example for
-    the unbounded fixture, the (1,1) entry otherwise."""
-    if cfg.coeff == "log":
-        return coeff_mod.log_reciprocal_scalar()
-    return coeff_mod.coefficient_entry(coefficient_fixture(cfg), 0, 0)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -299,25 +291,32 @@ def gradient_error_against(grad_exact, u: P1Function, p: float, rel_tol=1e-4) ->
     return coeff_mod.lp_misfit(grad_exact, fem.gradient(u), p, rel_tol)
 
 
-def _solve_level(cfg: ExperimentConfig, A, f, level: int):
-    """Project A and f on the level mesh and solve; the row carries the
-    columns every solve reports: cells, the gradient and data norms, their
-    ratio and the L^2 coefficient error."""
+def _project_level(cfg: ExperimentConfig, A, level: int):
+    """Project A on the level mesh; the row carries the level, its cell
+    count and the L^2 coefficient error."""
     mesh = build_uniform_mesh(level)
     A_h = coeff_mod.project_coefficient(A, mesh, cfg.projection_tol)
-    f_h = fem.project_rhs(f, mesh, cfg.projection_tol)
+    err = coeff_mod.coefficient_error(A, A_h, 2.0)
+    return A_h, ReportRow(level=level, cells=mesh.num_cells, coeff_err_l2=err)
+
+
+def _solve_level(cfg: ExperimentConfig, A, f, level: int):
+    """_project_level, then project f on the same mesh and solve; the row
+    adds the gradient and data norms and their ratio."""
+    A_h, row = _project_level(cfg, A, level)
+    f_h = fem.project_rhs(f, A_h.mesh, cfg.projection_tol)
     u = fem.solve_projected(A_h, f_h, cfg.solver_tol)
     grad_lp = fem.lp_norm(fem.gradient(u), cfg.p)
     f_lp = fem.lp_norm(f_h, cfg.p)
-    row = ReportRow(
-        level=level,
-        cells=mesh.num_cells,
-        grad_lp=grad_lp,
-        f_lp=f_lp,
-        stability_ratio=grad_lp / f_lp,
-        coeff_err_l2=coeff_mod.coefficient_error(A, A_h, 2.0),
-    )
+    row = replace(row, grad_lp=grad_lp, f_lp=f_lp, stability_ratio=grad_lp / f_lp)
     return A_h, f_h, u, row
+
+
+def _orders(errors) -> list:
+    """log2(previous / current) per level: None for the first level and
+    wherever either error is 0."""
+    pairs = zip(errors, errors[1:])
+    return [None] + [float(np.log2(a / b)) if a != 0 and b != 0 else None for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +364,15 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyReport:
     g_ref = fem.gradient(u_ref)
     ref_time = time.perf_counter() - t0
     rows = []
+    errors = []
     timings = []
-    prev_err = None
     for level in cfg.levels[:-1]:
         t0 = time.perf_counter()
         _, _, u, row = _solve_level(cfg, A, f, level)
-        err = fem.lp_norm(g_ref - fem.gradient(prolong(u, u_ref.mesh)), cfg.p_hat)
-        order = None
-        if prev_err is not None and err != 0 and prev_err != 0:
-            order = float(np.log2(prev_err / err))
-        prev_err = err
-        rows.append(replace(row, err_phat=err, order=order))
+        errors.append(fem.lp_norm(g_ref - fem.gradient(prolong(u, u_ref.mesh)), cfg.p_hat))
+        rows.append(row)
         timings.append(time.perf_counter() - t0)
+    rows = [replace(r, err_phat=e, order=o) for r, e, o in zip(rows, errors, _orders(errors))]
     return _report(
         cfg,
         rows + [ref_row],
@@ -391,22 +387,14 @@ def run_coeff_decay_study(cfg: ExperimentConfig) -> StudyReport:
     dedicated column, the r-norm sequence drives the order column."""
     A = coefficient_fixture(cfg)
     rows = []
-    err_r_list = []
-    prev = None
+    errors = []
     for level in cfg.levels:
-        mesh = build_uniform_mesh(level)
-        A_h = coeff_mod.project_coefficient(A, mesh, cfg.projection_tol)
-        err_r = coeff_mod.coefficient_error(A, A_h, cfg.p)
-        err_l2 = err_r if cfg.p == 2.0 else coeff_mod.coefficient_error(A, A_h, 2.0)
-        order = None
-        if prev is not None:
-            order = None if (err_r == 0 or prev == 0) else float(np.log2(prev / err_r))
-        prev = err_r
-        err_r_list.append(err_r)
-        rows.append(
-            ReportRow(level=level, cells=mesh.num_cells, coeff_err_l2=err_l2, order=order)
-        )
-    return _report(cfg, rows, coeff_err_lr=err_r_list, r=cfg.p)
+        A_h, row = _project_level(cfg, A, level)
+        err_r = row.coeff_err_l2 if cfg.p == 2.0 else coeff_mod.coefficient_error(A, A_h, cfg.p)
+        errors.append(err_r)
+        rows.append(row)
+    rows = [replace(r, order=o) for r, o in zip(rows, _orders(errors))]
+    return _report(cfg, rows, coeff_err_lr=errors, r=cfg.p)
 
 
 def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
@@ -475,9 +463,10 @@ def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
 
 def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     """BMO seminorm estimates per depth, the John-Nirenberg distribution
-    table, and the maximal-function comparison per level."""
+    table, and the maximal-function comparison per level, of the classical
+    log example log(1/|x|) for the log fixture, of A's (1,1) entry otherwise."""
     A = coefficient_fixture(cfg)
-    w = diagnostic_scalar(cfg)
+    w = coeff_mod.log_reciprocal_scalar() if cfg.coeff == "log" else coeff_mod.coefficient_entry(A)
     _, oscs, fallbacks = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
     seminorm_by_depth = [float(v) for v in np.maximum.accumulate([o.max() for o in oscs])]
     jn_table = coeff_mod.john_nirenberg_check(
@@ -487,17 +476,10 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     rows = []
     lemma = []
     for level in cfg.levels:
-        mesh = build_uniform_mesh(level)
-        A_h = coeff_mod.project_coefficient(A, mesh, cfg.projection_tol)
+        _, row = _project_level(cfg, A, level)
         violations, worst = maximal_bound_check(w, level, gen_means=abs_means)
         lemma.append({"level": level, "violations": violations, "worst_margin": worst})
-        rows.append(
-            ReportRow(
-                level=level,
-                cells=mesh.num_cells,
-                coeff_err_l2=coeff_mod.coefficient_error(A, A_h, 2.0),
-            )
-        )
+        rows.append(row)
     return _report(
         cfg,
         rows,

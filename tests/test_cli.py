@@ -154,6 +154,20 @@ def test_malformed_sampled_line_is_a_numerical_failure_naming_it(text, line, tmp
     assert "numerical failure" in err and f"line {line}:" in err
 
 
+def test_sampled_grid_with_a_repeated_point_is_a_numerical_failure_naming_it(tmp_path, capsys):
+    # four rows for the 2x2 grid, but (0, 1) twice and (1, 1) missing
+    csv = tmp_path / "bad.csv"
+    rows = ["0.0,0.0,1.0,0.0,1.0", "1.0,0.0,2.0,0.0,1.0", "0.0,1.0,3.0,0.0,1.0",
+            "0.0,1.0,4.0,0.0,1.0"]
+    csv.write_text("\n".join(["# alpha=1.0", "x,y,a11,a12,a22"] + rows) + "\n")
+    cfg = _write_config(
+        tmp_path,
+        {"kind": "coeff-decay", "coeff": "sampled", "coeff_csv": str(csv), "levels": [1]},
+    )
+    assert main(["run", "--config", cfg]) == 3
+    assert "point (0.0, 1.0) is given 2 times" in capsys.readouterr().err
+
+
 def test_convergence_with_a_vanishing_load_reports_no_order(tmp_path, capsys):
     # rhs constant projects to the zero load, so u_h = 0 on every level and
     # every error is 0: the order is left empty, as in coeff-decay

@@ -111,6 +111,8 @@ def test_fixture_parameter_guards():
     with pytest.raises(ValueError):
         C.checkerboard_coefficient(0.0)
     assert C.checkerboard_coefficient(0.5).alpha == 0.5
+    with pytest.raises(InvariantError, match="symmetric"):
+        C.constant_coefficient([[1.0, 0.5], [0.0, 1.0]])
 
 
 SHIFTED_X0 = [(0.0, 0.0), (0.5, 0.5), (0.3, 0.7)]
@@ -332,6 +334,11 @@ def test_cells_containing_matches_barycentric_tests(meshes, level):
         assert C.cells_containing(mesh, x) == _cells_containing_barycentric(mesh, x), x
 
 
+def test_cells_containing_rejects_a_point_outside_the_unit_square(meshes):
+    with pytest.raises(ValueError, match="outside the unit square"):
+        C.cells_containing(meshes[1], (0.5, 1.5))
+
+
 # ---------------------------------------------------------------------------
 # BMO seminorm estimate
 
@@ -364,6 +371,12 @@ def test_bmo_monotone_in_depth():
     )
     estimates = [C.bmo_seminorm_estimate(w, d) for d in (1, 2, 3, 4)]
     assert all(b >= a - 1e-15 for a, b in zip(estimates, estimates[1:]))
+
+
+@pytest.mark.parametrize("depth", [0, C.MAX_BMO_DEPTH + 1])
+def test_bmo_seminorm_estimate_depth_range(depth):
+    with pytest.raises(ValueError, match="depth"):
+        C.bmo_seminorm_estimate(C.log_reciprocal_scalar(), depth)
 
 
 class RecordingField:
@@ -611,6 +624,9 @@ def test_jn_rejects_bad_inputs():
     w = C.log_reciprocal_scalar()
     with pytest.raises(ValueError):
         C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.0], 4)
+    for depth in (0, 13):
+        with pytest.raises(ValueError, match="depth"):
+            C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], depth)
     with pytest.raises(ValueError):
         C.DyadicSquare(1, 2, 0)
 
@@ -619,6 +635,11 @@ def test_jn_skip_policy_errors_on_many_bad_samples():
     w = C.ScalarField(lambda p: np.where(p[:, 0] < 0.3, np.nan, 1.0), "broken")
     with pytest.raises(SingularityError):
         C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], 6)
+    # two sample columns of 1024 are non-finite, but no node of the mean's
+    # quadrature: 0.2 % of the samples are skipped
+    w = C.ScalarField(lambda p: np.where(p[:, 0] < 2e-3, np.nan, 1.0), "holed")
+    with pytest.raises(SingularityError, match="2048 of 1048576 sample points were non-finite"):
+        C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], 10)
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +689,25 @@ def test_sampled_rejects_a_file_without_samples(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("# alpha=1.0\nx,y,a11,a12,a22\n")
     with pytest.raises(InvariantError, match="no sample rows"):
+        C.load_sampled_coefficient(p)
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    [
+        # (0, 1) twice and (1, 1) missing: the row count still fits the grid
+        ([(0, 0), (1, 0), (0, 1), (0, 1)], r"point \(0.0, 1.0\) is given 2 times"),
+        ([(0, 0), (1, 0), (0, 1)], r"point \(1.0, 1.0\) is missing"),
+        ([(0, 0), (1, 0), (0, 1), (1, 1), (1, 0)], r"point \(1.0, 0.0\) is given 2 times"),
+        ([(0, 0), (0.5, 0), (0, 1), (0.5, 1)], "cover the unit square"),
+        ([(0, 0), (1, 0), (0, 1), (float("nan"), 1)], "cover the unit square"),
+    ],
+)
+def test_sampled_grid_takes_every_point_exactly_once(tmp_path, points, match):
+    p = tmp_path / "bad.csv"
+    rows = [f"{x},{y},{k + 1},0,1" for k, (x, y) in enumerate(points)]
+    p.write_text("# alpha=1.0\nx,y,a11,a12,a22\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InvariantError, match=match):
         C.load_sampled_coefficient(p)
 
 

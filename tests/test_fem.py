@@ -540,6 +540,20 @@ def test_zero_trace_check_agrees_with_the_boundary_mask(level, rng):
     assert verdicts == {False, True}
 
 
+@pytest.mark.parametrize(
+    "field, shape",
+    [
+        (F.P1Function, (24,)),
+        (F.PCVectorField, (32, 3)),
+        (C.PiecewiseConstantMatrixField, (5, 2, 2)),
+    ],
+)
+def test_fields_reject_values_that_do_not_match_the_mesh(meshes, field, shape):
+    # the level-2 mesh has 25 vertices and 32 cells
+    with pytest.raises(InvariantError, match="does not match the mesh"):
+        field(meshes[2], np.zeros(shape))
+
+
 def test_field_mesh_mismatch(meshes):
     u = F.PCVectorField(meshes[1], np.zeros((meshes[1].num_cells, 2)))
     v = F.PCVectorField(meshes[2], np.zeros((meshes[2].num_cells, 2)))

@@ -25,6 +25,8 @@ def test_parse_levels_variants():
     assert X.parse_levels("3..3") == (3,)
     with pytest.raises(ConfigError, match="reversed level range"):
         X.parse_levels("4..2,5")
+    with pytest.raises(ConfigError, match="cannot parse levels"):
+        X.parse_levels(4)
 
 
 def test_unknown_keys_rejected():
@@ -54,6 +56,21 @@ def test_validation_rules():
         X.config_from_dict({"kind": "coeff-decay", "coeff": "sampled", "levels": [1, 2]})
     with pytest.raises(ConfigError, match="solver_tol"):
         X.config_from_dict({"kind": "stability", "levels": [2], "solver_tol": 1.0})
+    for bad, match in [
+        ({"coeff": "granite"}, "unknown coefficient"),
+        ({"rhs": "granite"}, "unknown rhs"),
+        ({"p": 1.05}, "p must be in"),
+        ({"p_hat": 11.0}, "p_hat must be in"),
+        ({"levels": []}, "nonempty"),
+        ({"levels": [2, X.MAX_LEVEL + 1]}, "levels must lie in"),
+        ({"projection_tol": 1e-2}, "projection_tol"),
+        ({"seed": 2**64}, "64 bits"),
+        ({"seed": -1}, "64 bits"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            X.config_from_dict({"kind": "stability", "levels": [2], **bad})
+    with pytest.raises(ConfigError, match="study levels plus a reference"):
+        X.config_from_dict({"kind": "convergence", "levels": [4]})
 
 
 def test_non_numeric_values_become_config_errors():
@@ -145,13 +162,22 @@ def test_rows_must_increase():
         X.StudyReport(rows=rows, metadata={})
 
 
-def test_write_report_atomic(tmp_path):
+def test_write_report_atomic(tmp_path, monkeypatch):
     report = X.StudyReport(rows=(X.ReportRow(level=1, cells=8),), metadata={})
     out = tmp_path / "r.csv"
     X.write_report(report, str(out))
     assert out.read_text().startswith(X.CSV_HEADER)
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert not leftovers
+
+    # a failed write removes its temp file and leaves the target unwritten
+    def full_disk(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(X.os, "replace", full_disk)
+    with pytest.raises(OSError, match="no space"):
+        X.write_report(report, str(tmp_path / "s.csv"))
+    assert sorted(os.listdir(tmp_path)) == ["r.csv"]
 
 
 def test_aborted_run_leaves_no_output(tmp_path, monkeypatch):

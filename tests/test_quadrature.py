@@ -699,6 +699,15 @@ def test_nested_levels_match_the_full_level_kernel_on_cut_pieces(nondyadic_csv_p
     )
 
 
+def test_empty_inputs_evaluate_nothing():
+    def never(*args):
+        raise AssertionError("evaluated on empty input")
+
+    means, rest = Q._refine(never, 0, range(3), 1e-6, 0.0, stall_after=1)
+    assert means.size == 0 and rest.size == 0
+    assert Q.global_scale_floor(never, np.empty((0, 3, 2))) == 0.0
+
+
 def test_global_scale_floor_is_the_level_one_mean():
     verts = build_uniform_mesh(2).cell_coordinates()
     ids = np.arange(len(verts))
