@@ -16,7 +16,7 @@ import subprocess
 import sys
 import time
 
-from bmofem.harness import config_from_dict, run_study
+from bmofem.harness import _orders, config_from_dict, run_study
 
 # written into the output directory by make_sampled_coefficient.py --n 10
 SAMPLED_GRID = "sampled_coeff_10.csv"
@@ -120,6 +120,14 @@ def main():
         if cfg.kind == "stability":
             spread = report.metadata["stability_ratio_max_over_min"]
             summary = "no ratio spread" if spread is None else f"ratio spread {spread:.4f}"
+            osc = report.metadata["data_oscillation_l2"]
+            order = _orders(osc)[-1]
+            if osc[-1] == 0.0:
+                summary += ", oscillation 0"
+            else:
+                summary += f", oscillation {osc[-1]:.4e}"
+                if order is not None:
+                    summary += f" (order {order:.3f})"
         elif cfg.kind == "convergence":
             orders = [r.order for r in report.rows if r.order is not None]
             summary = "orders " + ", ".join(f"{o:.3f}" for o in orders)

@@ -200,7 +200,9 @@ def load_sampled_coefficient(path) -> CoefficientField:
     then one row per sample on a rectilinear grid (any sorted abscissae
     times any sorted ordinates) covering the unit square, row-major; every
     grid point appears exactly once, else InvariantError names the first
-    one missing or repeated.
+    one missing or repeated.  alpha must be finite, positive and at most the
+    smallest eigenvalue over the finite samples, else InvariantError names
+    the sample that attains that minimum.
     Evaluation interpolates bilinearly between samples, so the interior
     sample lines are the field's breaklines, and between them every entry
     is a polynomial of degree 2.
@@ -260,6 +262,23 @@ def load_sampled_coefficient(path) -> CoefficientField:
     # one contiguous (ys.size * xs.size) plane per entry a11, a12, a22
     planes = np.empty((3, k.size))
     planes[:, k] = data[:, 2:].T
+    # lambda_min is concave in the matrix and the bilinear weights are
+    # convex, so the smallest eigenvalue over the samples bounds the whole
+    # field; non-finite samples are left to the quadrature's guard
+    finite = np.isfinite(planes).all(axis=0)
+    eigs = np.full(k.size, np.inf)
+    eigs[finite] = _min_eigenvalues(planes[[0, 1, 1, 2]][:, finite].T.reshape(-1, 2, 2))
+    low = int(np.argmin(eigs))
+    lam = float(eigs[low])
+    if not (np.isfinite(alpha) and 0.0 < alpha <= lam):
+        where = (
+            f"; the smallest is {lam!r}, at point ({xs[low % nx]}, {ys[low // nx]})"
+            if np.isfinite(lam) else ""
+        )
+        raise InvariantError(
+            f"sampled coefficient declares alpha={alpha!r}, but alpha must be finite, "
+            f"positive and at most every sample's smallest eigenvalue{where}"
+        )
     locate_x, locate_y = _interval_finder(xs), _interval_finder(ys)
 
     def evaluate(points):

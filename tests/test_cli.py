@@ -168,6 +168,28 @@ def test_sampled_grid_with_a_repeated_point_is_a_numerical_failure_naming_it(tmp
     assert "point (0.0, 1.0) is given 2 times" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "alpha, a11, point",
+    [(1.0, -5.0, "(1.0, 1.0)"), (-1.0, 2.0, "(0.0, 0.0)")],
+)
+def test_sampled_grid_whose_alpha_fails_a_sample_is_a_numerical_failure_naming_it(
+    alpha, a11, point, tmp_path, capsys
+):
+    # unchecked, a negative sample would fail only at assembly, naming no
+    # sample, and a negative alpha would pass unnoticed
+    csv = tmp_path / "bad.csv"
+    rows = [f"{x},{y},{a11 if (x, y) == (1.0, 1.0) else 2.0},0.0,2.0"
+            for y in (0.0, 1.0) for x in (0.0, 1.0)]
+    csv.write_text("\n".join([f"# alpha={alpha}", "x,y,a11,a12,a22"] + rows) + "\n")
+    cfg = _write_config(
+        tmp_path,
+        {"kind": "stability", "coeff": "sampled", "coeff_csv": str(csv), "levels": [2]},
+    )
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and f"alpha={alpha}" in err and f"point {point}" in err
+
+
 def test_convergence_with_a_vanishing_load_reports_no_order(tmp_path, capsys):
     # rhs constant projects to the zero load, so u_h = 0 on every level and
     # every error is 0: the order is left empty, as in coeff-decay

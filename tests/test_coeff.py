@@ -711,6 +711,66 @@ def test_sampled_grid_takes_every_point_exactly_once(tmp_path, points, match):
         C.load_sampled_coefficient(p)
 
 
+def _two_by_two(path, alpha, a11_at_11=2.0):
+    """A 2x2 sampled grid of diag(2, 2), except a11 at (1, 1)."""
+    rows = [f"{x},{y},{a11_at_11 if (x, y) == (1.0, 1.0) else 2.0},0.0,2.0"
+            for y in (0.0, 1.0) for x in (0.0, 1.0)]
+    path.write_text("\n".join([f"# alpha={alpha!r}", "x,y,a11,a12,a22"] + rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "alpha, a11, match",
+    [
+        (1.0, -5.0, r"alpha=1.0, .* the smallest is -5.0, at point \(1.0, 1.0\)"),
+        (-1.0, 2.0, r"alpha=-1.0, .* the smallest is 2.0, at point \(0.0, 0.0\)"),
+        (0.0, 2.0, "alpha=0.0"),
+        (float("nan"), 2.0, "alpha=nan"),
+        (float("inf"), 2.0, "alpha=inf"),
+        (float(np.nextafter(2.0, 3.0)), 2.0, r"the smallest is 2.0, at point \(0.0, 0.0\)"),
+    ],
+)
+def test_sampled_alpha_must_bound_every_sample(tmp_path, alpha, a11, match):
+    with pytest.raises(InvariantError, match=match):
+        C.load_sampled_coefficient(_two_by_two(tmp_path / "c.csv", alpha, a11))
+
+
+def test_sampled_alpha_may_equal_the_sample_minimum(tmp_path):
+    assert C.load_sampled_coefficient(_two_by_two(tmp_path / "c.csv", 2.0)).alpha == 2.0
+    # the minimal eigenvalue of [[3, 1], [1, 3]] is 2 exactly
+    path = tmp_path / "offdiag.csv"
+    rows = [f"{x},{y},3.0,1.0,3.0" for y in (0.0, 1.0) for x in (0.0, 1.0)]
+    path.write_text("\n".join(["# alpha=2.0", "x,y,a11,a12,a22"] + rows) + "\n")
+    assert C.load_sampled_coefficient(path).alpha == 2.0
+
+
+def test_sampled_alpha_check_skips_non_finite_samples(tmp_path):
+    # the NaN sample is left to the quadrature guard; the finite ones bound alpha
+    assert C.load_sampled_coefficient(_two_by_two(tmp_path / "c.csv", 2.0, float("nan")))
+    with pytest.raises(InvariantError, match=r"point \(0.0, 0.0\)"):
+        C.load_sampled_coefficient(_two_by_two(tmp_path / "c.csv", 2.5, float("nan")))
+
+
+def test_shipped_and_generated_sampled_grids_declare_a_valid_alpha(
+    sampled_csv_path, sampled_grid_csv, nondyadic_csv_path, tmp_path
+):
+    C.load_sampled_coefficient(sampled_csv_path)
+    C.load_sampled_coefficient(nondyadic_csv_path)
+    for seed in range(5):
+        C.load_sampled_coefficient(
+            sampled_grid_csv([0.0, 0.1, 0.15, 0.5, 0.9, 1.0], [0.0, 0.3, 0.35, 0.4, 1.0], seed)
+        )
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in range(5):
+        path = tmp_path / f"grid_{seed}.csv"
+        path.write_text(workloads.sampled_grid_text(seed))
+        C.load_sampled_coefficient(path)
+
+
 def test_make_sampled_coefficient_script_writes_a_valid_file(tmp_path):
     script = pathlib.Path(__file__).parents[1] / "scripts" / "make_sampled_coefficient.py"
     out = tmp_path / "coeff.csv"

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -231,6 +233,57 @@ def test_data_oscillation_of_x_matches_closed_form(meshes, p, level):
         # |x - x_K|^p is kinked in every cell: the default rel_tol 1e-4
         # lands within 1e-6 of the closed form
         assert got == pytest.approx(_x_oscillation(p, level), rel=1e-5)
+
+
+def test_stability_study_reports_the_l2_data_oscillation():
+    # the report is the L^2 misfit whatever p: at p = 2.1 it is the value
+    # data_oscillation computes at p = 2, bit for bit
+    cfg = X.config_from_dict(
+        {"kind": "stability", "coeff": "identity", "rhs": "sin-cos", "p": 2.1, "levels": "2..4"}
+    )
+    report = X.run_study(cfg)
+    assert "data_oscillation_lp" not in report.metadata
+    f = X.rhs_fixture(cfg)
+    want = [
+        X.data_oscillation(f, F.project_rhs(f, build_uniform_mesh(level), cfg.projection_tol), 2.0)
+        for level in (2, 3, 4)
+    ]
+    assert report.metadata["data_oscillation_l2"] == want
+
+
+def test_l2_data_oscillation_of_sin_cos_decays_at_first_order(meshes):
+    f = X.rhs_fixture(X.ExperimentConfig(kind="stability", rhs="sin-cos"))
+    osc = [X.data_oscillation(f, F.project_rhs(f, meshes[level]), 2.0) for level in range(3, 8)]
+    assert osc[0] == pytest.approx(0.0924, rel=1e-3)
+    assert osc[-1] == pytest.approx(0.00578, rel=1e-3)
+    assert all(abs(math.log2(a / b) - 1.0) <= 0.01 for a, b in zip(osc, osc[1:]))
+
+
+def test_stability_study_evaluates_the_rhs_about_90_times_per_cell(monkeypatch):
+    # projection and the L^2 oscillation take 91.3 evaluations per cell at
+    # level 6; the L^p oscillation at p = 2.1 refines every cell to m = 4..5,
+    # which makes 329.3
+    evals = 0
+    rhs_fixture = X.rhs_fixture
+
+    def counting(cfg):
+        f = rhs_fixture(cfg)
+
+        def count(P):
+            nonlocal evals
+            evals += P.shape[0]
+            return f(P)
+
+        return count
+
+    monkeypatch.setattr(X, "rhs_fixture", counting)
+    X.run_study(
+        X.config_from_dict(
+            {"kind": "stability", "coeff": "log", "beta": 0.5, "rhs": "sin-cos", "p": 2.1,
+             "levels": [6]}
+        )
+    )
+    assert evals <= 120 * build_uniform_mesh(6).num_cells
 
 
 # ---------------------------------------------------------------------------
@@ -517,3 +570,30 @@ def test_stability_study_at_the_ends_of_the_p_range(p):
         X.config_from_dict({"kind": "stability", "coeff": "log", "p": p, "levels": [2, 3]})
     )
     assert all(math.isfinite(r.conj_gap_ratio) for r in report.rows)
+
+
+# ---------------------------------------------------------------------------
+# study battery script
+
+
+def test_battery_metadata_drops_timings_and_the_output_path():
+    spec = importlib.util.spec_from_file_location(
+        "run_all_studies", pathlib.Path(__file__).parents[1] / "scripts" / "run_all_studies.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg = X.ExperimentConfig(
+        kind="convergence", coeff="sampled", coeff_csv="/some/dir/grid.csv",
+        levels=(2, 4), out="/some/dir/out.csv",
+    )
+    metadata = {"config": X.config_echo(cfg), "kind": "convergence", "reference_level": 4,
+                "reference_time_s": 1.5, "timings_s": [0.1, 0.2]}
+    meta = script.reproducible_metadata(metadata)
+    assert meta == {"config": meta["config"], "kind": "convergence", "reference_level": 4}
+    config = json.loads(meta["config"])
+    assert "out" not in config and config["coeff_csv"] == "grid.csv"
+    assert {k: v for k, v in config.items() if k != "coeff_csv"} == {
+        k: v for k, v in X.config_to_dict(cfg).items() if k not in ("out", "coeff_csv")
+    }
+    # the study's own metadata is left as it was
+    assert "timings_s" in metadata and json.loads(metadata["config"])["out"] == cfg.out
