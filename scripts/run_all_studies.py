@@ -70,6 +70,9 @@ CONFIGS = [
     # oscillation diagnostics for the classical unbounded example
     {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..4",
      "out": "bmo_log.csv"},
+    # its maximal check reads the generation-7 |w| means of the polar rule
+    {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..7",
+     "out": "bmo_log_fine.csv"},
     # the same diagnostics of a coefficient entry (coeff.coefficient_entry)
     {"kind": "bmo-diagnostics", "coeff": "checkerboard", "kappa": 100.0,
      "levels": "2..4", "out": "bmo_checkerboard.csv"},

@@ -22,6 +22,7 @@ DEFAULT_PROJECTION_TOL = 1e-6
 DEFAULT_SQUARE_TOL = 1e-8
 DEFAULT_OSC_TOL = 1e-5
 MAX_BMO_DEPTH = 8
+_SNAP_TOL = 1e-12  # in square-local units, see _grid_pieces
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,27 @@ class CoefficientField:
 
 
 @dataclass(frozen=True)
+class RadialProfile:
+    """Declares that a scalar field is w(x) = v(|x - centre|) with v
+    strictly monotone, by its centre and two functions of arrays:
+    antiderivative(r, c) = int_0^r (v(s) - c) s ds, and level_radius(c),
+    the radius where v = c, positive and finite for every c."""
+
+    centre: tuple[float, float]
+    antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    level_radius: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class ScalarField:
-    """Scalar field used by the maximal-function diagnostics."""
+    """Scalar field used by the maximal-function diagnostics.  radial, if
+    given, declares the field radial (RadialProfile); the dyadic square
+    means and oscillations of such a field are exact, by
+    quadrature.radial_polygon_integrals."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    radial: RadialProfile | None = None
 
 
 @dataclass(frozen=True)
@@ -309,7 +326,9 @@ def load_sampled_coefficient(path) -> CoefficientField:
 
 
 def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
-    """log(1/|x - x0|): the classical unbounded BMO function."""
+    """log(1/|x - x0|): the classical unbounded BMO function, declared
+    radial about x0: int_0^r (-log s - c) s ds = r^2 (1 - 2c - 2 log r) / 4,
+    and -log r = c at r = e^(-c)."""
     x0 = np.asarray(x0, dtype=float)
 
     def evaluate(points):
@@ -323,7 +342,19 @@ def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
         np.log(out, out=out)
         return np.negative(out, out=out)
 
-    return ScalarField(evaluate, name="log-reciprocal")
+    def antiderivative(r, c):
+        # r^2 (1 - 2c - 2 log r) / 4, in place
+        out = np.log(r)
+        out += c
+        out *= -2.0
+        out += 1.0
+        out *= r
+        out *= r
+        out *= 0.25
+        return out
+
+    radial = RadialProfile((float(x0[0]), float(x0[1])), antiderivative, lambda c: np.exp(-c))
+    return ScalarField(evaluate, name="log-reciprocal", radial=radial)
 
 
 def coefficient_entry(A: CoefficientField, i: int = 0, j: int = 0) -> ScalarField:
@@ -382,6 +413,13 @@ def _grid_pieces(level, breaks):
     Returns (pieces (K, 3, 2), parent (K,), areas (K,)), ordered by parent:
     the pieces of the cut cells only, each inside one rectangle, every
     area > 0.
+
+    A rectangle corner within _SNAP_TOL of the diagonal (|u - v| <= _SNAP_TOL)
+    is moved onto it.  Such a corner lies on the diagonal but for rounding
+    of the breaklines (0.3 and 0.55 give u = v = 1/5 at level 2, but not
+    bit for bit); left where it is, the clip cuts it off as slivers of
+    area down to 1e-33, each costing a full quadrature.  Dropping the
+    slivers instead would lose up to 7e-15 of a cell's area at level 7.
     """
     n = 2**level
     spans = []
@@ -402,6 +440,9 @@ def _grid_pieces(level, breaks):
     x, y = fx[i] + k % nx[i], fy[j] + k // nx[i]
     us = np.stack([u0[x], u1[x], u1[x], u0[x]], axis=1)
     vs = np.stack([v0[y], v0[y], v1[y], v1[y]], axis=1)
+    # a corner that only rounding of the breaklines keeps off the diagonal
+    # goes onto it, as does each rectangle that shares it
+    vs = np.where(np.abs(us - vs) <= _SNAP_TOL, us, vs)
     side = np.where(cell % 2, -1.0, 1.0)[:, None]
     poly, count = _clip(np.stack([us, vs], axis=2), side * (us - vs))
     fan = np.stack(
@@ -480,12 +521,24 @@ def project_coefficient(
 
 
 def _min_eigenvalues(values: np.ndarray) -> np.ndarray:
-    a = values[:, 0, 0]
-    b = values[:, 0, 1]
-    c = values[:, 1, 1]
+    """Smallest eigenvalue of each symmetric matrix [[a, b], [b, c]].
+
+    The entries are first scaled by the power of two that brings the
+    largest into [1/2, 1), exactly, so that no product overflows.  With
+    half = (a + c)/2 and rad = hypot((a - c)/2, b), the eigenvalues are
+    half -+ rad: for half < 0 the smaller is half - rad, with no
+    cancellation, and otherwise it is det / (half + rad), which keeps the
+    relative accuracy of a small eigenvalue beside a large one.  The zero
+    matrix gives 0."""
+    a, b, c = values[:, 0, 0], values[:, 0, 1], values[:, 1, 1]
+    _, exp = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))
+    a, b, c = (np.ldexp(v, -exp) for v in (a, b, c))
     half = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + b**2)
-    return half - rad
+    rad = np.hypot(0.5 * (a - c), b)
+    out = half - rad
+    big = half + rad
+    np.divide(a * c - b * b, big, out=out, where=(half >= 0) & (big > 0))
+    return np.ldexp(out, exp)
 
 
 def coercivity_of_projection(A_h: PiecewiseConstantMatrixField) -> float:
@@ -605,6 +658,38 @@ def _generation_grid(level: int):
     return los, 1.0 / n
 
 
+def _radial_square_means(w: ScalarField, los, size, centres=None) -> np.ndarray:
+    """Means of w, or with centres c (one per square) of |w - c|, over the
+    squares with lower corners los (K, 2) and sides size (scalar or (K,)),
+    for a field that declares a radial profile: exact, by
+    quadrature.radial_polygon_integrals on the profile's antiderivative P.
+
+    With rho = level_radius(c), int_0^r |v - c| s ds is sigma P(r) up to
+    rho and sigma (2 P(rho) - P(r)) beyond it, sigma the sign of P(rho);
+    the rule splits each edge where it crosses rho."""
+    radial = w.radial
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    squares = los[:, None, :] + corners * np.reshape(size, (-1, 1, 1))
+    if centres is None:
+        integrals = quadrature.radial_polygon_integrals(
+            lambda r, ids: radial.antiderivative(r, 0.0), radial.centre, squares
+        )
+    else:
+        rho = radial.level_radius(centres)
+        p_rho = radial.antiderivative(rho, centres)
+        sigma = np.sign(p_rho)
+
+        def H(r, ids):
+            p = radial.antiderivative(r, centres[ids])
+            beyond = np.flatnonzero(r > rho[ids])
+            p[beyond] = 2.0 * p_rho[ids[beyond]] - p[beyond]
+            p *= sigma[ids]
+            return p
+
+        integrals = quadrature.radial_polygon_integrals(H, radial.centre, squares, rho)
+    return integrals / np.square(size)
+
+
 def generation_oscillation_means(w: ScalarField, level: int, tol=DEFAULT_OSC_TOL):
     """For every generation-`level` dyadic square Q: (average of w on Q,
     average of |w - w_Q| on Q), by per-square quadrature.  The reference
@@ -623,16 +708,33 @@ def dyadic_oscillations(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL):
     """For every dyadic generation j = 0..depth: the averages of w on each
     generation-j square Q, the averages of |w - w_Q| on Q (both indexed
     ix + iy * 2^j), and the number of generation-j squares the pyramid
-    handed to the per-square rule (both passes together)."""
-    means, fb_means = quadrature.dyadic_means(w.evaluate, depth, tol)
-    oscs, fb_oscs = quadrature.dyadic_means(w.evaluate, depth, tol, centres=means)
-    return means, oscs, [a + b for a, b in zip(fb_means, fb_oscs)]
+    handed to the per-square rule (both passes together).
+
+    A field that declares a radial profile takes the exact polar rule
+    (_radial_square_means) instead of the pyramid, for all generations in
+    one batch: tol is not used and no square falls back."""
+    if w.radial is None:
+        means, fb_means = quadrature.dyadic_means(w.evaluate, depth, tol)
+        oscs, fb_oscs = quadrature.dyadic_means(w.evaluate, depth, tol, centres=means)
+        return means, oscs, [a + b for a, b in zip(fb_means, fb_oscs)]
+    if not (0 <= depth <= MAX_BMO_DEPTH):
+        raise ValueError(f"depth must be in [0, {MAX_BMO_DEPTH}], got {depth}")
+    grids = [_generation_grid(j) for j in range(depth + 1)]
+    los = np.concatenate([lo for lo, _ in grids])
+    sizes = np.concatenate([np.full(lo.shape[0], size) for lo, size in grids])
+    means = _radial_square_means(w, los, sizes)
+    oscs = _radial_square_means(w, los, sizes, means)
+    splits = np.cumsum([4**j for j in range(depth)])
+    return np.split(means, splits), np.split(oscs, splits), [0] * (depth + 1)
 
 
 def generation_abs_means(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> np.ndarray:
     """Average of |w| over every generation-`level` dyadic square, indexed
-    ix + iy * 2^level."""
+    ix + iy * 2^level: exact for a field that declares a radial profile
+    (_radial_square_means, tol not used), else by square_means_batch."""
     los, size = _generation_grid(level)
+    if w.radial is not None:
+        return _radial_square_means(w, los, size, np.zeros(los.shape[0]))
     return quadrature.square_means_batch(
         lambda p, i: np.abs(w.evaluate(p)), los, size, tol
     )
@@ -669,16 +771,20 @@ def john_nirenberg_check(
     the square, in row strips of at most quadrature.STRIP_POINTS = _CHUNK
     points, so that a strip of the depth-12 grid holds four rows.
     Non-finite samples are skipped; more than 0.1% skipped is an error.
-    The result is monotone nonincreasing in lambda.
+    The result is monotone nonincreasing in lambda.  The mean w_Q is exact
+    for a field that declares a radial profile (_radial_square_means).
     """
     if not (1 <= depth <= 12):
         raise ValueError(f"depth must be in [1, 12], got {depth}")
     lambdas = [float(lam) for lam in lambdas]
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("lambdas must be positive")
-    w_q = quadrature.square_means_batch(
-        lambda p, i: w.evaluate(p), [square.lo], square.size, DEFAULT_SQUARE_TOL
-    )[0]
+    if w.radial is None:
+        w_q = quadrature.square_means_batch(
+            lambda p, i: w.evaluate(p), [square.lo], square.size, DEFAULT_SQUARE_TOL
+        )[0]
+    else:
+        w_q = _radial_square_means(w, square.lo[None], square.size)[0]
     exceed = [0] * len(lambdas)
     finite_count = 0
     for _, _, vals in quadrature._ladder_strips(w.evaluate, depth, square.lo, square.size):

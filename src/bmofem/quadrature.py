@@ -1,10 +1,16 @@
-"""Composite midpoint quadrature with adaptive refinement, and one fixed
-rule for polynomial fields.
+"""Composite midpoint quadrature with adaptive refinement, and two fixed
+rules for fields that declare their form.
 
-``polynomial_means`` is the one mean that is not refined: the 6-point
-degree-4 rule, exact for a field that is a polynomial of degree at most 4
-on each triangle.  coeff.cell_means uses it for fields that declare such a
-degree between their breaklines.
+Two kernels are not refined:
+
+* ``polynomial_means``: the 6-point degree-4 rule, exact for a field that
+  is a polynomial of degree at most 4 on each triangle.  coeff.cell_means
+  uses it for fields that declare such a degree between their breaklines.
+
+* ``radial_polygon_integrals``: integrals of a radial field over polygons,
+  from the field's radial antiderivative by Gauss-Legendre rules along
+  each edge (GAUSS_NODES nodes per piece), exact up to a few ulps.  The
+  BMO diagnostics use it for scalars that declare such a profile.
 
 Every other mean in the package settles by one rule (``_refine``).  Composite
 midpoint means are taken at successive levels, each on four times the
@@ -103,6 +109,23 @@ _DEGREE4_ORBITS = tuple(
 )
 # half the difference of the orbits' weights, which sum to 1/3
 _DEGREE4_SPREAD = np.sqrt(213125.0 - 53320.0 * np.sqrt(10.0)) / 3720.0
+
+# the GAUSS_NODES-point Gauss-Legendre rule on [-1, 1], as
+# numpy.polynomial.legendre.leggauss gives it, written out so that importing
+# the package loads no numpy.polynomial: the positive nodes, whose mirror
+# images are the negative ones, and the weights both share
+GAUSS_NODES = 12
+_GAUSS_X = (
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+)
+_GAUSS_W = (
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+)
+# the longest piece of an edge, in the variable u of radial_polygon_integrals,
+# that one Gauss rule covers
+_PIECE_SPAN = 1.0
 
 
 def _check_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -369,6 +392,128 @@ def polynomial_means(f, verts, cell_ids=None):
         s1 *= _DEGREE4_SPREAD
         mean += s1
     return out
+
+
+def radial_polygon_integrals(H, centre, polys, kinks=None):
+    """Integrals of a radial field g(|x - centre|) over each polygon, from
+    its radial antiderivative, by a fixed rule and with no refinement.
+
+    H(r (N,), ids (N,)) -> (N,) is H(r) = int_0^r g(s) s ds for the field
+    of polygon ids, so each polygon may have its own profile.  polys
+    (K, M, 2) holds each polygon's vertices in order, in either
+    orientation; a repeated vertex makes an empty edge.  kinks, if given,
+    holds one radius per polygon where g has a kink, such as where
+    |w - c| changes sign.
+
+    Seen from the centre, a polygon is the signed sum of the triangles
+    (centre, p, q) over its edges pq, so int_K g is the sum over the edges
+    of +-int H(r_e(theta)) dtheta, over the angle theta that the edge
+    sweeps, r_e(theta) the distance to the edge along the ray theta.  The
+    sign is the polygon's orientation times the sense in which the edge
+    turns about the centre.  So the centre may lie inside the polygon, on
+    it or outside it, and an edge on a line through the centre adds
+    nothing.
+
+    An edge whose line lies at distance d from the centre sweeps
+    dtheta = d ds / (d^2 + s^2) at signed distance s from the foot of the
+    perpendicular.  In u = asinh(s / d) that is du / cosh(u), at radius
+    r = d cosh(u): the integrand H(d cosh u) / cosh u is as smooth for an
+    edge close to the centre as for a far one, while in theta such an edge
+    ends near the poles of r_e (the sinh transformation of nearly singular
+    integrals).  The u-range is split at +-acosh(kink / d), where r crosses
+    the kink, and into pieces of at most _PIECE_SPAN, each integrated by
+    the GAUSS_NODES-point Gauss-Legendre rule.  An edge whose u-range
+    overflows, its line within about 1e-154 of the centre, adds O(d) and
+    is dropped.
+
+    Polygons are taken in blocks of _CHUNK // (GAUSS_NODES M), a batch's
+    worth at one piece per edge, and H gets at most _CHUNK radii at a
+    time; so besides its output the rule holds only block-sized arrays.
+    Each piece adds its nodes' values pairwise by mirror node, and a
+    bincount adds each polygon's pieces in order, so neither the blocks
+    nor the batches change any result.
+    """
+    polys = np.asarray(polys, dtype=float)
+    centre = np.asarray(centre, dtype=float)
+    kinks = None if kinks is None else np.asarray(kinks, dtype=float)
+    count, m = polys.shape[:2]
+    x = np.array(_GAUSS_X)
+    nodes = np.concatenate([x, -x])[:, None]
+    per = max(1, _CHUNK // GAUSS_NODES)
+    out = np.empty(count)
+    block_size = max(1, per // m)
+    for first in range(0, count, block_size):
+        block = slice(first, first + block_size)
+        mid, half, d, ids, sign = _edge_pieces(
+            polys[block] - centre, None if kinks is None else kinks[block]
+        )
+        sums = np.empty(mid.size)
+        for start in range(0, mid.size, per):
+            part = slice(start, start + per)
+            c = np.cosh(mid[part] + nodes * half[part])  # (node, piece)
+            r = d[part] * c
+            owner = np.broadcast_to(ids[part] + first, c.shape)
+            vals = np.asarray(H(r.ravel(), owner.ravel()), dtype=float).reshape(c.shape)
+            if not np.all(np.isfinite(vals)):
+                i = np.unravel_index(int(np.argmin(np.isfinite(vals))), c.shape)
+                raise SingularityError(
+                    f"non-finite radial antiderivative at radius {r[i]} in polygon {owner[i]}"
+                )
+            vals /= c
+            acc = np.zeros(c.shape[1])
+            for i, w in enumerate(_GAUSS_W):
+                acc += w * (vals[i] + vals[i + len(_GAUSS_W)])
+            sums[part] = acc * half[part] * sign[part]
+        out[block] = np.bincount(ids, weights=sums, minlength=polys[block].shape[0])
+    return out
+
+
+def _edge_pieces(rel, kinks):
+    """The Gauss pieces of radial_polygon_integrals for polygons rel
+    (K, M, 2), relative to the centre: per piece its midpoint and half
+    width in u, the distance d of its edge's line, its polygon and its
+    sign, ordered by polygon, edge and u.
+
+    An edge from p to q spans u_p..u_p + W.  W comes from
+    sinh W = (s_q |p| - s_p |q|) / d^2, which for s_p, s_q of one sign is
+    L (s_p + s_q) / (s_q |p| + s_p |q|), L the edge's length: with no
+    cancellation, so that a far edge's narrow span keeps its relative
+    accuracy.  The pieces are laid out as offsets from u_p."""
+    m = rel.shape[1]
+    p, q = rel, np.roll(rel, -1, axis=1)
+    ex, ey = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
+    cross = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+    orientation = np.sign(cross.sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        length = np.hypot(ex, ey)
+        h = cross / length  # signed distance of the edge's line
+        d = np.abs(h)
+        sp = (p[..., 0] * ex + p[..., 1] * ey) / length
+        sq = (q[..., 0] * ex + q[..., 1] * ey) / length
+        rp, rq = np.hypot(p[..., 0], p[..., 1]), np.hypot(q[..., 0], q[..., 1])
+        up = np.arcsinh(sp / d)
+        one_side = length * (sp + sq) / (sq * rp + sp * rq)
+        span = np.arcsinh(np.where(sp * sq > 0, one_side, (sq * rp - sp * rq) / d / d))
+        # drops empty edges, lines through the centre and overflowing spans
+        edge = np.flatnonzero(np.isfinite(up) & np.isfinite(span))
+        poly = edge // m
+        up, span, d = up.ravel()[edge], span.ravel()[edge], d.ravel()[edge]
+        sign = orientation[poly] * np.sign(h.ravel()[edge])
+        if kinks is None:
+            lo, hi, owner = np.zeros(edge.size), span, np.arange(edge.size)
+        else:
+            # r = d cosh(u) meets the kink at u = +-acosh(kink / d)
+            at = np.arccosh(np.maximum(kinks[poly] / d, 1.0))
+            inner = [np.clip(t - up, 0.0, span) for t in (-at, at)]
+            cuts = np.stack([np.zeros(edge.size), *inner, span], axis=1)
+            lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+            owner = np.repeat(np.arange(edge.size), 3)
+    n = np.ceil((hi - lo) / _PIECE_SPAN).astype(np.intp)  # 0 for empty pieces
+    width = np.repeat((hi - lo) / np.maximum(n, 1), n)
+    k = np.arange(width.size) - np.repeat(np.cumsum(n) - n, n)
+    owner = np.repeat(owner, n)
+    mid = up[owner] + (np.repeat(lo, n) + (k + 0.5) * width)
+    return mid, 0.5 * width, d[owner], poly[owner], sign[owner]
 
 
 def global_scale_floor(f, verts, cell_ids=None) -> float:

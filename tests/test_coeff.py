@@ -398,6 +398,10 @@ def _wave(p):
     return np.sin(3.0 * p[:, 0]) + np.cos(2.0 * p[:, 1])
 
 
+# the log scalar without its radial declaration, so that the dyadic
+# ladder and the square rule still meet a kinked, singular field
+UNDECLARED_LOG = C.ScalarField(C.log_reciprocal_scalar().evaluate, "log-reciprocal")
+
 PYRAMID_FIELDS = {
     "log": C.log_reciprocal_scalar(),
     "half": C.ScalarField(lambda p: (p[:, 0] < 0.5).astype(float), "half"),
@@ -423,7 +427,7 @@ def test_dyadic_oscillations_match_per_square_quadrature(name):
 def test_dyadic_oscillations_fall_back_only_where_squares_do_not_settle():
     # log(1/|x|) leaves the pyramid only at the singular corner and where
     # |w - w_Q| has a kink; the half indicator never leaves it
-    _, _, fallbacks = C.dyadic_oscillations(PYRAMID_FIELDS["log"], 3)
+    _, _, fallbacks = C.dyadic_oscillations(UNDECLARED_LOG, 3)
     assert 1 <= sum(fallbacks) < sum(4**j for j in range(4))
     _, _, fallbacks = C.dyadic_oscillations(PYRAMID_FIELDS["half"], 3)
     assert fallbacks == [0, 0, 0, 0]
@@ -481,7 +485,7 @@ def test_dyadic_means_evaluates_each_grid_once_in_bounded_strips():
 
 
 def test_dyadic_means_do_not_depend_on_the_strip_size(monkeypatch):
-    w = PYRAMID_FIELDS["log"]
+    w = UNDECLARED_LOG
     means, oscs, fallbacks = C.dyadic_oscillations(w, 3)
     # 2^10-point strips: from 64 rows down to 2 rows, inside one square
     monkeypatch.setattr(Q, "STRIP_POINTS", 1 << 10)
@@ -515,7 +519,7 @@ def test_bmo_kernels_keep_their_point_buffers_small():
     # grid, the singular corner's 1024^2 one too, comes in batches of at
     # most a chunk, and no tiled offsets or stacked copies are made
     chunk = Q._CHUNK * 8
-    w = C.log_reciprocal_scalar()
+    w = UNDECLARED_LOG
     # a many-square batch: planar nodes (2), its ids (1), the field's result
     # and temporary (2), |w| (1); under one more for the refinement's
     # per-square arrays over 1024 squares
@@ -532,6 +536,93 @@ def test_bmo_kernels_keep_their_point_buffers_small():
     square = C.DyadicSquare(0, 0, 0)
     jn = lambda: C.john_nirenberg_check(w, square, [0.5, 1.0, 2.0, 3.0], 10)
     assert _traced_peak(jn) <= 7 * chunk
+
+
+# ---------------------------------------------------------------------------
+# The polar rule: log_reciprocal_scalar declares its radial profile, so its
+# dyadic square means and oscillations are exact, with no fallback.
+
+
+@pytest.fixture(scope="module")
+def polar_pyramid():
+    """dyadic_oscillations of the declared log scalar, all generations."""
+    return C.dyadic_oscillations(C.log_reciprocal_scalar(), C.MAX_BMO_DEPTH)
+
+
+def test_polar_corner_squares_match_the_closed_forms(polar_pyramid):
+    means, oscs, fallbacks = polar_pyramid
+    assert fallbacks == [0] * (C.MAX_BMO_DEPTH + 1)
+    assert abs(oscs[0][0] - LOG_UNIT_SQUARE_OSC) <= 1e-13
+    for j in range(C.MAX_BMO_DEPTH + 1):
+        # on [0, 2^-j]^2, log(1/|x|) is j ln 2 plus its unit-square values
+        assert abs(means[j][0] - (LOG_UNIT_SQUARE_MEAN + j * math.log(2.0))) <= 1e-13
+        assert abs(oscs[j][0] - oscs[0][0]) <= 1e-13
+
+
+def test_polar_top_row_matches_square_quadrature(polar_pyramid):
+    # far from the singularity the square rule settles at tol 1e-10
+    n = 2**8
+    los = np.column_stack([np.arange(n), np.full(n, n - 1)]) / n
+    w = C.log_reciprocal_scalar()
+    want = Q.square_means_batch(lambda p, i: w.evaluate(p), los, 1.0 / n, 1e-10)
+    assert np.max(np.abs(polar_pyramid[0][8][-n:] - want)) <= 1e-12
+
+
+def test_polar_rule_settles_the_kinked_squares(polar_pyramid):
+    means, oscs, _ = polar_pyramid
+    # [0, 1/16] x [3/16, 1/4]: |w - w_Q| has a kink inside it, where the
+    # cell rule missed its tolerance by 9.6e-5 (an 8192^2 midpoint grid
+    # gives 0.0703282)
+    assert abs(means[4][3 * 16] - 1.50970191775) <= 1e-11
+    assert abs(oscs[4][3 * 16] - 0.0703282081755) <= 1e-11
+    # |w| over [0.75, 0.875] x [0.5, 0.625], crossed by its kink at r = 1,
+    # where square_means_batch misses its tolerance
+    got = C.generation_abs_means(C.log_reciprocal_scalar(), 3)[6 + 4 * 8]
+    assert abs(got - 0.0312998356785) <= 1e-12
+
+
+def test_declared_scalar_square_means_never_sample_it(monkeypatch):
+    w = C.log_reciprocal_scalar()
+    calls = []
+
+    def evaluate(points):
+        calls.append(points.shape[0])
+        return w.evaluate(points)
+
+    spy = dataclasses.replace(w, evaluate=evaluate)
+    C.dyadic_oscillations(spy, 6)
+    C.generation_abs_means(spy, 5)
+    assert calls == []
+    # the John-Nirenberg table samples the field, but its w_Q is exact
+    monkeypatch.setattr(Q, "square_means_batch", None)
+    table = C.john_nirenberg_check(spy, C.DyadicSquare(0, 0, 0), [1.0], 4)
+    assert sum(calls) == 4**4
+    assert table == C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], 4)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.5, 0.5), (0.3, 0.55)])
+def test_polar_rule_matches_the_ladder(x0):
+    # the ladder falls back on the squares that hold the singularity, and
+    # at (0.3, 0.55) that lies inside them
+    w = C.log_reciprocal_scalar(x0)
+    tol = C.DEFAULT_OSC_TOL
+    means, oscs, _ = C.dyadic_oscillations(w, 4)
+    l_means, l_oscs, _ = C.dyadic_oscillations(C.ScalarField(w.evaluate, "undeclared"), 4)
+    for got, want in zip(means + oscs, l_means + l_oscs):
+        assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+    if x0 == (0.0, 0.0):
+        # where every square has the singularity at a corner or not at all
+        assert all(np.max(np.abs(got - want)) <= 1e-9 for got, want in zip(means, l_means))
+
+
+def test_polar_rule_keeps_its_buffers_small():
+    # in chunk units: one batch's radii, cosh values, ids and the profile's
+    # temporaries, under 12; plus 20 floats per square of generations
+    # 0..6 for the corners, sides, means, centres and kink radii
+    chunk = Q._CHUNK * 8
+    squares = sum(4**j for j in range(7))
+    peak = _traced_peak(lambda: C.dyadic_oscillations(C.log_reciprocal_scalar(), 6))
+    assert peak <= 12 * chunk + 20 * squares * 8
 
 
 def test_cell_mean_passes_hold_their_output_and_one_block():
@@ -749,6 +840,33 @@ def test_sampled_alpha_check_skips_non_finite_samples(tmp_path):
     assert C.load_sampled_coefficient(_two_by_two(tmp_path / "c.csv", 2.0, float("nan")))
     with pytest.raises(InvariantError, match=r"point \(0.0, 0.0\)"):
         C.load_sampled_coefficient(_two_by_two(tmp_path / "c.csv", 2.5, float("nan")))
+
+
+def test_min_eigenvalues_neither_overflow_nor_cancel(tmp_path):
+    # diag(1e200, 1) at (0, 0), diag(2, 2) elsewhere: alpha = 1 is its
+    # smallest eigenvalue, with no warning (pytest turns them into errors)
+    path = tmp_path / "c.csv"
+    rows = [f"{x},{y},{1e200 if x == y == 0.0 else 2.0},0.0,{1.0 if x == y == 0.0 else 2.0}"
+            for y in (0.0, 1.0) for x in (0.0, 1.0)]
+    path.write_text("\n".join(["# alpha=1.0", "x,y,a11,a12,a22"] + rows) + "\n")
+    assert C.load_sampled_coefficient(path).alpha == 1.0
+    lam = C._min_eigenvalues(np.array([np.diag([1e8, 1e-8])]))[0]
+    assert abs(lam - 1e-8) <= 4 * np.spacing(1e-8)
+    # indefinite, negative definite, zero
+    m = np.array([[[1.0, 2.0], [2.0, 1.0]], [[-3.0, 0.0], [0.0, -1.0]], np.zeros((2, 2))])
+    assert C._min_eigenvalues(m).tolist() == [-1.0, -3.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    exponent=st.integers(-300, 300),
+)
+def test_min_eigenvalues_match_eigvalsh(entries, exponent):
+    a, b, c = np.array(entries) * 10.0**exponent
+    want = np.linalg.eigvalsh(np.array([[a, b], [b, c]]) / 10.0**exponent)[0] * 10.0**exponent
+    got = C._min_eigenvalues(np.array([[[a, b], [b, c]]]))[0]
+    assert abs(got - want) <= 1e-15 * max(abs(a), abs(b), abs(c))
 
 
 def test_shipped_and_generated_sampled_grids_declare_a_valid_alpha(
@@ -1032,6 +1150,23 @@ def test_grid_pieces_tile_each_cut_cell(meshes, nondyadic_csv_path, level):
     a = (d[..., 0] * e2[:, None, 1] - d[..., 1] * e2[:, None, 0]) / det[:, None]
     b = (e1[:, None, 0] * d[..., 1] - e1[:, None, 1] * d[..., 0]) / det[:, None]
     assert np.all(a >= -1e-12) and np.all(b >= -1e-12) and np.all(a + b <= 1 + 1e-12)
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_grid_pieces_leave_no_slivers_on_the_diagonal(level):
+    # 0.3 n and 0.55 n have the same fraction, so a rectangle corner lies
+    # on a cell diagonal, but not in floating point
+    pieces, parent, areas = C._grid_pieces(level, ((0.3,), (0.55,)))
+    cell = 0.5 / 4**level
+    assert np.all(areas > 1e-12 * cell)
+    for part in np.split(areas, np.flatnonzero(np.diff(parent)) + 1):
+        assert abs(math.fsum(part) - cell) <= 1e-15 * cell
+    # the cut cells: both cells of every square the lines pass inside
+    n = 2**level
+    i, j = math.floor(0.3 * n), math.floor(0.55 * n)
+    squares = {(i, k) for k in range(n)} | {(k, j) for k in range(n)}
+    cells = sorted(2 * (y * n + x) + s for x, y in squares for s in (0, 1))
+    assert np.array_equal(np.unique(parent), cells)
 
 
 def _four_pass_clip(poly, count, axis, bound, sign):

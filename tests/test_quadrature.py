@@ -778,3 +778,72 @@ def test_polynomial_means_pass_each_node_its_cell_id():
     ids = np.arange(len(verts)) + 11
     got = Q.polynomial_means(lambda p, i: i.astype(float), verts, cell_ids=ids)
     assert np.allclose(got, ids, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The polar rule for radial fields: Gauss-Legendre along each edge, in the
+# sinh variable about the centre, from the field's radial antiderivative.
+
+
+def test_gauss_constants_are_leggauss():
+    x, w = np.polynomial.legendre.leggauss(Q.GAUSS_NODES)
+    half = Q.GAUSS_NODES // 2
+    for got, want in ((Q._GAUSS_X, x), (Q._GAUSS_W, w)):
+        assert len(got) == half
+        assert np.array_equal(got, want[half:])
+        # the other half mirrors this one
+        assert np.array_equal(np.abs(want[:half][::-1]), want[half:])
+
+
+RADIAL_CENTRE = np.array([0.3, 0.2])
+# quadrilaterals, a triangle as one with a repeated vertex, each listed
+# counterclockwise: the centre inside, outside, at a vertex, inside an edge,
+# and 1e-9 below and above an edge's line
+RADIAL_POLYGONS = np.array([
+    [[0.0, 0.0], [1.0, 0.1], [0.2, 0.9], [0.2, 0.9]],
+    [[0.5, 0.5], [1.0, 0.6], [0.9, 0.9], [0.6, 1.0]],
+    [[0.3, 0.2], [0.9, 0.3], [0.4, 0.8], [0.1, 0.5]],
+    [[0.1, 0.2], [0.6, 0.2], [0.3, 0.7], [0.3, 0.7]],
+    [[0.0, 0.2 + 1e-9], [1.0, 0.2 + 1e-9], [0.5, 1.0], [0.0, 0.6]],
+    [[0.0, 0.2 - 1e-9], [1.0, 0.2 - 1e-9], [0.5, 1.0], [0.0, 0.6]],
+])
+# radial polynomials g(r), as functions of r^2, with H(r) = int_0^r g(s) s ds
+RADIAL_PROFILES = {
+    "one": (lambda r2: np.ones_like(r2), lambda r: 0.5 * r * r),
+    "r^2 + 3": (lambda r2: r2 + 3.0, lambda r: 0.25 * r**4 + 1.5 * r * r),
+    "r^4": (lambda r2: r2 * r2, lambda r: r**6 / 6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIAL_PROFILES))
+def test_radial_polygon_integrals_are_exact_for_radial_polynomials(name):
+    g, H = RADIAL_PROFILES[name]
+    polys = RADIAL_POLYGONS
+    # reference: the degree-4 rule on the fan triangles, exact for g(|x - c|)
+    fan = np.concatenate([polys[:, [0, 1, 2]], polys[:, [0, 2, 3]]])
+    field = lambda p, ids: g(np.sum((p - RADIAL_CENTRE) ** 2, axis=1))
+    e1, e2 = fan[:, 1] - fan[:, 0], fan[:, 2] - fan[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    parts = (Q.polynomial_means(field, fan) * area).reshape(2, -1)
+    want = parts[0] + parts[1]
+    got = Q.radial_polygon_integrals(lambda r, ids: H(r), RADIAL_CENTRE, polys)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    # clockwise, the edges are signed by the orientation
+    back = Q.radial_polygon_integrals(lambda r, ids: H(r), RADIAL_CENTRE, polys[:, ::-1])
+    assert np.all(np.abs(back - want) <= 1e-14 * np.abs(want))
+
+
+def test_radial_polygon_integrals_batch_each_polygons_radii():
+    seen = []
+
+    def H(r, ids):
+        seen.append((r.size, np.all(r > 0)))
+        return ids * 0.5 * r * r  # polygon k integrates the constant k
+
+    # the 4096 squares of side 1/64, more than a block and a batch hold
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    los = np.stack(np.meshgrid(np.arange(64), np.arange(64)), axis=2).reshape(-1, 1, 2)
+    polys = (los + corners) / 64.0
+    got = Q.radial_polygon_integrals(H, (0.3, 0.55), polys, kinks=np.full(len(polys), 0.5))
+    assert np.allclose(got, np.arange(len(polys)) / 4096.0, rtol=1e-12, atol=0)
+    assert len(seen) > 1 and all(size <= Q._CHUNK and positive for size, positive in seen)
