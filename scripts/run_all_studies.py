@@ -48,6 +48,10 @@ CONFIGS = [
      "out": "decay_smooth.csv"},
     {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0,
      "levels": "1..6", "out": "decay_log.csv"},
+    # the tightest projection_tol: the log fixture's cell means and L^2
+    # error are exact, so this takes no refinement
+    {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0,
+     "levels": "0..2", "projection_tol": 1e-12, "out": "decay_log_tight.csv"},
     # the sampled grid is bilinear between its sample lines: at p = 2 the
     # misfit |A - A_h|^2 has degree 4 and takes the fixed rule, at p = 3 it
     # is no polynomial and is refined

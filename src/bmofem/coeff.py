@@ -23,6 +23,7 @@ DEFAULT_SQUARE_TOL = 1e-8
 DEFAULT_OSC_TOL = 1e-5
 MAX_BMO_DEPTH = 8
 _SNAP_TOL = 1e-12  # in square-local units, see _grid_pieces
+_UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])  # counterclockwise
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,10 @@ class CoefficientField:
     smooth.  Cell quantities are integrated piecewise between them (see
     cell_means).  degree, if not None, is a bound on the polynomial degree
     of every entry on each rectangle between the breaklines; cell_means
-    then integrates with a fixed rule where that is exact.  Raises
-    ValueError for other breaks or degrees.
+    then integrates with a fixed rule where that is exact.  isotropic, if
+    not None, declares the field (1 + beta |w|) I (IsotropicForm), and the
+    projection and the L^2 error are then exact (project_coefficient,
+    coefficient_error).  Raises ValueError for other breaks or degrees.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -47,6 +50,7 @@ class CoefficientField:
     kind: str
     breaks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
     degree: int | None = None
+    isotropic: IsotropicForm | None = None
 
     def __post_init__(self):
         d = self.degree
@@ -60,25 +64,41 @@ class CoefficientField:
 @dataclass(frozen=True)
 class RadialProfile:
     """Declares that a scalar field is w(x) = v(|x - centre|) with v
-    strictly monotone, by its centre and two functions of arrays:
-    antiderivative(r, c) = int_0^r (v(s) - c) s ds, and level_radius(c),
-    the radius where v = c, positive and finite for every c."""
+    strictly monotone, by its centre and three functions of arrays:
+    antiderivative(r, c) = int_0^r (v(s) - c) s ds, level_radius(c), the
+    radius where v = c, positive and finite for every c, and
+    square_antiderivative(r) = int_0^r v(s)^2 s ds."""
 
     centre: tuple[float, float]
     antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     level_radius: Callable[[np.ndarray], np.ndarray]
+    square_antiderivative: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar field used by the maximal-function diagnostics.  radial, if
     given, declares the field radial (RadialProfile); the dyadic square
-    means and oscillations of such a field are exact, by
-    quadrature.radial_polygon_integrals."""
+    means and oscillations and the cell |w| means of such a field are
+    exact, by the polar rule (_radial_means)."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     radial: RadialProfile | None = None
+
+
+@dataclass(frozen=True)
+class IsotropicForm:
+    """Declares that a coefficient field is (1 + beta |w|) I, for a scalar
+    w that declares a radial profile (ScalarField.radial) and beta >= 0.
+    Raises ValueError for any other w or beta."""
+
+    beta: float
+    w: ScalarField
+
+    def __post_init__(self):
+        if self.w.radial is None or not self.beta >= 0.0:
+            raise ValueError(f"an isotropic form needs a radial scalar and beta >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -154,19 +174,21 @@ def smooth_coefficient() -> CoefficientField:
 
 
 def log_singular_coefficient(beta: float, x0=(0.0, 0.0)) -> CoefficientField:
-    """(1 + beta |w|) I with w = log(1/|x - x0|), log_reciprocal_scalar's
-    kernel: unbounded but of bounded mean oscillation.  x0 should be a mesh
-    vertex so quadrature nodes, which are strictly interior, never hit the
-    singularity."""
+    """(1 + beta |w|) I with w = log(1/|x - x0|), the radial
+    log_reciprocal_scalar, and declared so (IsotropicForm): unbounded but
+    of bounded mean oscillation.  Its cell means and L^2 error are exact,
+    for any x0; quadrature of its values, which only a field without the
+    declaration takes, needs x0 at a mesh vertex, so that nodes, strictly
+    interior, never hit the singularity."""
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    w = log_reciprocal_scalar(x0).evaluate
+    w = log_reciprocal_scalar(x0)
 
     def evaluate(points):
-        s = 1.0 + beta * np.abs(w(points))
+        s = 1.0 + beta * np.abs(w.evaluate(points))
         return _diagonal(s, s)
 
-    return CoefficientField(evaluate, 1.0, "log-singular")
+    return CoefficientField(evaluate, 1.0, "log-singular", isotropic=IsotropicForm(beta, w))
 
 
 def checkerboard_coefficient(kappa: float) -> CoefficientField:
@@ -328,7 +350,8 @@ def load_sampled_coefficient(path) -> CoefficientField:
 def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
     """log(1/|x - x0|): the classical unbounded BMO function, declared
     radial about x0: int_0^r (-log s - c) s ds = r^2 (1 - 2c - 2 log r) / 4,
-    and -log r = c at r = e^(-c)."""
+    -log r = c at r = e^(-c), and
+    int_0^r (log s)^2 s ds = r^2 ((log r - 1/2)^2 + 1/4) / 2."""
     x0 = np.asarray(x0, dtype=float)
 
     def evaluate(points):
@@ -353,7 +376,20 @@ def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
         out *= 0.25
         return out
 
-    radial = RadialProfile((float(x0[0]), float(x0[1])), antiderivative, lambda c: np.exp(-c))
+    def square_antiderivative(r):
+        # r^2 ((log r - 1/2)^2 + 1/4) / 2, in place
+        out = np.log(r)
+        out -= 0.5
+        out *= out
+        out += 0.25
+        out *= r
+        out *= r
+        out *= 0.5
+        return out
+
+    radial = RadialProfile(
+        (float(x0[0]), float(x0[1])), antiderivative, lambda c: np.exp(-c), square_antiderivative
+    )
     return ScalarField(evaluate, name="log-reciprocal", radial=radial)
 
 
@@ -508,7 +544,15 @@ def project_coefficient(
 ) -> PiecewiseConstantMatrixField:
     """Cell averages of A (cell_means along A's breaklines, of A's declared
     degree), each to relative tolerance rel_tol in the Frobenius norm of
-    the cell's matrix, symmetrised."""
+    the cell's matrix, symmetrised.  A field that declares itself
+    (1 + beta |w|) I gets diag(1 + beta m_K), m_K the exact mean of |w| on
+    cell K (cell_abs_means); rel_tol is then only validated."""
+    if A.isotropic is not None:
+        _validate_rel_tol(rel_tol)
+        s = cell_abs_means(A.isotropic.w, mesh)
+        s *= A.isotropic.beta
+        s += 1.0
+        return PiecewiseConstantMatrixField(mesh=mesh, values=_diagonal(s, s))
     means = cell_means(
         lambda pts, ids: A.evaluate(pts), mesh, rel_tol, breaks=A.breaks, degree=A.degree
     )
@@ -591,10 +635,42 @@ def coefficient_error(
     rel_tol: float = 1e-4,
 ) -> float:
     """L^r norm of the pointwise Frobenius norm of A - A_h, r in P_RANGE
-    = [1.1, 10], integrated along A's breaklines, of A's declared degree."""
+    = [1.1, 10], integrated along A's breaklines, of A's declared degree.
+    The L^2 norm of a field that declares itself (1 + beta |w|) I is exact
+    (_isotropic_l2_error), with rel_tol only validated."""
     if not (P_RANGE[0] <= r <= P_RANGE[1]):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
+    if A.isotropic is not None and r == 2.0:
+        _validate_rel_tol(rel_tol)
+        return _isotropic_l2_error(A.isotropic, A_h)
     return lp_misfit(A.evaluate, A_h, r, rel_tol, A.breaks, A.degree)
+
+
+def _isotropic_l2_error(form: IsotropicForm, A_h: PiecewiseConstantMatrixField) -> float:
+    """||A - A_h||_{L^2} for A = (1 + beta |w|) I, exact up to rounding.
+
+    With D = A_h - I on cell K, |A - A_h|_F^2 = 2 beta^2 w^2
+    - 2 beta |w| tr D + |D|_F^2 pointwise, so the squared error is
+    2 beta^2 int w^2 - 2 beta sum_K tr D_K int_K |w| + sum_K |K| |D_K|_F^2:
+    int w^2 over the unit square from the profile's square_antiderivative,
+    and int_K |w| from the cells' polar rule (_radial_means), split at
+    r = level_radius(0).  This is the closed form of int_K (|w| - m)^2,
+    expanded in m and summed over the cells."""
+    beta, radial = form.beta, form.w.radial
+    w2 = quadrature.radial_polygon_integrals(
+        lambda r, ids: radial.square_antiderivative(r), radial.centre, _UNIT_SQUARE[None]
+    )[0]
+    area = 0.5 / 4**A_h.mesh.level  # every cell's
+    abs_integrals = _radial_means(form.w, A_h.mesh, 1.0, 0.0)
+    a11, a12, a21, a22 = quadrature._columns(A_h.values)
+    trace = a11 + a22
+    trace -= 2.0
+    sq = np.square(a11 - 1.0)
+    sq += np.square(a12)
+    sq += np.square(a21)
+    sq += np.square(a22 - 1.0)
+    total = 2.0 * beta * beta * w2 - 2.0 * beta * np.sum(trace * abs_integrals) + area * np.sum(sq)
+    return float(np.sqrt(max(total, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +723,12 @@ def cells_containing(mesh: Mesh, x) -> list[int]:
 
 
 def cell_abs_means(w: ScalarField, mesh: Mesh, rel_tol=1e-6) -> np.ndarray:
-    """Average of |w| over every cell."""
+    """Average of |w| over every cell: exact for a field that declares a
+    radial profile (_radial_means, rel_tol only validated), else by
+    cell_means to relative tolerance rel_tol with floor 1."""
+    if w.radial is not None:
+        _validate_rel_tol(rel_tol)
+        return _radial_means(w, mesh, 0.5 / 4**mesh.level, 0.0)
     return cell_means(lambda pts, ids: np.abs(w.evaluate(pts)), mesh, rel_tol, floor=1.0)
 
 
@@ -659,35 +740,74 @@ def _generation_grid(level: int):
 
 
 def _radial_square_means(w: ScalarField, los, size, centres=None) -> np.ndarray:
-    """Means of w, or with centres c (one per square) of |w - c|, over the
-    squares with lower corners los (K, 2) and sides size (scalar or (K,)),
-    for a field that declares a radial profile: exact, by
-    quadrature.radial_polygon_integrals on the profile's antiderivative P.
+    """_radial_means over the squares with lower corners los (K, 2) and
+    sides size (scalar or (K,))."""
+    squares = los[:, None, :] + _UNIT_SQUARE * np.reshape(size, (-1, 1, 1))
+    return _radial_means(w, squares, np.square(size), centres)
+
+
+def _radial_means(w: ScalarField, regions, areas, centres=None) -> np.ndarray:
+    """Means of w, or with centres c of |w - c|, over regions of the given
+    areas, for a field that declares a radial profile: exact, by the polar
+    rule on the profile's antiderivative P.  regions are polygons (K, M, 2)
+    for quadrature.radial_polygon_integrals, with centres None, one value
+    per polygon or one for all; or a Mesh, whose cells _radial_cell_integrals
+    takes, with centres None or one value for all.
 
     With rho = level_radius(c), int_0^r |v - c| s ds is sigma P(r) up to
     rho and sigma (2 P(rho) - P(r)) beyond it, sigma the sign of P(rho);
     the rule splits each edge where it crosses rho."""
     radial = w.radial
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    squares = los[:, None, :] + corners * np.reshape(size, (-1, 1, 1))
+    integrate = (
+        _radial_cell_integrals if isinstance(regions, Mesh) else quadrature.radial_polygon_integrals
+    )
     if centres is None:
-        integrals = quadrature.radial_polygon_integrals(
-            lambda r, ids: radial.antiderivative(r, 0.0), radial.centre, squares
-        )
-    else:
-        rho = radial.level_radius(centres)
-        p_rho = radial.antiderivative(rho, centres)
-        sigma = np.sign(p_rho)
+        return integrate(lambda r, ids: radial.antiderivative(r, 0.0), radial.centre, regions) / areas
+    rho = radial.level_radius(centres)
+    twice = 2.0 * radial.antiderivative(rho, centres)
+    sigma = np.sign(twice)
+    each = np.ndim(centres) > 0
 
-        def H(r, ids):
-            p = radial.antiderivative(r, centres[ids])
-            beyond = np.flatnonzero(r > rho[ids])
-            p[beyond] = 2.0 * p_rho[ids[beyond]] - p[beyond]
-            p *= sigma[ids]
-            return p
+    def H(r, ids):
+        c, at, top, sign = centres, rho, twice, sigma
+        if each:
+            c, at, top, sign = c[ids], at[ids], top[ids], sign[ids]
+        p = radial.antiderivative(r, c)
+        np.subtract(top, p, out=p, where=r > at)
+        p *= sign
+        return p
 
-        integrals = quadrature.radial_polygon_integrals(H, radial.centre, squares, rho)
-    return integrals / np.square(size)
+    return integrate(H, radial.centre, regions, rho) / areas
+
+
+def _radial_cell_integrals(H, centre, mesh: Mesh, kinks=None) -> np.ndarray:
+    """quadrature.radial_polygon_integrals over the cells of mesh, with
+    each grid edge integrated once; H and kinks are therefore the same for
+    every cell: H gets edge indices, and kinks is one radius or None.
+
+    Grid square (i, j) holds the lower cell (ll, lr, ur) and the upper
+    cell (ll, ur, ul) after it, both counterclockwise.  With X, Y and D the
+    quadrature.radial_edge_integrals of the horizontal edges
+    (i, j) -> (i + 1, j), the vertical ones (i, j) -> (i, j + 1) and the
+    diagonals (i, j) -> (i + 1, j + 1), the lower cell's integral is
+    X[j, i] + Y[j, i + 1] - D[j, i] and the upper cell's
+    D[j, i] - X[j + 1, i] - Y[j, i]."""
+    g = mesh.grid  # g[j, i] is vertex (i, j)
+    n = g.shape[0] - 1
+
+    def edges(p, q):
+        return quadrature.radial_edge_integrals(H, centre, p, q, kinks)
+
+    x = edges(g[:, :-1], g[:, 1:])
+    y = edges(g[:-1], g[1:])
+    d = edges(g[:-1, :-1], g[1:, 1:])
+    out = np.empty((n, n, 2))
+    lower, upper = out[..., 0], out[..., 1]
+    np.add(x[:-1], y[:, 1:], out=lower)
+    lower -= d
+    np.subtract(d, x[1:], out=upper)
+    upper -= y[:, :-1]
+    return out.reshape(-1)
 
 
 def generation_oscillation_means(w: ScalarField, level: int, tol=DEFAULT_OSC_TOL):
@@ -734,7 +854,7 @@ def generation_abs_means(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> 
     (_radial_square_means, tol not used), else by square_means_batch."""
     los, size = _generation_grid(level)
     if w.radial is not None:
-        return _radial_square_means(w, los, size, np.zeros(los.shape[0]))
+        return _radial_square_means(w, los, size, 0.0)
     return quadrature.square_means_batch(
         lambda p, i: np.abs(w.evaluate(p)), los, size, tol
     )

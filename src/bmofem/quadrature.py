@@ -7,10 +7,14 @@ Two kernels are not refined:
   is a polynomial of degree at most 4 on each triangle.  coeff.cell_means
   uses it for fields that declare such a degree between their breaklines.
 
-* ``radial_polygon_integrals``: integrals of a radial field over polygons,
-  from the field's radial antiderivative by Gauss-Legendre rules along
-  each edge (GAUSS_NODES nodes per piece), exact up to a few ulps.  The
-  BMO diagnostics use it for scalars that declare such a profile.
+* ``radial_edge_integrals``: integrals of a radial field over the
+  triangles between a centre and edges, from the field's radial
+  antiderivative by Gauss-Legendre rules along each edge (GAUSS_NODES
+  nodes per piece), exact up to a few ulps.  ``radial_polygon_integrals``
+  sums them over each polygon's edges.  For scalars that declare such a
+  profile the BMO diagnostics take it on dyadic squares, and the cell
+  means of |w| and of a coefficient declared (1 + beta |w|) I on the mesh
+  cells, each grid edge integrated once (coeff._radial_cell_integrals).
 
 Every other mean in the package settles by one rule (``_refine``).  Composite
 midpoint means are taken at successive levels, each on four times the
@@ -123,9 +127,11 @@ _GAUSS_W = (
     0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
     0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
 )
-# the longest piece of an edge, in the variable u of radial_polygon_integrals,
+# the longest piece of an edge, in the variable u of radial_edge_integrals,
 # that one Gauss rule covers
 _PIECE_SPAN = 1.0
+# edges per block of radial_edge_integrals' geometry
+_EDGE_BLOCK = 1 << 12
 
 
 def _check_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -402,17 +408,53 @@ def radial_polygon_integrals(H, centre, polys, kinks=None):
     of polygon ids, so each polygon may have its own profile.  polys
     (K, M, 2) holds each polygon's vertices in order, in either
     orientation; a repeated vertex makes an empty edge.  kinks, if given,
-    holds one radius per polygon where g has a kink, such as where
+    broadcasts to one radius per polygon where g has a kink, such as where
     |w - c| changes sign.
 
     Seen from the centre, a polygon is the signed sum of the triangles
-    (centre, p, q) over its edges pq, so int_K g is the sum over the edges
-    of +-int H(r_e(theta)) dtheta, over the angle theta that the edge
-    sweeps, r_e(theta) the distance to the edge along the ray theta.  The
-    sign is the polygon's orientation times the sense in which the edge
-    turns about the centre.  So the centre may lie inside the polygon, on
-    it or outside it, and an edge on a line through the centre adds
-    nothing.
+    (centre, p, q) over its edges pq, so int_K g is its orientation times
+    the sum of radial_edge_integrals over its edges.  So the centre may lie
+    inside the polygon, on it or outside it.  Polygons are taken in blocks
+    of _CHUNK // (GAUSS_NODES M), a batch's worth at one piece per edge, so
+    besides its output the rule holds only block-sized arrays; each polygon
+    adds its edges in order, so the blocks change no result.
+    """
+    polys = np.asarray(polys, dtype=float)
+    count, m = polys.shape[:2]
+    kinks = None if kinks is None else np.broadcast_to(np.asarray(kinks, dtype=float), (count,))
+    out = np.empty(count)
+    per = max(1, _CHUNK // (GAUSS_NODES * m))
+    for first in range(0, count, per):
+        block = slice(first, first + per)
+        p = polys[block]
+        q = np.roll(p, -1, axis=1)
+        edges = radial_edge_integrals(
+            H,
+            centre,
+            p,
+            q,
+            None if kinks is None else kinks[block, None],
+            np.arange(first, first + p.shape[0])[:, None],
+        )
+        cross = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+        out[block] = np.sign(cross.sum(axis=1)) * edges.sum(axis=1)
+    return out
+
+
+def radial_edge_integrals(H, centre, starts, ends, kinks=None, ids=None):
+    """For each edge p -> q, the integral of H(r_e(theta)) over the angle
+    theta that it sweeps about the centre, positive where it turns
+    counterclockwise: r_e(theta) is the distance to the edge along the ray
+    theta.  So for a radial field g with H(r) = int_0^r g(s) s ds it is the
+    integral of g over the triangle (centre, p, q), signed by that
+    triangle's orientation, and an edge on a line through the centre gives
+    0.
+
+    starts and ends (..., 2) hold the edges' end points, of one shape
+    S + (2,); kinks, if given, broadcasts to S: per edge a radius where g
+    has a kink.  H(r (N,), ids (N,)) -> (N,) gets the radii of the edges
+    ids; ids broadcasts to S and is each edge's flat index in S by default.
+    Returns S.
 
     An edge whose line lies at distance d from the centre sweeps
     dtheta = d ds / (d^2 + s^2) at signed distance s from the foot of the
@@ -426,94 +468,106 @@ def radial_polygon_integrals(H, centre, polys, kinks=None):
     overflows, its line within about 1e-154 of the centre, adds O(d) and
     is dropped.
 
-    Polygons are taken in blocks of _CHUNK // (GAUSS_NODES M), a batch's
-    worth at one piece per edge, and H gets at most _CHUNK radii at a
+    Edges are taken in blocks of at most _EDGE_BLOCK along the first axis
+    of S (at least one row of it), and H gets at most _CHUNK radii at a
     time; so besides its output the rule holds only block-sized arrays.
     Each piece adds its nodes' values pairwise by mirror node, and a
-    bincount adds each polygon's pieces in order, so neither the blocks
-    nor the batches change any result.
+    bincount adds each edge's pieces in order, so neither the blocks nor
+    the batches change any result.
     """
-    polys = np.asarray(polys, dtype=float)
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
     centre = np.asarray(centre, dtype=float)
-    kinks = None if kinks is None else np.asarray(kinks, dtype=float)
-    count, m = polys.shape[:2]
+    shape = starts.shape[:-1]
+    if kinks is not None:
+        kinks = np.broadcast_to(np.asarray(kinks, dtype=float), shape)
+    if ids is not None:
+        ids = np.broadcast_to(ids, shape)
+    out = np.empty(shape)
     x = np.array(_GAUSS_X)
-    nodes = np.concatenate([x, -x])[:, None]
+    nodes = np.concatenate([x, -x])[:, None]  # each node, then its mirror image
+    weights = np.array(_GAUSS_W)[:, None]
     per = max(1, _CHUNK // GAUSS_NODES)
-    out = np.empty(count)
-    block_size = max(1, per // m)
-    for first in range(0, count, block_size):
-        block = slice(first, first + block_size)
-        mid, half, d, ids, sign = _edge_pieces(
-            polys[block] - centre, None if kinks is None else kinks[block]
+    row = math.prod(shape[1:])
+    rows = max(1, _EDGE_BLOCK // max(row, 1))
+    for first in range(0, shape[0], rows):
+        block = slice(first, first + rows)
+        mid, half, d, edge, sign = _edge_pieces(
+            (starts[block] - centre).reshape(-1, 2),
+            (ends[block] - centre).reshape(-1, 2),
+            None if kinks is None else kinks[block].reshape(-1),
         )
+        count = out[block].size
+        owners = np.arange(first * row, first * row + count) if ids is None else ids[block].ravel()
         sums = np.empty(mid.size)
         for start in range(0, mid.size, per):
             part = slice(start, start + per)
             c = np.cosh(mid[part] + nodes * half[part])  # (node, piece)
             r = d[part] * c
-            owner = np.broadcast_to(ids[part] + first, c.shape)
+            owner = np.broadcast_to(owners[edge[part]], c.shape)
             vals = np.asarray(H(r.ravel(), owner.ravel()), dtype=float).reshape(c.shape)
             if not np.all(np.isfinite(vals)):
                 i = np.unravel_index(int(np.argmin(np.isfinite(vals))), c.shape)
                 raise SingularityError(
-                    f"non-finite radial antiderivative at radius {r[i]} in polygon {owner[i]}"
+                    f"non-finite radial antiderivative at radius {r[i]} for id {owner[i]}"
                 )
             vals /= c
-            acc = np.zeros(c.shape[1])
-            for i, w in enumerate(_GAUSS_W):
-                acc += w * (vals[i] + vals[i + len(_GAUSS_W)])
-            sums[part] = acc * half[part] * sign[part]
-        out[block] = np.bincount(ids, weights=sums, minlength=polys[block].shape[0])
+            # each node's value plus its mirror image's, weighted, summed
+            pairs = vals[: len(_GAUSS_X)]
+            pairs += vals[len(_GAUSS_X) :]
+            pairs *= weights
+            np.sum(pairs, axis=0, out=sums[part])
+            sums[part] *= half[part] * sign[part]
+        out[block] = np.bincount(edge, weights=sums, minlength=count).reshape(out[block].shape)
     return out
 
 
-def _edge_pieces(rel, kinks):
-    """The Gauss pieces of radial_polygon_integrals for polygons rel
-    (K, M, 2), relative to the centre: per piece its midpoint and half
-    width in u, the distance d of its edge's line, its polygon and its
-    sign, ordered by polygon, edge and u.
+def _edge_pieces(p, q, kinks):
+    """The Gauss pieces of radial_edge_integrals for the edges p -> q
+    (E, 2), relative to the centre: per piece its midpoint and half width
+    in u, the distance d of its edge's line, its edge's index and the sign
+    of its edge's turn.  Each edge's pieces are consecutive, in order of u.
 
     An edge from p to q spans u_p..u_p + W.  W comes from
     sinh W = (s_q |p| - s_p |q|) / d^2, which for s_p, s_q of one sign is
     L (s_p + s_q) / (s_q |p| + s_p |q|), L the edge's length: with no
     cancellation, so that a far edge's narrow span keeps its relative
-    accuracy.  The pieces are laid out as offsets from u_p."""
-    m = rel.shape[1]
-    p, q = rel, np.roll(rel, -1, axis=1)
-    ex, ey = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
-    cross = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-    orientation = np.sign(cross.sum(axis=1))
+    accuracy.  Most edges are one piece, no longer than _PIECE_SPAN and
+    not crossing the kink; the others are cut where they cross it and into
+    pieces of at most _PIECE_SPAN, laid out as offsets from u_p."""
+    ex, ey = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+    # p x q as p x (q - p): p0 q1 - p1 q0 cancels for a short far edge
+    cross = p[:, 0] * ey - p[:, 1] * ex
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         length = np.hypot(ex, ey)
         h = cross / length  # signed distance of the edge's line
         d = np.abs(h)
-        sp = (p[..., 0] * ex + p[..., 1] * ey) / length
-        sq = (q[..., 0] * ex + q[..., 1] * ey) / length
-        rp, rq = np.hypot(p[..., 0], p[..., 1]), np.hypot(q[..., 0], q[..., 1])
+        sp = (p[:, 0] * ex + p[:, 1] * ey) / length
+        sq = (q[:, 0] * ex + q[:, 1] * ey) / length
+        rp, rq = np.hypot(p[:, 0], p[:, 1]), np.hypot(q[:, 0], q[:, 1])
         up = np.arcsinh(sp / d)
         one_side = length * (sp + sq) / (sq * rp + sp * rq)
         span = np.arcsinh(np.where(sp * sq > 0, one_side, (sq * rp - sp * rq) / d / d))
         # drops empty edges, lines through the centre and overflowing spans
         edge = np.flatnonzero(np.isfinite(up) & np.isfinite(span))
-        poly = edge // m
-        up, span, d = up.ravel()[edge], span.ravel()[edge], d.ravel()[edge]
-        sign = orientation[poly] * np.sign(h.ravel()[edge])
-        if kinks is None:
-            lo, hi, owner = np.zeros(edge.size), span, np.arange(edge.size)
-        else:
-            # r = d cosh(u) meets the kink at u = +-acosh(kink / d)
-            at = np.arccosh(np.maximum(kinks[poly] / d, 1.0))
-            inner = [np.clip(t - up, 0.0, span) for t in (-at, at)]
-            cuts = np.stack([np.zeros(edge.size), *inner, span], axis=1)
-            lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-            owner = np.repeat(np.arange(edge.size), 3)
-    n = np.ceil((hi - lo) / _PIECE_SPAN).astype(np.intp)  # 0 for empty pieces
+        up, span, d, sign = up[edge], span[edge], d[edge], np.sign(h[edge])
+        # r = d cosh(u) meets the kink at u = +-acosh(kink / d), offset from u_p
+        at = None if kinks is None else np.arccosh(np.maximum(kinks[edge] / d, 1.0))
+    cuts = [] if at is None else [-at - up, at - up]
+    whole = span <= _PIECE_SPAN
+    for t in cuts:
+        whole &= (t <= 0.0) | (t >= span)
+    rest = np.flatnonzero(~whole)
+    bounds = [np.zeros(rest.size), *(np.clip(t[rest], 0.0, span[rest]) for t in cuts), span[rest]]
+    bounds = np.stack(bounds, axis=1)
+    lo, hi = bounds[:, :-1].ravel(), bounds[:, 1:].ravel()
+    n = np.ceil((hi - lo) / _PIECE_SPAN).astype(np.intp)  # 0 for empty parts
     width = np.repeat((hi - lo) / np.maximum(n, 1), n)
     k = np.arange(width.size) - np.repeat(np.cumsum(n) - n, n)
-    owner = np.repeat(owner, n)
-    mid = up[owner] + (np.repeat(lo, n) + (k + 0.5) * width)
-    return mid, 0.5 * width, d[owner], poly[owner], sign[owner]
+    owner = np.concatenate([np.flatnonzero(whole), np.repeat(np.repeat(rest, len(cuts) + 1), n)])
+    half = np.concatenate([0.5 * span[whole], 0.5 * width])
+    offset = np.concatenate([half[: whole.sum()], np.repeat(lo, n) + (k + 0.5) * width])
+    return up[owner] + offset, half, d[owner], edge[owner], sign[owner]
 
 
 def global_scale_floor(f, verts, cell_ids=None) -> float:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from bmofem import quadrature
 from bmofem.cli import main
 from bmofem.harness import CSV_HEADER
 
@@ -133,6 +134,26 @@ def test_overflowing_coefficient_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert "non-finite curvature inf at CG iteration" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("levels, tol", [("0..2", 1e-12), ("0..3", 1e-10)])
+def test_tight_log_coeff_decay_takes_no_refinement(tmp_path, monkeypatch, levels, tol):
+    # refined cell means ground for 14-19 s on these configs and then
+    # exited 3, "adaptive quadrature stalled above tolerance"; the log
+    # fixture's polar cell means and L^2 error refine nothing
+    def refine(*args, **kwargs):
+        raise AssertionError("triangle_means called")
+
+    monkeypatch.setattr(quadrature, "triangle_means", refine)
+    out = tmp_path / "decay.csv"
+    cfg = _write_config(
+        tmp_path,
+        {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0, "levels": levels,
+         "projection_tol": tol, "out": str(out)},
+    )
+    start = time.perf_counter()
+    assert main(["run", "--config", cfg]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert len(out.read_text().splitlines()) == 1 + int(levels[-1]) + 1
 
 @pytest.mark.parametrize(
     "text, line",

@@ -625,6 +625,192 @@ def test_polar_rule_keeps_its_buffers_small():
     assert peak <= 12 * chunk + 20 * squares * 8
 
 
+# ---------------------------------------------------------------------------
+# The polar rule on cells: log_singular_coefficient declares itself
+# (1 + beta |w|) I, so its cell means and L^2 error are exact.
+
+# level-4 cell 189 (upper cell of grid square (13, 5)), which the circle
+# r = 1 crosses: brute-force means from 4^9..4^11 sub-centroids,
+# Richardson-extrapolated, give 1.0187976066
+LOG_CELL_189 = 1.0187976066107
+# int |log r| over the level-0 cell (0, 0), (1, 0), (1, 1) is
+# pi/4 - 3/4 + ln(2)/4 in polar coordinates, and the cell's area is 1/2
+LOG_CORNER_CELL = 1.0 + 0.5 * (math.pi / 2.0 - 1.5 + math.log(2.0) / 2.0)
+
+
+def _undeclared(A):
+    """A without its isotropic declaration: cell means by quadrature."""
+    return dataclasses.replace(A, isotropic=None)
+
+
+def _restricted(means, level):
+    """Level-`level` cell means from those of level + 1: each cell is four
+    congruent children (lower ll, lr, ur; upper ll, ur, ul of each grid
+    square)."""
+    n = 2**level
+    f = means.reshape(2 * n, 2 * n, 2)  # (grid row, grid column, lower/upper)
+    out = np.empty((n, n, 2))
+    out[..., 0] = f[::2, ::2, 0] + f[::2, 1::2, 0] + f[::2, 1::2, 1] + f[1::2, 1::2, 0]
+    out[..., 1] = f[::2, ::2, 1] + f[1::2, ::2, 1] + f[1::2, ::2, 0] + f[1::2, 1::2, 1]
+    return out.ravel() / 4.0
+
+
+def test_log_projection_pins_the_exact_cell_means(meshes):
+    A = C.log_singular_coefficient(0.5)
+    values = C.project_coefficient(A, meshes[4]).values
+    assert abs(values[189, 0, 0] - LOG_CELL_189) <= 1e-13 * LOG_CELL_189
+    corner = C.project_coefficient(A, meshes[0]).values
+    assert np.all(np.abs(corner[:, 0, 0] - LOG_CORNER_CELL) <= 1e-13 * LOG_CORNER_CELL)
+    for v in (values, corner):
+        assert np.array_equal(v[:, 0, 0], v[:, 1, 1])
+        assert np.all(v[:, 0, 1] == 0.0) and np.all(v[:, 1, 0] == 0.0)
+
+
+def test_log_abs_cell_means_are_exact_across_the_unit_circle():
+    # the circle r = 1 crosses level-5 cell 126; a 4^10-centroid brute
+    # force gives 0.0096779627, the refined triangle rule 0.0095882
+    mesh = build_uniform_mesh(5)
+    assert np.array_equal(
+        mesh.cell_coordinates()[126], [[0.96875, 0.03125], [1.0, 0.03125], [1.0, 0.0625]]
+    )
+    got = C.cell_abs_means(C.log_reciprocal_scalar(), mesh)[126]
+    assert abs(got - 0.00967796595) <= 5e-12
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, 0.7)])
+def test_polar_cell_means_match_the_triangle_rule(meshes, x0):
+    # on cells that neither touch x0 nor meet r = 1 the refined rule
+    # settles, at rel_tol 1e-9
+    level = 4
+    mesh = meshes[level]
+    w = C.log_reciprocal_scalar(x0)
+    tris = mesh.cell_coordinates()
+    r = np.hypot(tris[..., 0] - x0[0], tris[..., 1] - x0[1])
+    far = (r.min(axis=1) > 2.0 ** -level * math.sqrt(2.0)) & (
+        (r.max(axis=1) < 1.0) | (r.min(axis=1) > 1.0 + 2.0 ** -level * math.sqrt(2.0))
+    )
+    assert 300 <= far.sum() < mesh.num_cells
+    want = Q.triangle_means(lambda p, ids: np.abs(w.evaluate(p)), tris[far], 1e-9)
+    got = C.cell_abs_means(w, mesh)[far]
+    assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
+    for beta in (0.0, 0.5):
+        A = C.log_singular_coefficient(beta, x0)
+        values = C.project_coefficient(A, mesh).values[far]
+        assert np.all(np.abs(values[:, 0, 0] - (1.0 + beta * want)) <= 1e-8 * values[:, 0, 0])
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, 0.7)])
+def test_polar_cell_means_restrict_to_the_coarser_level(x0):
+    w = C.log_reciprocal_scalar(x0)
+    means = [C.cell_abs_means(w, build_uniform_mesh(level)) for level in range(2, 9)]
+    for level, (coarse, fine) in enumerate(zip(means, means[1:]), start=2):
+        assert np.max(np.abs(_restricted(fine, level) - coarse)) <= 1e-12
+
+
+@pytest.mark.parametrize("level", [0, 3, 7])
+def test_log_l2_error_matches_the_refined_route(meshes, level):
+    A = C.log_singular_coefficient(0.5)
+    A_h = C.project_coefficient(A, meshes[level])
+    got = C.coefficient_error(A, A_h, 2.0)
+    want = C.coefficient_error(_undeclared(A), A_h, 2.0)
+    assert abs(got - want) <= 1e-4 * want
+    # any A_h: the Frobenius norm expands in tr(A_h - I) and |A_h - I|^2
+    other = C.project_coefficient(C.smooth_coefficient(), meshes[level])
+    got = C.coefficient_error(A, other, 2.0)
+    want = C.coefficient_error(_undeclared(A), other, 2.0)
+    assert abs(got - want) <= 1e-4 * want
+
+
+def test_log_l2_error_matches_the_cells_closed_form(meshes):
+    # int_0^r (-log s - c)^2 s ds = r^2 (t^2/2 - t/2 + 1/4), t = log r + c;
+    # |w| - m is w - m inside r = 1 and -(w + m) beyond it
+    def closed(r, c):
+        t = np.log(r) + c
+        return r * r * (0.5 * t * t - 0.5 * t + 0.25)
+
+    x0 = (0.3, 0.7)
+    A = C.log_singular_coefficient(0.5, x0)
+    for level in (0, 2, 5):
+        mesh = meshes[level]
+        A_h = C.project_coefficient(A, mesh)
+        m = (A_h.values[:, 0, 0] - 1.0) / 0.5
+
+        def H(r, ids):
+            c = m[ids]
+            beyond = closed(1.0, c) + closed(r, -c) - closed(1.0, -c)
+            return np.where(r > 1.0, beyond, closed(r, c))
+
+        cells = Q.radial_polygon_integrals(H, x0, mesh.cell_coordinates(), 1.0)
+        want = math.sqrt(2.0 * 0.25 * cells.sum())
+        assert abs(C.coefficient_error(A, A_h, 2.0) - want) <= 1e-12 * want
+
+
+def test_log_fixture_with_beta_zero_is_the_identity(meshes):
+    A = C.log_singular_coefficient(0.0, (0.3, 0.7))
+    A_h = C.project_coefficient(A, meshes[3])
+    assert np.array_equal(A_h.values, np.broadcast_to(np.eye(2), A_h.values.shape))
+    assert C.coefficient_error(A, A_h, 2.0) == 0.0
+
+
+def test_log_projection_does_not_depend_on_projection_tol(meshes):
+    A = C.log_singular_coefficient(0.5)
+    mesh = meshes[3]
+    first = C.project_coefficient(A, mesh, 1e-12).values
+    for tol in (1e-6, 1e-4):
+        assert np.array_equal(C.project_coefficient(A, mesh, tol).values, first)
+    A_h = C.project_coefficient(A, mesh)
+    for tol in (1e-3, 1e-13):
+        for run in (
+            lambda: C.project_coefficient(A, mesh, tol),
+            lambda: C.coefficient_error(A, A_h, 2.0, rel_tol=tol),
+            lambda: C.cell_abs_means(C.log_reciprocal_scalar(), mesh, tol),
+        ):
+            with pytest.raises(ValueError, match="rel_tol"):
+                run()
+
+
+def test_declared_log_cell_means_never_sample_it(meshes, monkeypatch):
+    calls = []
+
+    def spy(points):
+        calls.append(points.shape[0])
+        raise AssertionError("sampled")
+
+    A = C.log_singular_coefficient(0.5)
+    w = dataclasses.replace(A.isotropic.w, evaluate=spy)
+    A = dataclasses.replace(
+        A, evaluate=spy, isotropic=dataclasses.replace(A.isotropic, w=w)
+    )
+    monkeypatch.setattr(Q, "triangle_means", None)
+    mesh = meshes[5]
+    A_h = C.project_coefficient(A, mesh)
+    C.coefficient_error(A, A_h, 2.0)
+    C.cell_abs_means(w, mesh)
+    assert calls == []
+
+
+def test_isotropic_form_needs_a_radial_scalar_and_nonnegative_beta():
+    with pytest.raises(ValueError, match="isotropic"):
+        C.IsotropicForm(0.5, C.ScalarField(_wave, "wave"))
+    with pytest.raises(ValueError, match="isotropic"):
+        C.IsotropicForm(-0.5, C.log_reciprocal_scalar())
+
+
+def test_polar_cells_integrate_each_grid_edge_once(meshes):
+    # against the polygon rule on every cell, which integrates each shared
+    # edge twice
+    w = C.log_reciprocal_scalar((0.3, 0.7))
+    radial = w.radial
+    mesh = meshes[4]
+
+    def H(r, ids):
+        return radial.antiderivative(r, 0.0)
+
+    want = Q.radial_polygon_integrals(H, radial.centre, mesh.cell_coordinates())
+    got = C._radial_cell_integrals(H, radial.centre, mesh)
+    assert np.all(np.abs(got - want) <= 1e-14)
+
+
 def test_cell_mean_passes_hold_their_output_and_one_block():
     # triangle_means refines blocks of _CHUNK cells, so a cell-mean pass
     # holds its output (one value per cell), the cell coordinates it reads
