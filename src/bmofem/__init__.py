@@ -13,6 +13,7 @@ from .coeff import (
     DyadicSquare,
     PiecewiseConstantMatrixField,
     ScalarField,
+    TrigonometricForm,
     bmo_seminorm_estimate,
     checkerboard_coefficient,
     coefficient_entry,

@@ -7,6 +7,7 @@ lower bound for the corresponding supremum, within a fixed constant of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,9 +41,12 @@ class CoefficientField:
     cell_means).  degree, if not None, is a bound on the polynomial degree
     of every entry on each rectangle between the breaklines; cell_means
     then integrates with a fixed rule where that is exact.  isotropic, if
-    not None, declares the field (1 + beta |w|) I (IsotropicForm), and the
-    projection and the L^2 error are then exact (project_coefficient,
-    coefficient_error).  Raises ValueError for other breaks or degrees.
+    not None, declares the field (1 + beta |w|) I (IsotropicForm), and
+    trigonometric, if not None, declares every entry a trigonometric
+    polynomial (TrigonometricForm of shape (2, 2), which is then also
+    evaluate); the projection and the L^2 error are then exact
+    (project_coefficient, coefficient_error).  Raises ValueError for other
+    breaks, degrees or form shapes.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -51,6 +55,7 @@ class CoefficientField:
     breaks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
     degree: int | None = None
     isotropic: IsotropicForm | None = None
+    trigonometric: TrigonometricForm | None = None
 
     def __post_init__(self):
         d = self.degree
@@ -59,6 +64,8 @@ class CoefficientField:
         for b in map(np.asarray, self.breaks):
             if not (np.all(b > 0.0) and np.all(b < 1.0) and np.all(np.diff(b) > 0.0)):
                 raise ValueError(f"breaks must increase strictly inside (0, 1), got {self.breaks}")
+        if self.trigonometric is not None and tuple(self.trigonometric.shape) != (2, 2):
+            raise ValueError(f"a trigonometric form must have shape (2, 2), got {self.trigonometric}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,64 @@ class IsotropicForm:
     def __post_init__(self):
         if self.w.radial is None or not self.beta >= 0.0:
             raise ValueError(f"an isotropic form needs a radial scalar and beta >= 0, got {self}")
+
+
+@dataclass(frozen=True)
+class TrigonometricForm:
+    """A field whose every value entry is a real trigonometric polynomial
+    Re sum_t c_t exp(i pi (kx x + ky y)) with integer frequencies kx, ky:
+    terms[e] holds entry e's pairs (c_t, (kx, ky)), complex c_t, the
+    entries in the C order of a value of shape `shape`.  Calling the form
+    evaluates it, points (N, 2) to values (N,) + shape, so the declaration
+    and the values cannot disagree.  Passed as the declaration of a field,
+    it makes the field's cell means and its L^2 misfit against a cell field
+    exact (cell_means, lp_misfit).  Raises
+    ValueError when terms do not hold one entry per value entry or a
+    frequency is no integer pair."""
+
+    shape: tuple[int, ...]
+    terms: tuple[tuple[tuple[complex, tuple[int, int]], ...], ...]
+
+    def __post_init__(self):
+        ints = all(
+            len(k) == 2 and all(isinstance(j, int) and not isinstance(j, bool) for j in k)
+            for entry in self.terms
+            for _, k in entry
+        )
+        if len(self.terms) != math.prod(self.shape) or not ints:
+            raise ValueError(f"terms must give one entry per value entry, integer k: {self}")
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        x, y = points[:, 0], points[:, 1]
+        out = np.zeros((points.shape[0], len(self.terms)))
+        for col, entry in zip(out.T, self.terms):
+            for c, (kx, ky) in entry:
+                c = complex(c)
+                if kx == ky == 0:
+                    col += c.real
+                    continue
+                # Re(c e^{i theta}) = c.real cos(theta) - c.imag sin(theta)
+                theta = np.pi * (kx * x + ky * y)
+                if c.real:
+                    col += c.real * np.cos(theta)
+                if c.imag:
+                    col -= c.imag * np.sin(theta)
+        return out.reshape((-1,) + tuple(self.shape))
+
+    def squared_norm(self) -> TrigonometricForm:
+        """|f|^2, the squared Euclidean norm over the value entries, as a
+        scalar form: Re(a) Re(b) = Re(a b + a conj(b)) / 2 for every pair
+        of terms of an entry, like frequencies merged."""
+        merged = {}
+        for entry in self.terms:
+            for c, k in entry:
+                for d, l in entry:
+                    for coef, freq in (
+                        (c * d, (k[0] + l[0], k[1] + l[1])),
+                        (c * np.conj(d), (k[0] - l[0], k[1] - l[1])),
+                    ):
+                        merged[freq] = merged.get(freq, 0.0) + 0.5 * complex(coef)
+        return TrigonometricForm((), (tuple((c, k) for k, c in merged.items()),))
 
 
 @dataclass(frozen=True)
@@ -165,12 +230,12 @@ def _diagonal(d11: np.ndarray, d22: np.ndarray) -> np.ndarray:
 
 
 def smooth_coefficient() -> CoefficientField:
-    """diag(2 + sin(pi x), 2 + cos(pi y)); coercivity constant 1."""
-
-    def evaluate(points):
-        return _diagonal(2.0 + np.sin(np.pi * points[:, 0]), 2.0 + np.cos(np.pi * points[:, 1]))
-
-    return CoefficientField(evaluate, 1.0, "smooth")
+    """diag(2 + sin(pi x), 2 + cos(pi y)); coercivity constant 1.  Declared
+    trigonometric: sin(pi x) = Re(-i e^{i pi x}), cos(pi y) = Re(e^{i pi y})."""
+    form = TrigonometricForm(
+        (2, 2), (((2.0, (0, 0)), (-1j, (1, 0))), (), (), ((2.0, (0, 0)), (1.0, (0, 1))))
+    )
+    return CoefficientField(form, 1.0, "smooth", trigonometric=form)
 
 
 def log_singular_coefficient(beta: float, x0=(0.0, 0.0)) -> CoefficientField:
@@ -498,23 +563,35 @@ def _exact(degree) -> bool:
 
 
 def cell_means(
-    f, mesh: Mesh, rel_tol: float, floor: float = 0.0, breaks=((), ()), degree=None
+    f,
+    mesh: Mesh,
+    rel_tol: float,
+    floor: float = 0.0,
+    breaks=((), ()),
+    degree=None,
+    trigonometric: TrigonometricForm | None = None,
 ) -> np.ndarray:
     """Mean of f over each cell of mesh, to relative tolerance rel_tol in
     the Euclidean norm over the value axes, with tolerance floor `floor`.
 
     f(points (N, 2), cells (N,)) returns scalar, vector or matrix values;
-    cells holds the cell of each point.  A cell that a breakline of
+    cells holds the cell of each point.  When f declares itself
+    trigonometric (trigonometric, a TrigonometricForm), the means are
+    exact up to rounding, by quadrature._trigonometric_cell_means, and f is
+    not evaluated.  Otherwise a cell that a breakline of
     breaks = (xs, ys) cuts is integrated piece by piece (f is smooth on
     each piece), and its mean is the area-weighted mean of its pieces.  The
     uncut cells and all pieces go to quadrature as one batch: to
     quadrature.polynomial_means, which is exact, when f declares a
     polynomial degree of at most quadrature.POLYNOMIAL_DEGREE on each piece,
     and to quadrature.triangle_means, by its refinement rule, otherwise.
-    rel_tol is validated either way.  Raises SingularityError for
+    rel_tol is validated in every case.  Raises SingularityError for
     non-finite evaluations and QuadratureError if refinement stalls.
     """
     _validate_rel_tol(rel_tol)
+    if trigonometric is not None:
+        means = quadrature._trigonometric_cell_means(trigonometric.terms, mesh.level)
+        return means.reshape((-1,) + tuple(trigonometric.shape))
     verts = mesh.cell_coordinates()
     pieces, parent, areas = _grid_pieces(mesh.level, breaks) if any(breaks) else ((), (), ())
     tris, ids = verts, None
@@ -543,18 +620,20 @@ def project_coefficient(
     A: CoefficientField, mesh: Mesh, rel_tol: float = DEFAULT_PROJECTION_TOL
 ) -> PiecewiseConstantMatrixField:
     """Cell averages of A (cell_means along A's breaklines, of A's declared
-    degree), each to relative tolerance rel_tol in the Frobenius norm of
-    the cell's matrix, symmetrised.  A field that declares itself
-    (1 + beta |w|) I gets diag(1 + beta m_K), m_K the exact mean of |w| on
-    cell K (cell_abs_means); rel_tol is then only validated."""
+    degree or trigonometric form), each to relative tolerance rel_tol in
+    the Frobenius norm of the cell's matrix, symmetrised.  A field that
+    declares itself (1 + beta |w|) I gets diag(1 + beta m_K), m_K the exact
+    mean of |w| on cell K (_isotropic_projection), and a trigonometric
+    field its exact means; rel_tol is then only validated."""
     if A.isotropic is not None:
-        _validate_rel_tol(rel_tol)
-        s = cell_abs_means(A.isotropic.w, mesh)
-        s *= A.isotropic.beta
-        s += 1.0
-        return PiecewiseConstantMatrixField(mesh=mesh, values=_diagonal(s, s))
+        return _isotropic_projection(A.isotropic, mesh, rel_tol)[0]
     means = cell_means(
-        lambda pts, ids: A.evaluate(pts), mesh, rel_tol, breaks=A.breaks, degree=A.degree
+        lambda pts, ids: A.evaluate(pts),
+        mesh,
+        rel_tol,
+        breaks=A.breaks,
+        degree=A.degree,
+        trigonometric=A.trigonometric,
     )
     # 0.5 (A + A^T) in place: its diagonal is A's own, bit for bit
     off = means[:, 0, 1] + means[:, 1, 0]
@@ -562,6 +641,31 @@ def project_coefficient(
     means[:, 0, 1] = off
     means[:, 1, 0] = off
     return PiecewiseConstantMatrixField(mesh=mesh, values=means)
+
+
+def projection_with_l2_error(
+    A: CoefficientField, mesh: Mesh, rel_tol: float = DEFAULT_PROJECTION_TOL
+) -> tuple[PiecewiseConstantMatrixField, float]:
+    """project_coefficient(A, mesh, rel_tol) and its coefficient_error at
+    r = 2, the same values.  For a field that declares itself
+    (1 + beta |w|) I both read one pass of the cell integrals of |w|."""
+    if A.isotropic is None:
+        A_h = project_coefficient(A, mesh, rel_tol)
+        return A_h, coefficient_error(A, A_h, 2.0)
+    A_h, abs_integrals = _isotropic_projection(A.isotropic, mesh, rel_tol)
+    return A_h, _isotropic_l2_error(A.isotropic, A_h, abs_integrals)
+
+
+def _isotropic_projection(form: IsotropicForm, mesh: Mesh, rel_tol: float):
+    """(diag(1 + beta m_K), the cell integrals |K| m_K of |w|) for a field
+    (1 + beta |w|) I, m_K by the polar cell rule (_radial_means); rel_tol
+    is only validated."""
+    _validate_rel_tol(rel_tol)
+    abs_integrals = _radial_means(form.w, mesh, 1.0, 0.0)
+    s = abs_integrals / (0.5 / 4**mesh.level)  # every cell's area
+    s *= form.beta
+    s += 1.0
+    return PiecewiseConstantMatrixField(mesh=mesh, values=_diagonal(s, s)), abs_integrals
 
 
 def _min_eigenvalues(values: np.ndarray) -> np.ndarray:
@@ -595,37 +699,66 @@ def coercivity_of_projection(A_h: PiecewiseConstantMatrixField) -> float:
     return float(np.min(_min_eigenvalues(v)))
 
 
-def lp_misfit(f, field, p: float, rel_tol: float, breaks=((), ()), degree=None) -> float:
+def lp_misfit(
+    f, field, p: float, rel_tol: float, breaks=((), ()), degree=None, trigonometric=None
+) -> float:
     """||f - c||_{L^p} for a callable field f against a cell field c.
 
     f(points (N, 2)) returns scalar, vector or matrix values, and
     field.values holds one value of the same shape per cell of field.mesh;
-    the pointwise norm is Euclidean over the value axes.  The cell means of
-    |f - c|^p come from cell_means, along the breaklines breaks = (xs, ys)
-    of f.  When f declares a polynomial degree between them, |f - c|^p is a
-    polynomial of degree 0 if that degree is 0, and of degree p * degree if
-    p is an even integer; cell_means integrates it exactly when that is at
-    most quadrature.POLYNOMIAL_DEGREE.  Otherwise the means are refined
-    with a floor at their global scale, so cells where f is nearly constant
-    do not force needless refinement.
+    the pointwise norm is Euclidean over the value axes.  The misfit sums
+    the cell means of |f - c|^p.  At p = 2, for an f declared
+    trigonometric (trigonometric, a TrigonometricForm equal to f), they are
+    exact (_trigonometric_misfit_means), with rel_tol only validated and f
+    not evaluated.  Otherwise they come from cell_means, along the
+    breaklines breaks = (xs, ys) of f.  When f declares a polynomial degree
+    between them, |f - c|^p is a polynomial of degree 0 if that degree is
+    0, and of degree p * degree if p is an even integer; cell_means
+    integrates it exactly when that is at most
+    quadrature.POLYNOMIAL_DEGREE.  Otherwise the means are refined with a
+    floor at their global scale, so cells where f is nearly constant do not
+    force needless refinement.
     """
-    consts = field.values
-    power = None  # the degree of |f - c|^p, if it is a polynomial
-    if degree == 0:
-        power = 0
-    elif degree is not None and p % 2 == 0:
-        power = p * degree
+    if trigonometric is not None and p == 2.0:
+        _validate_rel_tol(rel_tol)
+        means = _trigonometric_misfit_means(trigonometric, field)
+    else:
+        consts = field.values
+        power = None  # the degree of |f - c|^p, if it is a polynomial
+        if degree == 0:
+            power = 0
+        elif degree is not None and p % 2 == 0:
+            power = p * degree
 
-    def integrand(pts, ids):
-        d = np.asarray(f(pts), dtype=float) - np.take(consts, ids, axis=0)
-        return quadrature._flat_norm(d) ** p
+        def integrand(pts, ids):
+            d = np.asarray(f(pts), dtype=float) - np.take(consts, ids, axis=0)
+            return quadrature._flat_norm(d) ** p
 
-    floor = 0.0
-    if not _exact(power):
-        floor = quadrature.global_scale_floor(integrand, field.mesh.cell_coordinates())
-    means = cell_means(integrand, field.mesh, rel_tol, floor, breaks, power)
+        floor = 0.0
+        if not _exact(power):
+            floor = quadrature.global_scale_floor(integrand, field.mesh.cell_coordinates())
+        means = cell_means(integrand, field.mesh, rel_tol, floor, breaks, power)
     area = 0.5 / 4**field.mesh.level  # every cell's
     return float(np.sum(area * means) ** (1.0 / p))
+
+
+def _trigonometric_misfit_means(form: TrigonometricForm, field) -> np.ndarray:
+    """The cell means of |f - c|^2 for a trigonometric f and a cell field
+    c, exact up to rounding.  With M_K the cell means of f and Q_K those of
+    |f|^2, a trigonometric polynomial too
+    (TrigonometricForm.squared_norm), the mean on K is
+    Q_K - |M_K|^2 + |c_K - M_K|^2: the identity
+    int_K |f - M_K|^2 = int_K |f|^2 - |K| |M_K|^2 plus the misfit of the
+    means, for any c.  It is nonnegative, and a value that rounding takes
+    below 0 is set to 0."""
+    level = field.mesh.level
+    means = quadrature._trigonometric_cell_means(form.terms, level)
+    out = quadrature._trigonometric_cell_means(form.squared_norm().terms, level)[:, 0]
+    for m, c in zip(means.T, quadrature._columns(field.values)):
+        out -= m * m
+        d = c - m
+        out += d * d
+    return np.maximum(out, 0.0, out=out)
 
 
 def coefficient_error(
@@ -635,18 +768,21 @@ def coefficient_error(
     rel_tol: float = 1e-4,
 ) -> float:
     """L^r norm of the pointwise Frobenius norm of A - A_h, r in P_RANGE
-    = [1.1, 10], integrated along A's breaklines, of A's declared degree.
-    The L^2 norm of a field that declares itself (1 + beta |w|) I is exact
-    (_isotropic_l2_error), with rel_tol only validated."""
+    = [1.1, 10], integrated along A's breaklines, of A's declared degree
+    (lp_misfit).  The L^2 norm of a field that declares itself
+    (1 + beta |w|) I (_isotropic_l2_error) or trigonometric
+    (_trigonometric_misfit_means) is exact, with rel_tol only validated."""
     if not (P_RANGE[0] <= r <= P_RANGE[1]):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
     if A.isotropic is not None and r == 2.0:
         _validate_rel_tol(rel_tol)
         return _isotropic_l2_error(A.isotropic, A_h)
-    return lp_misfit(A.evaluate, A_h, r, rel_tol, A.breaks, A.degree)
+    return lp_misfit(A.evaluate, A_h, r, rel_tol, A.breaks, A.degree, A.trigonometric)
 
 
-def _isotropic_l2_error(form: IsotropicForm, A_h: PiecewiseConstantMatrixField) -> float:
+def _isotropic_l2_error(
+    form: IsotropicForm, A_h: PiecewiseConstantMatrixField, abs_integrals=None
+) -> float:
     """||A - A_h||_{L^2} for A = (1 + beta |w|) I, exact up to rounding.
 
     With D = A_h - I on cell K, |A - A_h|_F^2 = 2 beta^2 w^2
@@ -654,14 +790,15 @@ def _isotropic_l2_error(form: IsotropicForm, A_h: PiecewiseConstantMatrixField) 
     2 beta^2 int w^2 - 2 beta sum_K tr D_K int_K |w| + sum_K |K| |D_K|_F^2:
     int w^2 over the unit square from the profile's square_antiderivative,
     and int_K |w| from the cells' polar rule (_radial_means), split at
-    r = level_radius(0).  This is the closed form of int_K (|w| - m)^2,
-    expanded in m and summed over the cells."""
+    r = level_radius(0), unless given.  This is the closed form of
+    int_K (|w| - m)^2, expanded in m and summed over the cells."""
     beta, radial = form.beta, form.w.radial
     w2 = quadrature.radial_polygon_integrals(
         lambda r, ids: radial.square_antiderivative(r), radial.centre, _UNIT_SQUARE[None]
     )[0]
     area = 0.5 / 4**A_h.mesh.level  # every cell's
-    abs_integrals = _radial_means(form.w, A_h.mesh, 1.0, 0.0)
+    if abs_integrals is None:
+        abs_integrals = _radial_means(form.w, A_h.mesh, 1.0, 0.0)
     a11, a12, a21, a22 = quadrature._columns(A_h.values)
     trace = a11 + a22
     trace -= 2.0

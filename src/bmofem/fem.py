@@ -28,6 +28,7 @@ from .coeff import (
     P_RANGE,
     CoefficientField,
     PiecewiseConstantMatrixField,
+    TrigonometricForm,
     _min_eigenvalues,
     cell_means,
     project_coefficient,
@@ -171,12 +172,18 @@ def flux(A_h: PiecewiseConstantMatrixField, g: PCVectorField) -> PCVectorField:
 def project_rhs(f, mesh: Mesh, rel_tol: float = 1e-8) -> PCVectorField:
     """Cell averages of a vector-valued function.
 
-    f is either a callable (points (N,2)) -> (N,2) or an aligned
-    PCVectorField, which is already cell-constant and returned as is.
+    f is a callable (points (N,2)) -> (N,2) or an aligned PCVectorField,
+    which is already cell-constant and returned as is.  A callable that
+    declares itself trigonometric (a coeff.TrigonometricForm, as every rhs
+    fixture does) gets its exact means, with rel_tol only validated;
+    any other is refined by cell_means to rel_tol, with a floor at the
+    global scale of f (quadrature.global_scale_floor).
     """
     if isinstance(f, PCVectorField):
         _same_mesh(f.mesh, mesh)
         return f
+    if isinstance(f, TrigonometricForm):
+        return PCVectorField(mesh, cell_means(f, mesh, rel_tol, trigonometric=f))
 
     def integrand(pts, ids):
         return np.asarray(f(pts), dtype=float)

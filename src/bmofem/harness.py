@@ -17,7 +17,6 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
-from typing import Callable
 
 import numpy as np
 
@@ -174,19 +173,20 @@ def coefficient_fixture(cfg: ExperimentConfig) -> coeff_mod.CoefficientField:
     return coeff_mod.load_sampled_coefficient(cfg.coeff_csv)
 
 
-def rhs_fixture(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray]:
+def rhs_fixture(cfg: ExperimentConfig) -> coeff_mod.TrigonometricForm:
+    """The rhs field, declared trigonometric (coeff.TrigonometricForm):
+    constant (1, 0); sin-cos (sin pi x, cos pi y); grad-sinsin, the gradient
+    of sin(pi x) sin(pi y), with pi cos(pi x) sin(pi y) =
+    (pi / 2) (sin(pi (x + y)) - sin(pi (x - y))) and pi sin(pi x) cos(pi y)
+    = (pi / 2) (sin(pi (x + y)) + sin(pi (x - y))), sin = Re(-i e^{i .})."""
     if cfg.rhs == "constant":
-        return lambda P: np.broadcast_to(np.array([1.0, 0.0]), (P.shape[0], 2)).copy()
-    if cfg.rhs == "sin-cos":
-        return lambda P: np.column_stack(
-            [np.sin(np.pi * P[:, 0]), np.cos(np.pi * P[:, 1])]
-        )
-    return lambda P: np.column_stack(
-        [
-            np.pi * np.cos(np.pi * P[:, 0]) * np.sin(np.pi * P[:, 1]),
-            np.pi * np.sin(np.pi * P[:, 0]) * np.cos(np.pi * P[:, 1]),
-        ]
-    )
+        terms = (((1.0, (0, 0)),), ())
+    elif cfg.rhs == "sin-cos":
+        terms = (((-1j, (1, 0)),), ((1.0, (0, 1)),))
+    else:
+        half = 0.5j * np.pi
+        terms = (((-half, (1, 1)), (half, (1, -1))), ((-half, (1, 1)), (-half, (1, -1))))
+    return coeff_mod.TrigonometricForm((2,), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +282,15 @@ def prolong(u: P1Function, fine: Mesh) -> P1Function:
 
 
 def data_oscillation(f, f_h: PCVectorField, p: float, rel_tol=1e-4) -> float:
-    """||f - f_h||_{L^p} for a callable f against its cell averages.
-
-    At p != 2 the integrand |f - f_K|^p is not smooth where f - f_K
-    vanishes, inside every cell, so the cell means refine deep; at p = 2 it
-    is as smooth as f.  The stability study reports the p = 2 value."""
-    return coeff_mod.lp_misfit(f, f_h, p, rel_tol)
+    """||f - f_h||_{L^p} for a callable f against its cell averages, by
+    coeff.lp_misfit.  The stability study reports the p = 2 value, which
+    for a trigonometric f (every rhs fixture) is exact, by the identity
+    int_K |f - f_K|^2 = int_K |f|^2 - |K| |f_K|^2 with |f|^2 trigonometric
+    too, and costs no evaluation of f.  Any other f, or p != 2, refines:
+    at p != 2 the integrand |f - f_K|^p is not smooth where f - f_K
+    vanishes, inside every cell, so the cell means refine deep."""
+    form = f if isinstance(f, coeff_mod.TrigonometricForm) else None
+    return coeff_mod.lp_misfit(f, f_h, p, rel_tol, trigonometric=form)
 
 
 def gradient_error_against(grad_exact, u: P1Function, p: float, rel_tol=1e-4) -> float:
@@ -299,8 +302,7 @@ def _project_level(cfg: ExperimentConfig, A, level: int):
     """Project A on the level mesh; the row carries the level, its cell
     count and the L^2 coefficient error."""
     mesh = build_uniform_mesh(level)
-    A_h = coeff_mod.project_coefficient(A, mesh, cfg.projection_tol)
-    err = coeff_mod.coefficient_error(A, A_h, 2.0)
+    A_h, err = coeff_mod.projection_with_l2_error(A, mesh, cfg.projection_tol)
     return A_h, ReportRow(level=level, cells=mesh.num_cells, coeff_err_l2=err)
 
 

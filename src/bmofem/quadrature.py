@@ -1,7 +1,7 @@
-"""Composite midpoint quadrature with adaptive refinement, and two fixed
+"""Composite midpoint quadrature with adaptive refinement, and three fixed
 rules for fields that declare their form.
 
-Two kernels are not refined:
+Three kernels are not refined:
 
 * ``polynomial_means``: the 6-point degree-4 rule, exact for a field that
   is a polynomial of degree at most 4 on each triangle.  coeff.cell_means
@@ -15,6 +15,12 @@ Two kernels are not refined:
   profile the BMO diagnostics take it on dyadic squares, and the cell
   means of |w| and of a coefficient declared (1 + beta |w|) I on the mesh
   cells, each grid edge integrated once (coeff._radial_cell_integrals).
+
+* ``_trigonometric_cell_means``: the cell means of a trigonometric
+  polynomial on every cell of a mesh level, each term's from one constant
+  per cell orientation (the divided difference of exp, _exp_triangle_means)
+  times its value at the cells' corners, exact up to a few ulps.
+  coeff.cell_means uses it for fields declared trigonometric.
 
 Every other mean in the package settles by one rule (``_refine``).  Composite
 midpoint means are taken at successive levels, each on four times the
@@ -398,6 +404,91 @@ def polynomial_means(f, verts, cell_ids=None):
         s1 *= _DEGREE4_SPREAD
         mean += s1
     return out
+
+
+def _exp_triangle_means(z: np.ndarray) -> np.ndarray:
+    """Mean of exp(z) over a triangle on which z is affine, from z at the
+    vertices, z (..., 3) complex: 2 exp[z0, z1, z2], twice the divided
+    difference of exp (Hermite-Genocchi).
+
+    It is summed as e^m sum_q h_q(a, b, c) / (q + 2)!, the Taylor series
+    about the vertices' mean m, with a, b, c = z - m and h_q the complete
+    homogeneous symmetric polynomial of degree q (McCurdy, Ng and Parlett
+    1984, Math. Comp. 43), which the recurrence over one, two, then three
+    of the points builds.  With r = max |z - m|, |h_q| / (q + 2)! is at most
+    r^q / (2 q!), and the sum stops once that bound is below 2^-60; the
+    terms grow up to about e^r / r, so the sum is accurate for r of order
+    1 (see _cell_exp_means)."""
+    z = np.asarray(z, dtype=complex)
+    m = z.mean(axis=-1)
+    a, b, c = np.moveaxis(z - m[..., None], -1, 0)
+    r = float(np.max(np.abs(z - m[..., None]), initial=0.0))
+    one = np.ones_like(m)
+    ha, hab, habc = one, one, one  # h_q of a; of a, b; of a, b, c
+    total = 0.5 * one
+    bound, scale, q = 0.5, 0.5, 0  # r^q / (2 q!) and 1 / (q + 2)!
+    while bound > 2.0**-60:
+        q += 1
+        ha = a * ha
+        hab = b * hab + ha
+        habc = c * habc + hab
+        scale /= q + 2
+        total = total + habc * scale
+        bound *= r / q
+    return 2.0 * np.exp(m) * total
+
+
+def _cell_exp_means(kx: int, ky: int, n: int) -> np.ndarray:
+    """Means of exp(i pi (kx x + ky y)) over the lower cell (ll, lr, ur)
+    and the upper cell (ll, ur, ul) of the grid square [0, 1/n]^2, (2,)
+    complex.
+
+    While the exponent varies by at most 2 over a cell they come from
+    _exp_triangle_means.  Otherwise a cell's mean is the mean of its four
+    red children's, of side h = 1/(2n): the lower cell holds lower children at
+    (0, 0), (h, 0) and (h, h) and the upper child at (h, 0), the upper
+    cell upper children at (0, 0), (0, h) and (h, h) and the lower child at
+    (0, h); a child at v has its origin twin's mean times the term at v."""
+    if np.pi / n * max(abs(kx), abs(ky), abs(kx + ky)) <= 2.0:
+        return _exp_triangle_means(1j * np.pi / n * np.array([[0, kx, kx + ky], [0, kx + ky, ky]]))
+    lower, upper = _cell_exp_means(kx, ky, 2 * n)
+    ex, ey = np.exp(1j * np.pi / (2 * n) * np.array([kx, ky]))
+    return 0.25 * np.array(
+        [lower * (1.0 + ex + ex * ey) + upper * ex, upper * (1.0 + ey + ex * ey) + lower * ey]
+    )
+
+
+def _trigonometric_cell_means(terms, level: int) -> np.ndarray:
+    """Means over every cell of the level-`level` mesh of real
+    trigonometric polynomials Re sum_t c_t exp(i pi (kx x + ky y)), kx and
+    ky integers: terms[e] holds entry e's pairs (c_t, (kx, ky)).  Returns
+    (2 4^level, len(terms)), the cells in the mesh's order.
+
+    Every lower cell of the mesh is a translate of every other, and so is
+    every upper cell.  A cell's mean of exp(i pi k.x) is therefore its
+    corner (x_i, y_j)'s value exp(i pi kx x_i) exp(i pi ky y_j) times one
+    constant per orientation (_cell_exp_means), and each term adds, per
+    orientation, the real part of the outer product of its row and column
+    factors, as two real outer products.
+    Besides the output the kernel holds one value per grid column and row
+    per term and one n x n buffer, n = 2^level."""
+    n = 2**level
+    side = np.arange(n) * (1.0 / n)  # the cells' lower-left corners
+    out = np.zeros((n, n, 2, len(terms)))  # (row j, column i, lower/upper, entry)
+    buf = np.empty((n, n))
+    for e, entry in enumerate(terms):
+        for coef, (kx, ky) in entry:
+            consts = complex(coef) * _cell_exp_means(kx, ky, n)
+            fx = np.exp(1j * np.pi * kx * side)
+            fy = np.exp(1j * np.pi * ky * side)
+            for o in range(2):
+                a = consts[o] * fy
+                view = out[:, :, o, e]
+                np.multiply.outer(a.real, fx.real, out=buf)
+                view += buf
+                np.multiply.outer(a.imag, fx.imag, out=buf)
+                view -= buf
+    return out.reshape(2 * n * n, len(terms))
 
 
 def radial_polygon_integrals(H, centre, polys, kinks=None):

@@ -745,6 +745,21 @@ def test_log_l2_error_matches_the_cells_closed_form(meshes):
         assert abs(C.coefficient_error(A, A_h, 2.0) - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("level", [0, 4, 7])
+def test_projection_with_l2_error_matches_the_two_calls(meshes, level):
+    mesh = meshes[level]
+    for A in (
+        C.log_singular_coefficient(0.5),
+        C.log_singular_coefficient(2.0, (0.3, 0.7)),
+        C.smooth_coefficient(),
+    ):
+        A_h, err = C.projection_with_l2_error(A, mesh)
+        want_h = C.project_coefficient(A, mesh)
+        assert np.array_equal(A_h.values, want_h.values)
+        want = C.coefficient_error(A, want_h, 2.0)
+        assert abs(err - want) <= 1e-12 * want
+
+
 def test_log_fixture_with_beta_zero_is_the_identity(meshes):
     A = C.log_singular_coefficient(0.0, (0.3, 0.7))
     A_h = C.project_coefficient(A, meshes[3])
@@ -1649,7 +1664,7 @@ def _quadrature_calls(monkeypatch):
         ("sampled", 1.5, False),  # r * degree = 3 <= 4, but |A - A_h|^1.5 is no polynomial
         ("sampled", 3.0, False),
         ("sampled", 4.0, False),  # r * degree = 8 > 4
-        ("smooth", 2.0, False),  # no degree declared
+        ("smooth", 2.0, False),  # no degree declared, its trigonometric form withheld
     ],
 )
 def test_coefficient_error_takes_the_fixed_rule_only_for_polynomials(
@@ -1658,7 +1673,7 @@ def test_coefficient_error_takes_the_fixed_rule_only_for_polynomials(
     A = {
         "sampled": lambda: C.load_sampled_coefficient(nondyadic_csv_path),
         "checkerboard": lambda: C.checkerboard_coefficient(100.0),
-        "smooth": C.smooth_coefficient,
+        "smooth": lambda: dataclasses.replace(C.smooth_coefficient(), trigonometric=None),
     }[fixture]()
     A_h = C.project_coefficient(A, meshes[3])
     calls = _quadrature_calls(monkeypatch)
@@ -1690,3 +1705,152 @@ def test_fixed_rule_evaluates_six_nodes_per_cell_and_piece(meshes, nondyadic_csv
     D = dataclasses.replace(C.identity_coefficient(), evaluate=evaluate)
     C.project_coefficient(D, mesh)
     assert count[0] == 6 * mesh.num_cells
+
+
+# ---------------------------------------------------------------------------
+# trigonometric fixtures
+
+TRIG_FIELDS = ("sin-cos", "grad-sinsin", "constant", "smooth")
+
+
+def _trig_form(name):
+    if name == "smooth":
+        return C.smooth_coefficient().trigonometric
+    return X.rhs_fixture(X.ExperimentConfig(kind="stability", rhs=name))
+
+
+def _sample_cells(mesh):
+    """Both cells of every grid square up to level 1, of 8 spread ones above."""
+    squares = np.unique(np.linspace(0, 4**mesh.level - 1, 8).astype(int))
+    return (2 * squares[:, None] + [0, 1]).ravel()
+
+
+def test_trigonometric_fixtures_evaluate_their_closed_forms(rng):
+    p = rng.uniform(0.0, 1.0, (500, 2))
+    sx, cx = np.sin(np.pi * p[:, 0]), np.cos(np.pi * p[:, 0])
+    sy, cy = np.sin(np.pi * p[:, 1]), np.cos(np.pi * p[:, 1])
+    # sin-cos and the smooth coefficient bit for bit
+    assert np.array_equal(_trig_form("sin-cos")(p), np.column_stack([sx, cy]))
+    smooth = np.zeros((500, 2, 2))
+    smooth[:, 0, 0], smooth[:, 1, 1] = 2.0 + sx, 2.0 + cy
+    assert np.array_equal(C.smooth_coefficient().evaluate(p), smooth)
+    assert np.array_equal(_trig_form("constant")(p), np.tile([1.0, 0.0], (500, 1)))
+    grad = np.pi * np.column_stack([cx * sy, sx * cy])
+    assert np.max(np.abs(_trig_form("grad-sinsin")(p) - grad)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", TRIG_FIELDS)
+def test_trigonometric_squared_norm_is_the_squared_values(rng, name):
+    form = _trig_form(name)
+    p = rng.uniform(0.0, 1.0, (500, 2))
+    values = form(p).reshape(500, -1)
+    assert form.squared_norm().shape == ()
+    assert np.max(np.abs(form.squared_norm()(p) - np.sum(values**2, axis=1))) <= 1e-13
+
+
+def test_trigonometric_form_is_checked():
+    with pytest.raises(ValueError, match="one entry per value entry"):
+        C.TrigonometricForm((2,), (((1.0, (0, 0)),),))
+    with pytest.raises(ValueError, match="integer k"):
+        C.TrigonometricForm((), (((1.0, (0.5, 0)),),))
+    with pytest.raises(ValueError, match="shape"):
+        C.CoefficientField(_wave, 1.0, "any", trigonometric=_trig_form("sin-cos"))
+
+
+@pytest.mark.parametrize("name", TRIG_FIELDS)
+@pytest.mark.parametrize(
+    "level", [pytest.param(0, id="level0-nodes-farthest-apart"), 1, 2, 3, 4, 5, 6]
+)
+def test_trigonometric_cell_means_match_the_triangle_rule(meshes, name, level):
+    # against refinement at rel_tol 1e-12 with floor 1, the fields' scale,
+    # which lands within 7e-14 of the closed form relative to the field's
+    # largest cell mean
+    form = _trig_form(name)
+    mesh = meshes[level]
+    cells = _sample_cells(mesh)
+    got = C.cell_means(None, mesh, 1e-12, trigonometric=form)[cells]
+    verts = mesh.cell_coordinates()[cells]
+    want = Q.triangle_means(lambda p, i: form(p), verts, 1e-12, abs_floor=1.0)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", TRIG_FIELDS)
+def test_trigonometric_cell_means_restrict_exactly(name):
+    # each level-L cell mean is the mean of its four children's, L = 0..9
+    terms = _trig_form(name).terms
+    coarse = Q._trigonometric_cell_means(terms, 0)
+    for level in range(1, 11):
+        fine = Q._trigonometric_cell_means(terms, level)
+        for c, f in zip(coarse.T, fine.T):
+            assert np.max(np.abs(_restricted(f, level - 1) - c)) <= 4e-15
+        coarse = fine
+
+
+def test_trigonometric_means_of_a_term_match_the_divided_difference():
+    # at level 0 the exponents lie up to 8 pi apart, where the divided
+    # difference sum_i e^{z_i} / prod_{j != i} (z_i - z_j) loses nothing
+    for kx in range(-4, 5):
+        for ky in range(-4, 5):
+            z = 1j * np.pi * np.array([[0, kx, kx + ky], [0, kx + ky, ky]])
+            for got, nodes in zip(Q._cell_exp_means(kx, ky, 1), z):
+                if min(abs(nodes[i] - nodes[j]) for i, j in ((0, 1), (1, 2), (0, 2))) < 1.0:
+                    continue  # the sum below cancels
+                want = 2.0 * sum(
+                    np.exp(nodes[i]) / np.prod([nodes[i] - nodes[j] for j in range(3) if j != i])
+                    for i in range(3)
+                )
+                assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["sin-cos", "grad-sinsin"])
+def test_l2_oscillation_identity_matches_the_refined_route(meshes, name):
+    form = _trig_form(name)
+    mesh = meshes[3]
+    f_h = F.project_rhs(form, mesh)
+    rng = np.random.default_rng(7)
+    for c in (f_h, F.PCVectorField(mesh, f_h.values + 0.01 * rng.standard_normal(f_h.values.shape))):
+        got = X.data_oscillation(form, c, 2.0)
+        want = C.lp_misfit(form, c, 2.0, 1e-9)
+        assert abs(got - want) <= 1e-9 * want
+    # level 7 on sampled cells: refining all 32768 cells to 1e-9 takes 20 s
+    mesh = meshes[7]
+    f_h = F.project_rhs(form, mesh)
+    cells = _sample_cells(mesh)
+    got = C._trigonometric_misfit_means(form, f_h)[cells]
+    consts = f_h.values[cells]
+
+    def integrand(p, ids):
+        d = form(p) - consts[ids]
+        return d[:, 0] ** 2 + d[:, 1] ** 2
+
+    want = Q.triangle_means(integrand, mesh.cell_coordinates()[cells], 1e-9)
+    assert abs(got.sum() - want.sum()) <= 1e-9 * want.sum()
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.mean(want)
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_smooth_l2_error_matches_the_refined_route(meshes, level):
+    A = C.smooth_coefficient()
+    undeclared = dataclasses.replace(A, trigonometric=None)
+    mesh = meshes[level]
+    for A_h in (C.project_coefficient(A, mesh), C.project_coefficient(C.log_singular_coefficient(0.5), mesh)):
+        got = C.coefficient_error(A, A_h, 2.0)
+        want = C.coefficient_error(undeclared, A_h, 2.0, rel_tol=1e-9)
+        assert abs(got - want) <= 1e-8 * want
+
+
+def test_declared_trigonometric_fields_are_never_sampled(meshes, monkeypatch):
+    def never(points):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(Q, "triangle_means", None)
+    monkeypatch.setattr(Q, "global_scale_floor", None)
+    mesh = meshes[5]
+    A = C.smooth_coefficient()
+    A = dataclasses.replace(A, evaluate=never)
+    A_h = C.project_coefficient(A, mesh)
+    assert C.coefficient_error(A, A_h, 2.0) > 0.0
+    form = _trig_form("grad-sinsin")
+    f_h = F.project_rhs(form, mesh)
+    assert C.lp_misfit(never, f_h, 2.0, 1e-6, trigonometric=form) > 0.0

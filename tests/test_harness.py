@@ -12,6 +12,7 @@ import pytest
 from bmofem import coeff as C
 from bmofem import fem as F
 from bmofem import harness as X
+from bmofem import quadrature as Q
 from bmofem.errors import ConfigError, LineageError
 from bmofem.mesh import Mesh, build_uniform_mesh, interior_vertex_indices
 
@@ -260,9 +261,10 @@ def test_l2_data_oscillation_of_sin_cos_decays_at_first_order(meshes):
 
 
 def test_stability_study_evaluates_the_rhs_about_90_times_per_cell(monkeypatch):
-    # projection and the L^2 oscillation take 91.3 evaluations per cell at
-    # level 6; the L^p oscillation at p = 2.1 refines every cell to m = 4..5,
-    # which makes 329.3
+    # an rhs without its trigonometric declaration (the counting wrapper
+    # hides it) is refined: projection and the L^2 oscillation take 91.3
+    # evaluations per cell at level 6; the L^p oscillation at p = 2.1 refines
+    # every cell to m = 4..5, which makes 329.3
     evals = 0
     rhs_fixture = X.rhs_fixture
 
@@ -284,6 +286,51 @@ def test_stability_study_evaluates_the_rhs_about_90_times_per_cell(monkeypatch):
         )
     )
     assert evals <= 120 * build_uniform_mesh(6).num_cells
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "stability", "coeff": "log", "beta": 0.5, "rhs": "sin-cos", "p": 2.1,
+         "levels": "1..4"},
+        {"kind": "stability", "coeff": "smooth", "rhs": "grad-sinsin", "levels": "1..3"},
+        {"kind": "coeff-decay", "coeff": "smooth", "p": 2.0, "levels": "0..4"},
+    ],
+)
+def test_trigonometric_studies_take_no_quadrature(monkeypatch, config):
+    # the declared rhs and smooth coefficient take their exact cell means,
+    # L^2 oscillation and L^2 error: a fallback to refinement would call these
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    for name in ("triangle_means", "global_scale_floor", "polynomial_means"):
+        monkeypatch.setattr(Q, name, refuse)
+    report = X.run_study(X.config_from_dict(config))
+    assert all(r.coeff_err_l2 > 0.0 for r in report.rows)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "stability", "coeff": "log", "beta": 0.5, "rhs": "sin-cos", "p": 2.1,
+         "levels": "2..4"},
+        {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0, "levels": "0..3"},
+        {"kind": "convergence", "coeff": "log", "beta": 0.5, "levels": "1..2,4"},
+    ],
+)
+def test_log_studies_integrate_the_cells_once_per_level(monkeypatch, config):
+    # the projection and its L^2 error share one polar pass over the cells
+    levels = []
+    original = C._radial_cell_integrals
+
+    def spy(H, centre, mesh, kinks=None):
+        levels.append(mesh.level)
+        return original(H, centre, mesh, kinks)
+
+    monkeypatch.setattr(C, "_radial_cell_integrals", spy)
+    cfg = X.config_from_dict(config)
+    X.run_study(cfg)
+    assert sorted(levels) == sorted(cfg.levels)
 
 
 # ---------------------------------------------------------------------------
