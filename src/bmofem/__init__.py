@@ -29,12 +29,14 @@ from .coeff import (
     smooth_coefficient,
 )
 from .fem import (
+    GalerkinSolve,
     P1Function,
     PCVectorField,
     SPDSystem,
     assemble_rhs,
     assemble_stiffness,
     evaluate_p1,
+    galerkin_solve,
     gradient,
     interpolate_p1,
     lp_norm,

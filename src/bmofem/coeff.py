@@ -649,11 +649,21 @@ def projection_with_l2_error(
     """project_coefficient(A, mesh, rel_tol) and its coefficient_error at
     r = 2, the same values.  For a field that declares itself
     (1 + beta |w|) I both read one pass of the cell integrals of |w|."""
+    A_h, err, _ = _projection_with_abs_means(A, mesh, rel_tol)
+    return A_h, err
+
+
+def _projection_with_abs_means(A: CoefficientField, mesh: Mesh, rel_tol: float):
+    """projection_with_l2_error, and for a field that declares itself
+    (1 + beta |w|) I the cell means of |w| that both read, the values of
+    cell_abs_means(A.isotropic.w, mesh); None for any other field."""
     if A.isotropic is None:
         A_h = project_coefficient(A, mesh, rel_tol)
-        return A_h, coefficient_error(A, A_h, 2.0)
+        return A_h, coefficient_error(A, A_h, 2.0), None
     A_h, abs_integrals = _isotropic_projection(A.isotropic, mesh, rel_tol)
-    return A_h, _isotropic_l2_error(A.isotropic, A_h, abs_integrals)
+    err = _isotropic_l2_error(A.isotropic, A_h, abs_integrals)
+    abs_integrals /= 0.5 / 4**mesh.level  # every cell's area: now the means
+    return A_h, err, abs_integrals
 
 
 def _isotropic_projection(form: IsotropicForm, mesh: Mesh, rel_tol: float):
@@ -677,16 +687,31 @@ def _min_eigenvalues(values: np.ndarray) -> np.ndarray:
     half -+ rad: for half < 0 the smaller is half - rad, with no
     cancellation, and otherwise it is det / (half + rad), which keeps the
     relative accuracy of a small eigenvalue beside a large one.  The zero
-    matrix gives 0."""
+    matrix gives 0.  Every step after the scaling writes into an array it
+    owns, so the pass holds about five value columns at once."""
     a, b, c = values[:, 0, 0], values[:, 0, 1], values[:, 1, 1]
-    _, exp = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))
-    a, b, c = (np.ldexp(v, -exp) for v in (a, b, c))
-    half = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), b)
-    out = half - rad
-    big = half + rad
-    np.divide(a * c - b * b, big, out=out, where=(half >= 0) & (big > 0))
-    return np.ldexp(out, exp)
+    top = np.abs(a)
+    np.maximum(top, np.abs(b), out=top)
+    np.maximum(top, np.abs(c), out=top)
+    exp = np.frexp(top)[1]
+    del top
+    np.negative(exp, out=exp)
+    a, b, c = (np.ldexp(v, exp) for v in (a, b, c))
+    np.negative(exp, out=exp)
+    half = a + c
+    half *= 0.5
+    rad = np.subtract(a, c)
+    rad *= 0.5
+    np.hypot(rad, b, out=rad)
+    det = np.multiply(a, c, out=a)
+    det -= np.multiply(b, b, out=b)
+    del b
+    out = np.subtract(half, rad, out=c)
+    big = np.add(half, rad, out=rad)
+    where = half >= 0
+    where &= big > 0
+    np.divide(det, big, out=out, where=where)
+    return np.ldexp(out, exp, out=out)
 
 
 def coercivity_of_projection(A_h: PiecewiseConstantMatrixField) -> float:

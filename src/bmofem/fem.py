@@ -7,8 +7,15 @@ assembled integral is exact: both the coefficient and the test-function
 gradients are constant per cell.
 
 On the structured mesh the gradient G is four slice differences on the
-vertex grid, assemble_rhs is its exact adjoint, and the stiffness matrix
-G^T diag(|K| A_K) G is applied unassembled (StiffnessOperator).
+vertex grid and assemble_rhs is its exact adjoint.  The stiffness matrix
+G^T diag(|K| A_K) G is applied as a stencil on the vertex grid
+(StiffnessOperator): each cell's energy splits exactly into weights on
+its horizontal, vertical and diagonal edge, so K is a 7-point stencil,
+and a 5-point one where every a12 is 0.  CG preconditions it by the
+exact identity-coefficient inverse L^-1 (poisson_solve), scaled to
+s L^-1 s by s = a^(-1/2) at the vertices, a the local mean of
+trace(A_h) / 2, where a spread rule computed from A_h says the scaling
+narrows the spectrum (solve_projected).
 
 Functions of cell fields read the mesh from the field:
 assemble_rhs(f_h), assemble_stiffness(A_h) and
@@ -19,6 +26,7 @@ different meshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dc_field
 
 import numpy as np
 
@@ -44,6 +52,10 @@ from .mesh import Mesh, cell_areas, interior_vertex_indices
 SOLVER_TOL_RANGE = (1e-14, 1e-6)
 DEFAULT_SOLVER_TOL = 1e-12
 ITERATION_FACTOR = 50
+# a bound on the relative rounding error of a spread as _vertex_scaling
+# evaluates it (a few ulps): a spread tie in exact arithmetic, as on the
+# checkerboard, must not read as a gain
+SPREAD_ROUNDING = 64 * np.finfo(float).eps
 
 
 def _require_p(p: float) -> float:
@@ -103,18 +115,120 @@ class SPDSystem:
 @dataclass(frozen=True)
 class StiffnessOperator:
     """x -> K x over interior vertices for a cell-wise constant coefficient,
-    unassembled.  Refuses a projected coefficient that is not coercive."""
+    as a stencil on the vertex grid.  Refuses a projected coefficient that
+    is not coercive.
+
+    A cell's energy |K| <A g, g> is (a11 dx^2 + 2 a12 dx dy + a22 dy^2) / 2
+    in the differences dx, dy of its horizontal and vertical edge, and
+    2 dx dy = dd^2 - dx^2 - dy^2 with dd the difference along its ll-ur
+    diagonal.  So K is the weighted graph Laplacian of the grid edges:
+    each horizontal edge weighs half the sum of a11 - a12 over its cells,
+    each vertical edge half the sum of a22 - a12, each diagonal half the
+    sum of a12.  The weights are built once; the stencil has 7 points, 5
+    where every a12 is 0.  A negative a12 gives a negative diagonal weight,
+    which the energy allows.
+
+    scaling is the preconditioner's vertex scaling s = a^(-1/2), a the
+    mean of trace(A_K) / 2 over the eight cells of the vertex's four grid
+    squares, or None where the plain Laplacian inverse should be used
+    (see solve_projected)."""
 
     A_h: PiecewiseConstantMatrixField
+    scaling: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
+    _weights: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if float(np.min(_min_eigenvalues(self.A_h.values))) <= 0.0:
+        values = self.A_h.values
+        lam_min = _min_eigenvalues(values)
+        if float(np.min(lam_min)) <= 0.0:
             raise AssemblyError(
                 "projected coefficient is not positive definite; assembly refused"
             )
+        n = 2**self.A_h.mesh.level
+        cells = values.reshape(n, n, 2, 2, 2)  # square row, column, lower/upper
+        object.__setattr__(self, "scaling", _vertex_scaling(cells, lam_min))
+        del lam_min  # not held beside the weights
+        object.__setattr__(self, "_weights", _stencil_weights(cells))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return assemble_rhs(flux(self.A_h, gradient(p1_zero_trace(self.A_h.mesh, x))))
+        diag, horizontal, vertical, diagonal = self._weights
+        m = diag.shape[0]
+        X = np.zeros((m + 2, m + 2))
+        X[1:-1, 1:-1] = np.reshape(x, (m, m))
+        y = diag * X[1:-1, 1:-1]
+        pairs = [
+            (horizontal[:, :-1], X[1:-1, :-2]),
+            (horizontal[:, 1:], X[1:-1, 2:]),
+            (vertical[:-1], X[:-2, 1:-1]),
+            (vertical[1:], X[2:, 1:-1]),
+        ]
+        if diagonal is not None:
+            pairs += [(diagonal[:-1, :-1], X[:-2, :-2]), (diagonal[1:, 1:], X[2:, 2:])]
+        t = np.empty_like(y)
+        for w, neighbour in pairs:
+            y -= np.multiply(w, neighbour, out=t)
+        return y.ravel()
+
+
+def _stencil_weights(cells: np.ndarray):
+    """(diagonal of K, horizontal, vertical and diagonal edge weights) of
+    StiffnessOperator, as (n-1, n-1), (n-1, n), (n, n-1) and (n, n) grids
+    over the edges that touch an interior vertex; the diagonal edge
+    weights are None where every a12 is 0."""
+    a11, a12, a22 = cells[..., 0, 0], cells[..., 0, 1], cells[..., 1, 1]
+    full = bool(a12.any())
+    ex = a11 - a12 if full else a11
+    horizontal = ex[1:, :, 0] + ex[:-1, :, 1]  # lower cell's bottom, upper cell's top
+    horizontal *= 0.5
+    ey = a22 - a12 if full else a22
+    vertical = ey[:, :-1, 0] + ey[:, 1:, 1]  # lower cell's right, upper cell's left
+    vertical *= 0.5
+    diag = horizontal[:, :-1] + horizontal[:, 1:]
+    diag += vertical[:-1]
+    diag += vertical[1:]
+    diagonal = None
+    if full:
+        diagonal = a12[..., 0] + a12[..., 1]
+        diagonal *= 0.5
+        diag += diagonal[:-1, :-1]
+        diag += diagonal[1:, 1:]
+    return diag, horizontal, vertical, diagonal
+
+
+def _vertex_scaling(cells: np.ndarray, lam_min: np.ndarray) -> np.ndarray | None:
+    """The vertex scaling s = a^(-1/2) of StiffnessOperator, flattened like
+    the interior vertices, if the scaled spread is strictly below the plain
+    one, else None.
+
+    The plain spread is max_K lambda_max(A_K) / min_K lambda_min(A_K), the
+    spread that L^-1 leaves.  The scaled one is the same ratio of
+    lambda(A_K) / a_v over the cells K and their interior vertices v, an
+    estimate of the spread that s L^-1 s leaves, not a bound."""
+    n = cells.shape[0]
+    if n < 2:  # no interior vertex
+        return None
+    lo = lam_min.reshape(n, n, 2)
+    trace = cells[..., 0, 0] + cells[..., 1, 1]
+    hi = trace - lo
+    square = trace[..., 0] + trace[..., 1]
+    a = square[:-1, :-1] + square[:-1, 1:]
+    a += square[1:, :-1]
+    a += square[1:, 1:]
+    a *= 1.0 / 16.0  # eight cells, half their traces
+    inv = np.reciprocal(a, out=a)
+    # per vertex, its six cells: the lower cell of the squares it is the
+    # ll, lr or ur corner of, the upper cell of those it is ll, ur or ul of
+    corners = [(1, 1, 0), (1, 0, 0), (0, 0, 0), (1, 1, 1), (0, 0, 1), (0, 1, 1)]
+    t = np.empty_like(inv)
+    top, bottom = 0.0, np.inf
+    for r, c, k in corners:
+        rows, cols = slice(r, r + n - 1), slice(c, c + n - 1)
+        top = max(top, float(np.multiply(hi[rows, cols, k], inv, out=t).max()))
+        bottom = min(bottom, float(np.multiply(lo[rows, cols, k], inv, out=t).min()))
+    plain = float(hi.max()) / float(lo.min())
+    if not top / bottom < plain * (1.0 - SPREAD_ROUNDING):
+        return None
+    return np.sqrt(inv).ravel()
 
 
 def _same_mesh(a: Mesh, b: Mesh):
@@ -343,6 +457,16 @@ def solve_bvp(
     return solve_projected(A_h, f_h, solver_tol)
 
 
+@dataclass(frozen=True)
+class GalerkinSolve:
+    """A solve_projected solution with its CG record: the iteration count
+    and the preconditioner, "plain" or "scaled"."""
+
+    u: P1Function
+    cg_iterations: int
+    preconditioner: str
+
+
 def solve_projected(
     A_h: PiecewiseConstantMatrixField,
     f_h: PCVectorField,
@@ -350,20 +474,55 @@ def solve_projected(
 ) -> P1Function:
     """Solve with already projected data (shared by studies and solve_bvp).
 
-    CG applies the stiffness matrix unassembled (StiffnessOperator) and is
-    preconditioned by the exact identity-coefficient inverse
+    CG applies the stiffness matrix as a stencil on the vertex grid, with
+    edge weights built once from A_h (StiffnessOperator).  It is
+    preconditioned by the exact identity-coefficient inverse L^-1
     (poisson_solve), so the condition number is bounded by the spread of
-    the eigenvalues of A_h rather than growing like h^-2.  A_h and f_h
-    must live on one mesh, the solution's.
+    the eigenvalues of A_h rather than growing like h^-2.  Where A_h's
+    size varies smoothly, as for the log fixture, the vertex scaling
+    s L^-1 s narrows that spread: s = a^(-1/2) at each interior vertex, a
+    the mean of trace(A_K) / 2 over the vertex's four grid squares
+    (equivalent-operator preconditioning, Axelsson and Karatson 2009).
+
+    The choice is computed from A_h: scaled when the scaled spread, the
+    largest lambda_max(A_K) / a_v over the cells K and their interior
+    vertices v divided by the smallest lambda_min(A_K) / a_v, is strictly
+    below the plain spread max lambda_max / min lambda_min, beyond
+    rounding (SPREAD_ROUNDING); else plain.  The rule is a heuristic, not
+    a bound, and its choices are pinned in the tests: on a jump
+    coefficient such as the checkerboard the two spreads tie, and the
+    scaling would cost up to ten times more iterations.  A_h and f_h must
+    live on one mesh, the solution's.  galerkin_solve returns the same
+    solution with the iteration count and the choice.
     """
+    return galerkin_solve(A_h, f_h, solver_tol).u
+
+
+def galerkin_solve(
+    A_h: PiecewiseConstantMatrixField,
+    f_h: PCVectorField,
+    solver_tol: float = DEFAULT_SOLVER_TOL,
+) -> GalerkinSolve:
+    """solve_projected, with its CG iteration count (one preconditioner
+    application each) and the preconditioner, "plain" or "scaled"."""
     _same_mesh(A_h.mesh, f_h.mesh)
     mesh = A_h.mesh
     K = StiffnessOperator(A_h)
     b = assemble_rhs(f_h)
-    x = solve_spd(
-        SPDSystem(K, b), solver_tol, precondition=lambda r: poisson_solve(mesh, r)
-    )
-    return p1_zero_trace(mesh, x)
+    s = K.scaling
+    calls = 0
+
+    def precondition(r):
+        nonlocal calls
+        calls += 1
+        if s is None:
+            return poisson_solve(mesh, r)
+        z = poisson_solve(mesh, s * r)
+        z *= s
+        return z
+
+    x = solve_spd(SPDSystem(K, b), solver_tol, precondition=precondition)
+    return GalerkinSolve(p1_zero_trace(mesh, x), calls, "plain" if s is None else "scaled")
 
 
 def lp_norm(field: PCVectorField, p: float) -> float:

@@ -300,22 +300,34 @@ def gradient_error_against(grad_exact, u: P1Function, p: float, rel_tol=1e-4) ->
 
 def _project_level(cfg: ExperimentConfig, A, level: int):
     """Project A on the level mesh; the row carries the level, its cell
-    count and the L^2 coefficient error."""
+    count and the L^2 coefficient error.  Also returns the cell means of
+    |w| that the projection read for A = (1 + beta |w|) I, else None."""
     mesh = build_uniform_mesh(level)
-    A_h, err = coeff_mod.projection_with_l2_error(A, mesh, cfg.projection_tol)
-    return A_h, ReportRow(level=level, cells=mesh.num_cells, coeff_err_l2=err)
+    A_h, err, abs_means = coeff_mod._projection_with_abs_means(A, mesh, cfg.projection_tol)
+    return A_h, ReportRow(level=level, cells=mesh.num_cells, coeff_err_l2=err), abs_means
 
 
 def _solve_level(cfg: ExperimentConfig, A, f, level: int):
     """_project_level, then project f on the same mesh and solve; the row
-    adds the gradient and data norms and their ratio."""
-    A_h, row = _project_level(cfg, A, level)
+    adds the gradient and data norms and their ratio.  Also returns the
+    solve's CG record for the metadata (_solver_record)."""
+    A_h, row, _ = _project_level(cfg, A, level)
     f_h = fem.project_rhs(f, A_h.mesh, cfg.projection_tol)
-    u = fem.solve_projected(A_h, f_h, cfg.solver_tol)
+    solve = fem.galerkin_solve(A_h, f_h, cfg.solver_tol)
+    u = solve.u
     grad_lp = fem.lp_norm(fem.gradient(u), cfg.p)
     f_lp = fem.lp_norm(f_h, cfg.p)
     row = replace(row, grad_lp=grad_lp, f_lp=f_lp, stability_ratio=grad_lp / f_lp)
-    return A_h, f_h, u, row
+    return A_h, f_h, u, row, solve
+
+
+def _solver_record(solves) -> dict:
+    """Metadata of a study's solves, one entry per level in level order:
+    CG iterations and the preconditioner galerkin_solve chose."""
+    return {
+        "cg_iterations": [s.cg_iterations for s in solves],
+        "preconditioner": [s.preconditioner for s in solves],
+    }
 
 
 def _orders(errors) -> list:
@@ -343,9 +355,11 @@ def run_stability_study(cfg: ExperimentConfig) -> StudyReport:
     rows = []
     oscillations = []
     timings = []
+    solves = []
     for level in cfg.levels:
         t0 = time.perf_counter()
-        A_h, f_h, u, row = _solve_level(cfg, A, f, level)
+        A_h, f_h, u, row, solve = _solve_level(cfg, A, f, level)
+        solves.append(solve)
         # data whose discrete load vanishes gives u = 0; the split ratios
         # are undefined and their columns stay empty
         if row.grad_lp > 0.0:
@@ -362,6 +376,7 @@ def run_stability_study(cfg: ExperimentConfig) -> StudyReport:
         stability_ratio_max_over_min=max(ratios) / min(ratios) if min(ratios) > 0 else None,
         data_oscillation_l2=oscillations,
         timings_s=timings,
+        **_solver_record(solves),
     )
 
 
@@ -372,15 +387,17 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyReport:
     f = rhs_fixture(cfg)
     ref_level = cfg.levels[-1]
     t0 = time.perf_counter()
-    _, _, u_ref, ref_row = _solve_level(cfg, A, f, ref_level)
+    _, _, u_ref, ref_row, ref_solve = _solve_level(cfg, A, f, ref_level)
     g_ref = fem.gradient(u_ref)
     ref_time = time.perf_counter() - t0
     rows = []
     errors = []
     timings = []
+    solves = []
     for level in cfg.levels[:-1]:
         t0 = time.perf_counter()
-        _, _, u, row = _solve_level(cfg, A, f, level)
+        _, _, u, row, solve = _solve_level(cfg, A, f, level)
+        solves.append(solve)
         errors.append(fem.lp_norm(g_ref - fem.gradient(prolong(u, u_ref.mesh)), cfg.p_hat))
         rows.append(row)
         timings.append(time.perf_counter() - t0)
@@ -391,6 +408,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> StudyReport:
         reference_level=ref_level,
         reference_time_s=ref_time,
         timings_s=timings,
+        **_solver_record(solves + [ref_solve]),
     )
 
 
@@ -401,7 +419,7 @@ def run_coeff_decay_study(cfg: ExperimentConfig) -> StudyReport:
     rows = []
     errors = []
     for level in cfg.levels:
-        A_h, row = _project_level(cfg, A, level)
+        A_h, row, _ = _project_level(cfg, A, level)
         err_r = row.coeff_err_l2 if cfg.p == 2.0 else coeff_mod.coefficient_error(A, A_h, cfg.p)
         errors.append(err_r)
         rows.append(row)
@@ -439,7 +457,7 @@ def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
     return _report(cfg, rows, fields_per_level=HODGE_SUITE_FIELDS, residuals=residuals)
 
 
-def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
+def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
     """At every point x of a 17x17 grid, verify that the largest average of
     |w| over the cells containing x is at most 2 times the largest average
     of |w| over the dyadic squares of generations 0..level containing x,
@@ -450,12 +468,14 @@ def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
     the dyadic family at depth = level always contains it.  gen_means[j]
     holds the |w| averages of the generation-j squares for j = 0..level (or
     deeper), as coeff.abs_means_pyramid builds them; by default that
-    pyramid is built for this level.  The closed generation-j squares
-    containing x are the grid squares of the level-j mesh cells containing
-    x, so one containment rule serves both maxima, for all points at once.
-    Returns (violations, worst_margin).
+    pyramid is built for this level.  cell_means holds the |w| averages
+    of the level mesh's cells, coeff.cell_abs_means by default.  The
+    closed generation-j squares containing x are the grid squares of the
+    level-j mesh cells containing x, so one containment rule serves both
+    maxima, for all points at once.  Returns (violations, worst_margin).
     """
-    cell_means = coeff_mod.cell_abs_means(w, build_uniform_mesh(level))
+    if cell_means is None:
+        cell_means = coeff_mod.cell_abs_means(w, build_uniform_mesh(level))
     if gen_means is None:
         gen_means = coeff_mod.abs_means_pyramid(w, level)
     grid = np.linspace(0.0, 1.0, MAXIMAL_GRID)
@@ -475,10 +495,13 @@ def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None):
 
 def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     """BMO seminorm estimates per depth, the John-Nirenberg distribution
-    table, and the maximal-function comparison per level, of the classical
-    log example log(1/|x|) for the log fixture, of A's (1,1) entry otherwise."""
+    table, and the maximal-function comparison per level, of w for a
+    coefficient (1 + beta |w|) I, such as the log fixture with the
+    classical log example w = log(1/|x|), of A's (1,1) entry otherwise.
+    The projection of (1 + beta |w|) I reads the cell means of |w|, and
+    the maximal comparison reuses them."""
     A = coefficient_fixture(cfg)
-    w = coeff_mod.log_reciprocal_scalar() if cfg.coeff == "log" else coeff_mod.coefficient_entry(A)
+    w = coeff_mod.coefficient_entry(A) if A.isotropic is None else A.isotropic.w
     _, oscs, fallbacks = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
     seminorm_by_depth = [float(v) for v in np.maximum.accumulate([o.max() for o in oscs])]
     jn_table = coeff_mod.john_nirenberg_check(
@@ -488,8 +511,10 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     rows = []
     lemma = []
     for level in cfg.levels:
-        _, row = _project_level(cfg, A, level)
-        violations, worst = maximal_bound_check(w, level, gen_means=abs_means)
+        _, row, cell_means = _project_level(cfg, A, level)
+        violations, worst = maximal_bound_check(
+            w, level, gen_means=abs_means, cell_means=cell_means
+        )
         lemma.append({"level": level, "violations": violations, "worst_margin": worst})
         rows.append(row)
     return _report(

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,24 +199,53 @@ def test_grid_rhs_matches_hat_contributions(level, rng):
     )
 
 
+def _random_spd(mesh, rng):
+    """Per-cell SPD matrices whose off-diagonals take both signs and
+    exceed either diagonal entry's half, so some stencil weights are
+    negative."""
+    m = mesh.num_cells
+    a11, a22 = rng.uniform(0.5, 3.0, m), rng.uniform(0.5, 3.0, m)
+    a12 = rng.uniform(-0.95, 0.95, m) * np.sqrt(a11 * a22)
+    vals = np.stack([np.stack([a11, a12], 1), np.stack([a12, a22], 1)], 1)
+    return C.PiecewiseConstantMatrixField(mesh, vals)
+
+
 @pytest.mark.parametrize(
-    "name", ["identity", "smooth", "log", "checkerboard", "sampled"]
+    "name",
+    [
+        "identity", "smooth", "log", "checkerboard", "sampled", "log-2",
+        "checkerboard-0.01", "negative-offdiagonal", "random-spd",
+    ],
 )
 @pytest.mark.parametrize("level", range(1, 8))
 def test_stiffness_operator_matches_assembled_matrix(name, level, sampled_csv_path, rng):
-    A = {
-        "identity": C.identity_coefficient,
-        "smooth": C.smooth_coefficient,
-        "log": lambda: C.log_singular_coefficient(0.5),
-        "checkerboard": lambda: C.checkerboard_coefficient(100.0),
-        "sampled": lambda: C.load_sampled_coefficient(sampled_csv_path),
-    }[name]()
     mesh = build_uniform_mesh(level)
-    A_h = C.project_coefficient(A, mesh)
+    if name == "random-spd":
+        A_h = _random_spd(mesh, rng)
+    else:
+        A = {
+            "identity": C.identity_coefficient,
+            "smooth": C.smooth_coefficient,
+            "log": lambda: C.log_singular_coefficient(0.5),
+            "checkerboard": lambda: C.checkerboard_coefficient(100.0),
+            "sampled": lambda: C.load_sampled_coefficient(sampled_csv_path),
+            "log-2": lambda: C.log_singular_coefficient(2.0),
+            "checkerboard-0.01": lambda: C.checkerboard_coefficient(0.01),
+            "negative-offdiagonal": lambda: C.constant_coefficient([[2.0, -0.9], [-0.9, 1.0]]),
+        }[name]()
+        A_h = C.project_coefficient(A, mesh)
     x = rng.standard_normal((2**level - 1) ** 2)
     expected = F.assemble_stiffness(A_h).matrix @ x
     got = F.StiffnessOperator(A_h) @ x
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_stiffness_stencil_is_five_point_for_diagonal_coefficients(meshes):
+    # the diagonal edges carry a12 only; the sampled grid's a12 is nonzero
+    log = C.project_coefficient(C.log_singular_coefficient(0.5), meshes[3])
+    assert F.StiffnessOperator(log)._weights[3] is None
+    tilted = C.project_coefficient(C.constant_coefficient([[2.0, 0.5], [0.5, 1.0]]), meshes[3])
+    assert np.all(F.StiffnessOperator(tilted)._weights[3] == 0.5)
 
 
 def test_solve_projected_refuses_noncoercive(meshes):
@@ -345,13 +375,7 @@ def test_preconditioned_solve_matches_direct_solve(name, level, rng):
     assert err <= 1e-9 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("level", range(5, 9))
-def test_preconditioner_bounds_cg_iterations(level, monkeypatch, rng):
-    # one kernel call per CG iteration plus the initial one; Jacobi CG
-    # needs hundreds to thousands of iterations at these levels
-    mesh = build_uniform_mesh(level)
-    A_h = C.project_coefficient(C.log_singular_coefficient(0.5), mesh)
-    f_h = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = F.poisson_solve
 
@@ -360,8 +384,80 @@ def test_preconditioner_bounds_cg_iterations(level, monkeypatch, rng):
         return kernel(mesh_, r)
 
     monkeypatch.setattr(F, "poisson_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("level", range(5, 9))
+def test_preconditioner_bounds_cg_iterations(level, monkeypatch, rng):
+    # one kernel call per CG iteration; Jacobi CG needs hundreds to
+    # thousands of iterations at these levels, the plain Laplacian inverse
+    # tens and the vertex-scaled one 6
+    mesh = build_uniform_mesh(level)
+    A_h = C.project_coefficient(C.log_singular_coefficient(0.5), mesh)
+    f_h = F.PCVectorField(mesh, rng.standard_normal((mesh.num_cells, 2)))
+    calls = _count_kernel_calls(monkeypatch)
     F.solve_projected(A_h, f_h)
-    assert 0 < len(calls) <= 30
+    assert 0 < len(calls) <= 6
+
+
+# sin(pi x), cos(pi y), declared trigonometric: exact cell means
+_SIN_COS = C.TrigonometricForm((2,), (((-1j, (1, 0)),), ((1.0, (0, 1)),)))
+
+# fixture -> (choice, kernel calls of the choice, of the plain inverse) at
+# level 7 with the sin-cos load; the checkerboards tie on the spread, and
+# scaling would take 125 / 46 / 107 calls
+_PINNED_CHOICES = {
+    "log-0.5": (lambda: C.log_singular_coefficient(0.5), "scaled", 7, 23),
+    "log-2": (lambda: C.log_singular_coefficient(2.0), "scaled", 9, 43),
+    "checkerboard-1000": (lambda: C.checkerboard_coefficient(1000.0), "plain", 15, 15),
+    "checkerboard-4": (lambda: C.checkerboard_coefficient(4.0), "plain", 13, 13),
+    "checkerboard-0.01": (lambda: C.checkerboard_coefficient(0.01), "plain", 15, 15),
+    "smooth": (C.smooth_coefficient, "plain", 23, 23),
+    "identity": (C.identity_coefficient, "plain", 1, 1),
+    "sampled": (None, "scaled", 10, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CHOICES))
+def test_preconditioner_choice_is_pinned(name, monkeypatch, nondyadic_csv_path):
+    make, choice, count, plain = _PINNED_CHOICES[name]
+    A = C.load_sampled_coefficient(nondyadic_csv_path) if make is None else make()
+    mesh = build_uniform_mesh(7)
+    A_h = C.project_coefficient(A, mesh)
+    f_h = F.project_rhs(_SIN_COS, mesh)
+    calls = _count_kernel_calls(monkeypatch)
+    solve = F.galerkin_solve(A_h, f_h)
+    assert (solve.preconditioner, solve.cg_iterations, len(calls)) == (choice, count, count)
+    calls.clear()
+    monkeypatch.setattr(F, "_vertex_scaling", lambda cells, lam_min: None)
+    assert F.galerkin_solve(A_h, f_h).preconditioner == "plain"
+    assert len(calls) == plain
+    assert count <= plain
+
+
+@pytest.mark.parametrize("kappa", [1e300, 1e-300, 3.0, 1e5])
+def test_spread_tie_keeps_the_plain_inverse(kappa, meshes):
+    # scaled and plain spreads of a two-valued checkerboard are equal in
+    # exact arithmetic; at kappa 1e300 the scaled one reads 2 ulps lower
+    A_h = C.project_coefficient(C.checkerboard_coefficient(kappa), meshes[5])
+    assert F.StiffnessOperator(A_h).scaling is None
+
+
+def test_solve_memory_peak():
+    # 2.3 MiB at level 7, the CG loop with its stencil weights, vertex
+    # scaling and transform buffers (2.6 MiB with the former product); a
+    # held temporary of the size of A_h's values (1 MiB) exceeds the bound
+    mesh = build_uniform_mesh(7)
+    A_h = C.project_coefficient(C.log_singular_coefficient(0.5), mesh)
+    f_h = F.project_rhs(_SIN_COS, mesh)
+    F.solve_projected(A_h, f_h)
+    tracemalloc.start()
+    try:
+        F.solve_projected(A_h, f_h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -316,10 +316,12 @@ def test_trigonometric_studies_take_no_quadrature(monkeypatch, config):
          "levels": "2..4"},
         {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0, "levels": "0..3"},
         {"kind": "convergence", "coeff": "log", "beta": 0.5, "levels": "1..2,4"},
+        {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..5"},
     ],
 )
 def test_log_studies_integrate_the_cells_once_per_level(monkeypatch, config):
-    # the projection and its L^2 error share one polar pass over the cells
+    # the projection and its L^2 error share one polar pass over the cells,
+    # and the maximal check of bmo-diagnostics reuses its |w| cell means
     levels = []
     original = C._radial_cell_integrals
 
@@ -477,6 +479,49 @@ def test_bmo_diagnostics_study_constant_scalar():
     assert all(frac == 0.0 for _, frac in jn)
     # a constant settles on the shared ladder in every generation
     assert report.metadata["dyadic_fallbacks"] == [0] * (X.BMO_DIAG_DEPTH + 1)
+
+
+def test_bmo_diagnostics_maximal_bound_matches_its_own_cell_means():
+    # the study hands the projection's |w| cell means to the check; the
+    # check's own cell_abs_means pass gives the same margins
+    cfg = X.config_from_dict(
+        {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..5"}
+    )
+    lemma = X.run_study(cfg).metadata["maximal_bound"]
+    w = C.log_reciprocal_scalar()
+    pyramid = C.abs_means_pyramid(w, 5)
+    for entry, level in zip(lemma, range(2, 6)):
+        violations, worst = X.maximal_bound_check(w, level, gen_means=pyramid)
+        assert entry["level"] == level
+        assert entry["violations"] == violations
+        assert abs(entry["worst_margin"] - worst) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "config, iterations, preconditioner",
+    [
+        ({"kind": "stability", "coeff": "log", "beta": 0.5, "rhs": "sin-cos", "p": 2.1,
+          "levels": "5..7"}, [7, 7, 7], ["scaled"] * 3),
+        ({"kind": "stability", "coeff": "checkerboard", "kappa": 1000.0, "rhs": "sin-cos",
+          "levels": "1..4"}, [1, 5, 9, 11], ["plain"] * 4),
+        ({"kind": "convergence", "coeff": "log", "beta": 0.5, "rhs": "sin-cos",
+          "levels": "2,3,5"}, None, ["scaled"] * 3),
+        ({"kind": "convergence", "coeff": "identity", "rhs": "grad-sinsin",
+          "levels": [2, 3, 5]}, [1, 1, 1], ["plain"] * 3),
+    ],
+)
+def test_solve_studies_report_cg_iterations_and_preconditioner(
+    config, iterations, preconditioner
+):
+    # one entry per level in level order, the convergence reference last
+    cfg = X.config_from_dict(config)
+    meta = X.run_study(cfg).metadata
+    assert meta["preconditioner"] == preconditioner
+    counts = meta["cg_iterations"]
+    assert len(counts) == len(cfg.levels)
+    assert all(isinstance(c, int) and c > 0 for c in counts)
+    if iterations is not None:
+        assert counts == iterations
 
 
 def test_bmo_diagnostics_study_keeps_its_traced_peak_small():
