@@ -48,10 +48,10 @@ CONFIGS = [
      "out": "decay_smooth.csv"},
     {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0,
      "levels": "1..6", "out": "decay_log.csv"},
-    # the tightest projection_tol: the log fixture's cell means and L^2
-    # error are exact, so this takes no refinement
+    # level 0: the one cell pair of the unit square, whose corner holds
+    # the log singularity; its polar cell means and L^2 error are exact
     {"kind": "coeff-decay", "coeff": "log", "beta": 0.5, "p": 2.0,
-     "levels": "0..2", "projection_tol": 1e-12, "out": "decay_log_tight.csv"},
+     "levels": "0..2", "out": "decay_log_tight.csv"},
     # the sampled grid is bilinear between its sample lines: at p = 2 the
     # misfit |A - A_h|^2 has degree 4 and takes the fixed rule, at p = 3 it
     # is no polynomial and is refined
@@ -77,9 +77,13 @@ CONFIGS = [
     # its maximal check reads the generation-7 |w| means of the polar rule
     {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..7",
      "out": "bmo_log_fine.csv"},
-    # the same diagnostics of a coefficient entry (coeff.coefficient_entry)
+    # the same diagnostics of a coefficient entry (coeff.coefficient_entry);
+    # the maximal check reads its cell means off A_h, piecewise constant
+    # for the checkerboard and not for the smooth coefficient
     {"kind": "bmo-diagnostics", "coeff": "checkerboard", "kappa": 100.0,
      "levels": "2..4", "out": "bmo_checkerboard.csv"},
+    {"kind": "bmo-diagnostics", "coeff": "smooth", "levels": "2..4",
+     "out": "bmo_smooth.csv"},
 ]
 
 

@@ -643,19 +643,10 @@ def project_coefficient(
     return PiecewiseConstantMatrixField(mesh=mesh, values=means)
 
 
-def projection_with_l2_error(
-    A: CoefficientField, mesh: Mesh, rel_tol: float = DEFAULT_PROJECTION_TOL
-) -> tuple[PiecewiseConstantMatrixField, float]:
-    """project_coefficient(A, mesh, rel_tol) and its coefficient_error at
-    r = 2, the same values.  For a field that declares itself
-    (1 + beta |w|) I both read one pass of the cell integrals of |w|."""
-    A_h, err, _ = _projection_with_abs_means(A, mesh, rel_tol)
-    return A_h, err
-
-
-def _projection_with_abs_means(A: CoefficientField, mesh: Mesh, rel_tol: float):
-    """projection_with_l2_error, and for a field that declares itself
-    (1 + beta |w|) I the cell means of |w| that both read, the values of
+def _projection_with_abs_means(A: CoefficientField, mesh: Mesh, rel_tol=DEFAULT_PROJECTION_TOL):
+    """project_coefficient(A, mesh, rel_tol), its coefficient_error at
+    r = 2, and for a field that declares itself (1 + beta |w|) I the cell
+    means of |w| that both read in one pass, the values of
     cell_abs_means(A.isotropic.w, mesh); None for any other field."""
     if A.isotropic is None:
         A_h = project_coefficient(A, mesh, rel_tol)

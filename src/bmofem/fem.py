@@ -390,10 +390,11 @@ def solve_spd(
     precondition(r) applies a symmetric positive definite approximation of
     the inverse matrix to a residual.  Zero initial guess, fixed iteration
     order, cap 50 n.  Raises NotSPDError on nonpositive or non-finite
-    curvature, and IterationLimitError on a non-finite residual norm or at
-    the cap, with the relative residual; the messages name the iteration.
-    No comparison is true of NaN, so without the finiteness checks a NaN
-    iterate would run to the cap.
+    curvature and on r z <= 0 or NaN (a preconditioner not SPD), and
+    IterationLimitError on a non-finite residual norm or at the cap, with
+    the relative residual; the messages name the iteration.  No comparison
+    is true of NaN, so without the finiteness checks a NaN iterate would
+    run to the cap.
     """
     _require_solver_tol(rel_residual_tol)
     A = system.matrix
@@ -410,6 +411,8 @@ def solve_spd(
         z = precondition(r)
         p = z.copy()
         rz = float(r @ z)
+        if not rz > 0.0:
+            raise NotSPDError(f"preconditioned residual r z = {rz} at CG iteration 0")
         for it in range(1, ITERATION_FACTOR * n + 1):
             Ap = A @ p
             pAp = float(p @ Ap)
@@ -430,6 +433,8 @@ def solve_spd(
                 )
             z = precondition(r)
             rz_new = float(r @ z)
+            if not rz_new > 0.0:
+                raise NotSPDError(f"preconditioned residual r z = {rz_new} at CG iteration {it}")
             p = z + (rz_new / rz) * p
             rz = rz_new
     raise IterationLimitError(

@@ -41,8 +41,8 @@ MAXIMAL_BOUND_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One study: coefficient and data fixtures, exponents, levels, seeds,
-    tolerances, output path."""
+    """One study: coefficient and data fixtures, exponents, levels, seed,
+    solver tolerance, output path."""
 
     kind: str
     coeff: str = "identity"
@@ -55,7 +55,6 @@ class ExperimentConfig:
     levels: tuple[int, ...] = (2, 3, 4)
     seed: int = 0
     solver_tol: float = 1e-12
-    projection_tol: float = coeff_mod.DEFAULT_PROJECTION_TOL
     out: str | None = None
 
     def validate(self) -> "ExperimentConfig":
@@ -94,9 +93,6 @@ class ExperimentConfig:
         lo, hi = fem.SOLVER_TOL_RANGE
         if not (lo <= self.solver_tol <= hi):
             raise ConfigError(f"solver_tol must be in [{lo}, {hi}]")
-        lo, hi = coeff_mod.PROJECTION_TOL_RANGE
-        if not (lo <= self.projection_tol <= hi):
-            raise ConfigError(f"projection_tol must be in [{lo}, {hi}]")
         if not (0 <= _integer("seed", self.seed) < 2**64):
             raise ConfigError("seed must fit in 64 bits")
         return self
@@ -298,21 +294,22 @@ def gradient_error_against(grad_exact, u: P1Function, p: float, rel_tol=1e-4) ->
     return coeff_mod.lp_misfit(grad_exact, fem.gradient(u), p, rel_tol)
 
 
-def _project_level(cfg: ExperimentConfig, A, level: int):
+def _project_level(A, level: int):
     """Project A on the level mesh; the row carries the level, its cell
     count and the L^2 coefficient error.  Also returns the cell means of
     |w| that the projection read for A = (1 + beta |w|) I, else None."""
     mesh = build_uniform_mesh(level)
-    A_h, err, abs_means = coeff_mod._projection_with_abs_means(A, mesh, cfg.projection_tol)
+    A_h, err, abs_means = coeff_mod._projection_with_abs_means(A, mesh)
     return A_h, ReportRow(level=level, cells=mesh.num_cells, coeff_err_l2=err), abs_means
 
 
 def _solve_level(cfg: ExperimentConfig, A, f, level: int):
     """_project_level, then project f on the same mesh and solve; the row
     adds the gradient and data norms and their ratio.  Also returns the
-    solve's CG record for the metadata (_solver_record)."""
-    A_h, row, _ = _project_level(cfg, A, level)
-    f_h = fem.project_rhs(f, A_h.mesh, cfg.projection_tol)
+    solve's CG record for the metadata (_solver_record).  f_h is exact for
+    every rhs fixture; an undeclared f refines to the default tolerance."""
+    A_h, row, _ = _project_level(A, level)
+    f_h = fem.project_rhs(f, A_h.mesh, coeff_mod.DEFAULT_PROJECTION_TOL)
     solve = fem.galerkin_solve(A_h, f_h, cfg.solver_tol)
     u = solve.u
     grad_lp = fem.lp_norm(fem.gradient(u), cfg.p)
@@ -419,7 +416,7 @@ def run_coeff_decay_study(cfg: ExperimentConfig) -> StudyReport:
     rows = []
     errors = []
     for level in cfg.levels:
-        A_h, row, _ = _project_level(cfg, A, level)
+        A_h, row, _ = _project_level(A, level)
         err_r = row.coeff_err_l2 if cfg.p == 2.0 else coeff_mod.coefficient_error(A, A_h, cfg.p)
         errors.append(err_r)
         rows.append(row)
@@ -498,8 +495,9 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     table, and the maximal-function comparison per level, of w for a
     coefficient (1 + beta |w|) I, such as the log fixture with the
     classical log example w = log(1/|x|), of A's (1,1) entry otherwise.
-    The projection of (1 + beta |w|) I reads the cell means of |w|, and
-    the maximal comparison reuses them."""
+    The maximal comparison reads its cell means off the projection: the
+    |w| means that (1 + beta |w|) I projects through, else A_h's (1,1)
+    entries, the cell means of |A_11| since A_11 >= alpha > 0."""
     A = coefficient_fixture(cfg)
     w = coeff_mod.coefficient_entry(A) if A.isotropic is None else A.isotropic.w
     _, oscs, fallbacks = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
@@ -511,7 +509,9 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     rows = []
     lemma = []
     for level in cfg.levels:
-        _, row, cell_means = _project_level(cfg, A, level)
+        A_h, row, cell_means = _project_level(A, level)
+        if cell_means is None:
+            cell_means = A_h.values[:, 0, 0]
         violations, worst = maximal_bound_check(
             w, level, gen_means=abs_means, cell_means=cell_means
         )

@@ -312,6 +312,16 @@ def test_solver_not_spd():
         F.solve_spd(F.SPDSystem(M, np.array([1.0, -1.0])), precondition=_jacobi(M))
 
 
+def test_solver_refuses_a_preconditioner_that_is_not_positive_definite():
+    # a rotation by a right angle gives r z = 0 while p A p = 1: the next
+    # step would divide by r z
+    with pytest.raises(NotSPDError, match=r"r z = 0\.0 at CG iteration 0$"):
+        F.solve_spd(
+            F.SPDSystem(np.eye(2), np.array([1.0, 0.0])),
+            precondition=lambda r: np.array([r[1], -r[0]]),
+        )
+
+
 @pytest.mark.parametrize("entry", [1e300, np.nan])
 def test_solver_fails_fast_on_nonfinite_curvature(entry):
     # p A p overflows, or is NaN, at the first iteration; no comparison

@@ -66,7 +66,7 @@ def test_validation_rules():
         ({"p_hat": 11.0}, "p_hat must be in"),
         ({"levels": []}, "nonempty"),
         ({"levels": [2, X.MAX_LEVEL + 1]}, "levels must lie in"),
-        ({"projection_tol": 1e-2}, "projection_tol"),
+        ({"projection_tol": 1e-6}, r"unknown config keys: \['projection_tol'\]"),
         ({"seed": 2**64}, "64 bits"),
         ({"seed": -1}, "64 bits"),
     ]:
@@ -246,7 +246,9 @@ def test_stability_study_reports_the_l2_data_oscillation():
     assert "data_oscillation_lp" not in report.metadata
     f = X.rhs_fixture(cfg)
     want = [
-        X.data_oscillation(f, F.project_rhs(f, build_uniform_mesh(level), cfg.projection_tol), 2.0)
+        X.data_oscillation(
+            f, F.project_rhs(f, build_uniform_mesh(level), C.DEFAULT_PROJECTION_TOL), 2.0
+        )
         for level in (2, 3, 4)
     ]
     assert report.metadata["data_oscillation_l2"] == want
@@ -288,6 +290,26 @@ def test_stability_study_evaluates_the_rhs_about_90_times_per_cell(monkeypatch):
     assert evals <= 120 * build_uniform_mesh(6).num_cells
 
 
+# every coefficient fixture, the sampled one also on a grid off the dyadic
+# lines; coeff_csv names the conftest fixture that holds the path
+_COEFF_FIXTURES = {
+    "identity": {"coeff": "identity"},
+    "smooth": {"coeff": "smooth"},
+    "log": {"coeff": "log", "beta": 2.0},
+    "checkerboard": {"coeff": "checkerboard", "kappa": 0.01},
+    "sampled": {"coeff": "sampled", "coeff_csv": "sampled_csv_path"},
+    "sampled-nondyadic": {"coeff": "sampled", "coeff_csv": "nondyadic_csv_path"},
+}
+_EXACT_STUDIES = {
+    **{f"stability-{rhs}": {"kind": "stability", "rhs": rhs, "levels": "1..3"}
+       for rhs in X.RHS_NAMES},
+    **{f"convergence-{rhs}": {"kind": "convergence", "rhs": rhs, "levels": "1..2,4"}
+       for rhs in X.RHS_NAMES},
+    "coeff-decay": {"kind": "coeff-decay", "p": 2.0, "levels": "0..3"},
+    "bmo-diagnostics": {"kind": "bmo-diagnostics", "levels": "2..3"},
+}
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -295,18 +317,33 @@ def test_stability_study_evaluates_the_rhs_about_90_times_per_cell(monkeypatch):
          "levels": "1..4"},
         {"kind": "stability", "coeff": "smooth", "rhs": "grad-sinsin", "levels": "1..3"},
         {"kind": "coeff-decay", "coeff": "smooth", "p": 2.0, "levels": "0..4"},
+    ]
+    + [
+        pytest.param({**coeff, **study}, id=f"{name}-{kind}")
+        for name, coeff in _COEFF_FIXTURES.items()
+        for kind, study in _EXACT_STUDIES.items()
     ],
 )
-def test_trigonometric_studies_take_no_quadrature(monkeypatch, config):
-    # the declared rhs and smooth coefficient take their exact cell means,
-    # L^2 oscillation and L^2 error: a fallback to refinement would call these
+def test_trigonometric_studies_take_no_quadrature(monkeypatch, request, config):
+    # every rhs fixture is trigonometric: its cell means and L^2 oscillation
+    # are exact.  So are the projection and L^2 error of the smooth and log
+    # coefficients, with no quadrature at all, and of the piecewise
+    # polynomial ones, by the fixed rule.  Nothing refines, so no study
+    # depends on a projection tolerance, and the maximal check of
+    # bmo-diagnostics reads its cell means off the projection
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature called")
 
-    for name in ("triangle_means", "global_scale_floor", "polynomial_means"):
+    declared = config["coeff"] in ("smooth", "log")
+    refused = ("triangle_means", "global_scale_floor", "polynomial_means")
+    for name in refused if declared else refused[:2]:
         monkeypatch.setattr(Q, name, refuse)
+    monkeypatch.setattr(C, "cell_abs_means", refuse)
+    if "coeff_csv" in config:
+        config = {**config, "coeff_csv": request.getfixturevalue(config["coeff_csv"])}
     report = X.run_study(X.config_from_dict(config))
-    assert all(r.coeff_err_l2 > 0.0 for r in report.rows)
+    if declared:
+        assert all(r.coeff_err_l2 > 0.0 for r in report.rows)
 
 
 @pytest.mark.parametrize(
@@ -495,6 +532,36 @@ def test_bmo_diagnostics_maximal_bound_matches_its_own_cell_means():
         assert entry["level"] == level
         assert entry["violations"] == violations
         assert abs(entry["worst_margin"] - worst) <= 1e-12
+
+
+def test_bmo_diagnostics_hands_the_check_the_projection_of_a11(monkeypatch, nondyadic_csv_path):
+    # for a coefficient entry the check's cell means are A_h's (1,1)
+    # entries, bit for bit: A_11 >= alpha > 0, so they are the cell means
+    # of |A_11|.  A refined cell_abs_means pass misses them by up to 1.3e-5
+    # relative on this grid (level-5 cell 1543)
+    received = []
+    check = X.maximal_bound_check
+
+    def spy(w, level, tol=X.MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
+        received.append((level, cell_means))
+        return check(w, level, tol, gen_means, cell_means)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cell_abs_means called")
+
+    monkeypatch.setattr(X, "maximal_bound_check", spy)
+    monkeypatch.setattr(C, "cell_abs_means", refuse)
+    cfg = X.config_from_dict(
+        {"kind": "bmo-diagnostics", "coeff": "sampled", "coeff_csv": nondyadic_csv_path,
+         "levels": "2..5"}
+    )
+    report = X.run_study(cfg)
+    assert [level for level, _ in received] == [2, 3, 4, 5]
+    A = X.coefficient_fixture(cfg)
+    for level, cell_means in received:
+        want = C.project_coefficient(A, build_uniform_mesh(level)).values[:, 0, 0]
+        assert np.array_equal(cell_means, want)
+    assert all(entry["violations"] == 0 for entry in report.metadata["maximal_bound"])
 
 
 @pytest.mark.parametrize(
