@@ -40,7 +40,9 @@ class CoefficientField:
     smooth.  Cell quantities are integrated piecewise between them (see
     cell_means).  degree, if not None, is a bound on the polynomial degree
     of every entry on each rectangle between the breaklines; cell_means
-    then integrates with a fixed rule where that is exact.  isotropic, if
+    then integrates with a fixed rule where that is exact, and at degree 2
+    or less the projection and its L^2 error share one evaluation per node
+    (_projection_with_abs_means).  isotropic, if
     not None, declares the field (1 + beta |w|) I (IsotropicForm), and
     trigonometric, if not None, declares every entry a trigonometric
     polynomial (TrigonometricForm of shape (2, 2), which is then also
@@ -562,6 +564,40 @@ def _exact(degree) -> bool:
     return degree is not None and degree <= quadrature.POLYNOMIAL_DEGREE
 
 
+def _integration_triangles(mesh: Mesh, breaks):
+    """The triangles that cell means are integrated over: the cells of
+    mesh that no breakline of breaks = (xs, ys) cuts, whole, then the
+    pieces of the cut ones (_grid_pieces).  Returns (tris (T, 3, 2), ids,
+    cut): ids (T,) the cell of each triangle, or None when no cell is cut
+    and tris are the cells themselves, and cut = (parent, areas), the cell
+    and the area of each piece."""
+    verts = mesh.cell_coordinates()
+    pieces, parent, areas = _grid_pieces(mesh.level, breaks) if any(breaks) else ((), (), ())
+    if len(parent) == 0:
+        return verts, None, ((), ())
+    uncut = np.ones(mesh.num_cells, dtype=bool)
+    uncut[parent] = False
+    whole = np.flatnonzero(uncut)
+    return np.concatenate([verts[whole], pieces]), np.concatenate([whole, parent]), (parent, areas)
+
+
+def _cell_aggregate(means: np.ndarray, ids, cut, n: int) -> np.ndarray:
+    """The means of n cells from means over their integration triangles
+    (_integration_triangles): an uncut cell's own, a cut cell's the
+    area-weighted mean of its pieces'."""
+    parent, areas = cut
+    if len(parent) == 0:
+        return means
+    whole = ids[: ids.size - parent.size]
+    shape = (-1,) + (1,) * (means.ndim - 1)
+    sums = np.zeros((n,) + means.shape[1:])
+    np.add.at(sums, parent, areas.reshape(shape) * means[whole.size :])
+    weights = np.bincount(parent, areas, minlength=n)
+    sums[whole] = means[: whole.size]
+    weights[whole] = 1.0
+    return sums / weights.reshape(shape)
+
+
 def cell_means(
     f,
     mesh: Mesh,
@@ -592,28 +628,12 @@ def cell_means(
     if trigonometric is not None:
         means = quadrature._trigonometric_cell_means(trigonometric.terms, mesh.level)
         return means.reshape((-1,) + tuple(trigonometric.shape))
-    verts = mesh.cell_coordinates()
-    pieces, parent, areas = _grid_pieces(mesh.level, breaks) if any(breaks) else ((), (), ())
-    tris, ids = verts, None
-    if len(parent):
-        uncut = np.ones(mesh.num_cells, dtype=bool)
-        uncut[parent] = False
-        whole = np.flatnonzero(uncut)
-        tris, ids = np.concatenate([verts[whole], pieces]), np.concatenate([whole, parent])
+    tris, ids, cut = _integration_triangles(mesh, breaks)
     if _exact(degree):
         means = quadrature.polynomial_means(f, tris, ids)
     else:
         means = quadrature.triangle_means(f, tris, rel_tol, cell_ids=ids, abs_floor=floor)
-    if len(parent) == 0:
-        return means
-    n = mesh.num_cells
-    shape = (-1,) + (1,) * (means.ndim - 1)
-    sums = np.zeros((n,) + means.shape[1:])
-    np.add.at(sums, parent, areas.reshape(shape) * means[whole.size :])
-    weights = np.bincount(parent, areas, minlength=n)
-    sums[whole] = means[: whole.size]
-    weights[whole] = 1.0
-    return sums / weights.reshape(shape)
+    return _cell_aggregate(means, ids, cut, mesh.num_cells)
 
 
 def project_coefficient(
@@ -635,7 +655,12 @@ def project_coefficient(
         degree=A.degree,
         trigonometric=A.trigonometric,
     )
-    # 0.5 (A + A^T) in place: its diagonal is A's own, bit for bit
+    return _symmetrised(mesh, means)
+
+
+def _symmetrised(mesh: Mesh, means: np.ndarray) -> PiecewiseConstantMatrixField:
+    """The cell field 0.5 (M + M^T), made in place in means: its diagonal
+    is M's own, bit for bit."""
     off = means[:, 0, 1] + means[:, 1, 0]
     off *= 0.5
     means[:, 0, 1] = off
@@ -647,14 +672,35 @@ def _projection_with_abs_means(A: CoefficientField, mesh: Mesh, rel_tol=DEFAULT_
     """project_coefficient(A, mesh, rel_tol), its coefficient_error at
     r = 2, and for a field that declares itself (1 + beta |w|) I the cell
     means of |w| that both read in one pass, the values of
-    cell_abs_means(A.isotropic.w, mesh); None for any other field."""
-    if A.isotropic is None:
+    cell_abs_means(A.isotropic.w, mesh); None for any other field.
+
+    Every declared field is read once.  A trigonometric field's raw cell
+    means are also the M_K of its misfit (_trigonometric_misfit_means).  A
+    field of declared degree at most 2 is evaluated once at the 6 nodes of
+    each integration triangle (_polynomial_l2_pass), whose means give A_h
+    and whose spreads, with the means, its L^2 error.  Any other field
+    takes the two calls."""
+    if A.isotropic is not None:
+        A_h, abs_integrals = _isotropic_projection(A.isotropic, mesh, rel_tol)
+        err = _isotropic_l2_error(A.isotropic, A_h, abs_integrals)
+        abs_integrals /= 0.5 / 4**mesh.level  # every cell's area: now the means
+        return A_h, err, abs_integrals
+    if A.trigonometric is not None:
+        _validate_rel_tol(rel_tol)
+        raw = quadrature._trigonometric_cell_means(A.trigonometric.terms, mesh.level)
+        A_h = _symmetrised(mesh, raw.reshape(-1, 2, 2).copy())
+        means = _trigonometric_misfit_means(A.trigonometric, A_h, raw)
+    elif _l2_exact(A.degree):
+        _validate_rel_tol(rel_tol)
+        moments, ids, cut = _polynomial_l2_pass(A.evaluate, mesh, A.breaks)
+        # a copy: with no cut cell the aggregate is the moments' own means
+        values = np.array(_cell_aggregate(moments[0], ids, cut, mesh.num_cells))
+        A_h = _symmetrised(mesh, values)
+        means = _moment_misfit_means(moments, A_h, ids, cut)
+    else:
         A_h = project_coefficient(A, mesh, rel_tol)
         return A_h, coefficient_error(A, A_h, 2.0), None
-    A_h, abs_integrals = _isotropic_projection(A.isotropic, mesh, rel_tol)
-    err = _isotropic_l2_error(A.isotropic, A_h, abs_integrals)
-    abs_integrals /= 0.5 / 4**mesh.level  # every cell's area: now the means
-    return A_h, err, abs_integrals
+    return A_h, _misfit_norm(means, mesh.level, 2.0), None
 
 
 def _isotropic_projection(form: IsotropicForm, mesh: Mesh, rel_tol: float):
@@ -726,18 +772,25 @@ def lp_misfit(
     the cell means of |f - c|^p.  At p = 2, for an f declared
     trigonometric (trigonometric, a TrigonometricForm equal to f), they are
     exact (_trigonometric_misfit_means), with rel_tol only validated and f
-    not evaluated.  Otherwise they come from cell_means, along the
-    breaklines breaks = (xs, ys) of f.  When f declares a polynomial degree
-    between them, |f - c|^p is a polynomial of degree 0 if that degree is
-    0, and of degree p * degree if p is an even integer; cell_means
+    not evaluated.  Otherwise they are taken along the breaklines
+    breaks = (xs, ys) of f.  When f declares a polynomial degree between
+    them, |f - c|^p is a polynomial of degree 0 if that degree is 0, and
+    of degree p * degree if p is an even integer; the 6-point rule
     integrates it exactly when that is at most
-    quadrature.POLYNOMIAL_DEGREE.  Otherwise the means are refined with a
-    floor at their global scale, so cells where f is nearly constant do not
-    force needless refinement.
+    quadrature.POLYNOMIAL_DEGREE.  At p = 2 the means then come from f's
+    moments on each integration triangle (_polynomial_l2_pass,
+    _moment_misfit_means), one evaluation per node whatever c, and at
+    other p from cell_means of |f - c|^p.  Otherwise the means are
+    refined with a floor at their global scale, so cells where f is nearly
+    constant do not force needless refinement.
     """
     if trigonometric is not None and p == 2.0:
         _validate_rel_tol(rel_tol)
         means = _trigonometric_misfit_means(trigonometric, field)
+    elif p == 2.0 and _l2_exact(degree):
+        _validate_rel_tol(rel_tol)
+        moments, ids, cut = _polynomial_l2_pass(f, field.mesh, breaks)
+        means = _moment_misfit_means(moments, field, ids, cut)
     else:
         consts = field.values
         power = None  # the degree of |f - c|^p, if it is a polynomial
@@ -754,11 +807,44 @@ def lp_misfit(
         if not _exact(power):
             floor = quadrature.global_scale_floor(integrand, field.mesh.cell_coordinates())
         means = cell_means(integrand, field.mesh, rel_tol, floor, breaks, power)
-    area = 0.5 / 4**field.mesh.level  # every cell's
+    return _misfit_norm(means, field.mesh.level, p)
+
+
+def _misfit_norm(means: np.ndarray, level: int, p: float) -> float:
+    """(sum_K |K| m_K)^(1/p) for the cell means m_K of |f - c|^p on the
+    level-`level` mesh."""
+    area = 0.5 / 4**level  # every cell's
     return float(np.sum(area * means) ** (1.0 / p))
 
 
-def _trigonometric_misfit_means(form: TrigonometricForm, field) -> np.ndarray:
+def _l2_exact(degree) -> bool:
+    """Whether the 6-point rule is exact for |f - c|^2, of degree 2 degree
+    for a field f of this declared degree between its breaklines."""
+    return degree is not None and _exact(2 * degree)
+
+
+def _polynomial_l2_pass(f, mesh: Mesh, breaks):
+    """One evaluation of f at the 6 nodes of every integration triangle of
+    mesh along breaks (_integration_triangles): the triangles' (means,
+    spreads) by quadrature._polynomial_moments, their ids and their cut."""
+    tris, ids, cut = _integration_triangles(mesh, breaks)
+    return quadrature._polynomial_moments(lambda pts, ids: f(pts), tris, ids), ids, cut
+
+
+def _moment_misfit_means(moments, field, ids, cut) -> np.ndarray:
+    """The cell means of |f - c|^2 against a cell field c from f's means
+    M_T and spreads V_T over the integration triangles: on cell K,
+    sum_T (|T| / |K|) (V_T + |M_T - c_K|^2), by the law of total variance
+    (quadrature._polynomial_moments).  Takes the spreads' buffer."""
+    means, out = moments
+    for m, c in zip(quadrature._columns(means), quadrature._columns(field.values)):
+        d = m - (c if ids is None else c[ids])
+        d *= d
+        out += d
+    return _cell_aggregate(out, ids, cut, field.mesh.num_cells)
+
+
+def _trigonometric_misfit_means(form: TrigonometricForm, field, means=None) -> np.ndarray:
     """The cell means of |f - c|^2 for a trigonometric f and a cell field
     c, exact up to rounding.  With M_K the cell means of f and Q_K those of
     |f|^2, a trigonometric polynomial too
@@ -766,9 +852,13 @@ def _trigonometric_misfit_means(form: TrigonometricForm, field) -> np.ndarray:
     Q_K - |M_K|^2 + |c_K - M_K|^2: the identity
     int_K |f - M_K|^2 = int_K |f|^2 - |K| |M_K|^2 plus the misfit of the
     means, for any c.  It is nonnegative, and a value that rounding takes
-    below 0 is set to 0."""
+    below 0 is set to 0.  means, if given, are the M_K
+    (quadrature._trigonometric_cell_means of form, one row per cell, in any
+    shape), which are then not recomputed."""
     level = field.mesh.level
-    means = quadrature._trigonometric_cell_means(form.terms, level)
+    if means is None:
+        means = quadrature._trigonometric_cell_means(form.terms, level)
+    means = means.reshape(means.shape[0], -1)
     out = quadrature._trigonometric_cell_means(form.squared_norm().terms, level)[:, 0]
     for m, c in zip(means.T, quadrature._columns(field.values)):
         out -= m * m
@@ -786,8 +876,9 @@ def coefficient_error(
     """L^r norm of the pointwise Frobenius norm of A - A_h, r in P_RANGE
     = [1.1, 10], integrated along A's breaklines, of A's declared degree
     (lp_misfit).  The L^2 norm of a field that declares itself
-    (1 + beta |w|) I (_isotropic_l2_error) or trigonometric
-    (_trigonometric_misfit_means) is exact, with rel_tol only validated."""
+    (1 + beta |w|) I (_isotropic_l2_error), trigonometric
+    (_trigonometric_misfit_means) or of degree at most 2
+    (_moment_misfit_means) is exact, with rel_tol only validated."""
     if not (P_RANGE[0] <= r <= P_RANGE[1]):
         raise ValueError(f"r must be in [1.1, 10], got {r}")
     if A.isotropic is not None and r == 2.0:

@@ -6,6 +6,9 @@ Three kernels are not refined:
 * ``polynomial_means``: the 6-point degree-4 rule, exact for a field that
   is a polynomial of degree at most 4 on each triangle.  coeff.cell_means
   uses it for fields that declare such a degree between their breaklines.
+  It is the first output of ``_polynomial_moments``, which also gives each
+  triangle's spread about its mean from the same node values, and with it
+  the L^2 misfit of a field of degree at most 2 against any constant.
 
 * ``radial_edge_integrals``: integrals of a radial field over the
   triangles between a centre and edges, from the field's radial
@@ -381,29 +384,73 @@ def polynomial_means(f, verts, cell_ids=None):
     Dunavant 1985): exact, up to rounding, for fields polynomial of degree
     at most 4 on each triangle, and not refined.
 
-    Same call form and value shapes as triangle_means, without a tolerance.
-    Each of the rule's two orbits of three nodes is summed by _tri_sums, so
-    fields get batches of at most _CHUNK points and each triangle costs 6
-    evaluations.  The weights are 1/6 + d and 1/6 - d, and the mean is
-    taken as (S1 + S2) / 6 + d (S1 - S2): a constant c whose 3c is exact
-    comes out as c, bit for bit.  Triangles are taken in blocks of at most
-    _CHUNK, each written into the output before the next starts.
+    Same call form and value shapes as triangle_means, without a tolerance:
+    the means of _polynomial_moments."""
+    return _polynomial_moments(f, verts, cell_ids)[0]
+
+
+def _polynomial_moments(f, verts, cell_ids=None):
+    """(means, spreads) of f over each triangle by the 6-point degree-4
+    rule, with nodes f_i and weights w_i: the mean M_T = sum_i w_i f_i and
+    the spread V_T = sum_i w_i |f_i - M_T|^2, the norm Euclidean over the
+    value axes, one number per triangle.
+
+    The weights sum to 1, so for any constant c
+    sum_i w_i |f_i - c|^2 = V_T + |M_T - c|^2 (the law of total variance;
+    Chan, Golub & LeVeque 1983): for a field of degree at most 2 on the
+    triangle that is the exact mean of |f - c|^2, whatever c.
+
+    The weights are 1/6 + d on the first orbit of three nodes and 1/6 - d
+    on the second, and the mean is taken as (S1 + S2) / 6 + d (S1 - S2),
+    S the orbits' sums, each added left to right: a constant c whose 3c is
+    exact comes out as c, bit for bit.  Triangles come in batches of
+    _CHUNK // 6, both orbits' nodes in one batch of at most _CHUNK points,
+    and each batch's means and spreads are written into the outputs before
+    the next is evaluated, so besides them the kernel holds one batch's
+    values.
     """
     verts = np.asarray(verts, dtype=float)
     cell_ids = np.arange(verts.shape[0]) if cell_ids is None else np.asarray(cell_ids)
-    out = np.empty(0)
-    for start in range(0, verts.shape[0], _CHUNK):
-        block = slice(start, start + _CHUNK)
-        s1, s2 = (_tri_sums(f, verts[block], cell_ids[block], o) for o in _DEGREE4_ORBITS)
+    a, b = np.concatenate(_DEGREE4_ORBITS, axis=1)
+    heavy, light = 1.0 / 6.0 + _DEGREE4_SPREAD, 1.0 / 6.0 - _DEGREE4_SPREAD
+    per = _CHUNK // 6
+    means = spreads = np.empty(0)
+    for start in range(0, verts.shape[0], per):
+        block = slice(start, start + per)
+        v = verts[block]
+        # (coordinate, cell, vertex, 1), C-ordered so that planar is too
+        w = np.ascontiguousarray(v.transpose(2, 0, 1))[..., None]
+        v0 = w[:, :, 0]
+        planar = v0 + a * (w[:, :, 1] - v0) + b * (w[:, :, 2] - v0)
+        vals = _eval(f, planar.reshape(2, -1).T, np.repeat(cell_ids[block], 6))
         if start == 0:
-            out = np.empty((verts.shape[0],) + s1.shape[1:])
-        mean = out[block]
+            means = np.empty((verts.shape[0],) + vals.shape[1:])
+            spreads = np.empty(verts.shape[0])
+        nodes = vals.reshape(v.shape[0], 6, -1)  # (cell, node, value column)
+        s1 = nodes[:, 0] + nodes[:, 1]
+        s1 += nodes[:, 2]
+        s2 = nodes[:, 3] + nodes[:, 4]
+        s2 += nodes[:, 5]
+        mean = means[block].reshape(v.shape[0], -1)
         np.add(s1, s2, out=mean)
         mean /= 6.0
         s1 -= s2
         s1 *= _DEGREE4_SPREAD
         mean += s1
-    return out
+        dev = nodes - mean[:, None, :]
+        dev *= dev
+        sq = dev[:, :, 0].copy()  # |f_i - M_T|^2, one value column at a time
+        for c in range(1, dev.shape[2]):
+            sq += dev[:, :, c]
+        spread = spreads[block]
+        np.add(sq[:, 0], sq[:, 1], out=spread)
+        spread += sq[:, 2]
+        spread *= heavy
+        orbit = sq[:, 3] + sq[:, 4]
+        orbit += sq[:, 5]
+        orbit *= light
+        spread += orbit
+    return means, spreads
 
 
 def _exp_triangle_means(z: np.ndarray) -> np.ndarray:

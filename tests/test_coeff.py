@@ -745,19 +745,119 @@ def test_log_l2_error_matches_the_cells_closed_form(meshes):
         assert abs(C.coefficient_error(A, A_h, 2.0) - want) <= 1e-12 * want
 
 
+def _direct_l2_misfit(A, values, mesh):
+    """||A - c||_{L^2} for the cell constants values on mesh, by the
+    degree-4 rule on |A - c|^2 itself over the cells and pieces: exact, for
+    the fields of degree at most 2 that declare it."""
+
+    def misfit(p, ids):
+        d = A.evaluate(p) - values[ids]
+        return np.sum(d * d, axis=(1, 2))
+
+    means = C.cell_means(misfit, mesh, 1e-6, breaks=A.breaks, degree=4)
+    return math.sqrt(np.sum(means) * 0.5 / 4**mesh.level)
+
+
 @pytest.mark.parametrize("level", [0, 4, 7])
-def test_projection_with_l2_error_matches_the_two_calls(meshes, level):
+def test_projection_with_l2_error_matches_the_two_calls(
+    meshes, sampled_csv_path, nondyadic_csv_path, level
+):
+    # every declared fixture: A_h is project_coefficient's bit for bit; the
+    # piecewise polynomial ones' one-pass error is the degree-4 rule on
+    # |A - A_h|^2 within 1e-14, the trigonometric one's is
+    # coefficient_error's bit for bit and the log ones' within 1e-12
     mesh = meshes[level]
-    for A in (
+    polynomial = [
+        C.load_sampled_coefficient(sampled_csv_path),
+        C.load_sampled_coefficient(nondyadic_csv_path),
+        C.checkerboard_coefficient(100.0),
+        C.checkerboard_coefficient(0.01),
+        C.identity_coefficient(),
+    ]
+    for A in polynomial + [
+        C.smooth_coefficient(),
         C.log_singular_coefficient(0.5),
         C.log_singular_coefficient(2.0, (0.3, 0.7)),
-        C.smooth_coefficient(),
-    ):
+    ]:
         A_h, err, _ = C._projection_with_abs_means(A, mesh)
         want_h = C.project_coefficient(A, mesh)
         assert np.array_equal(A_h.values, want_h.values)
-        want = C.coefficient_error(A, want_h, 2.0)
-        assert abs(err - want) <= 1e-12 * want
+        if A in polynomial:
+            want = _direct_l2_misfit(A, want_h.values, mesh)
+            assert abs(err - want) <= 1e-14 * want
+            if A.kind == "checkerboard" and level >= 1:
+                assert err == 0.0
+        elif A.trigonometric is not None:
+            assert err == C.coefficient_error(A, want_h, 2.0)
+        else:
+            want = C.coefficient_error(A, want_h, 2.0)
+            assert abs(err - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("level", [0, 3, 6])
+def test_l2_misfit_moments_match_the_direct_rule(
+    meshes, rng, sampled_csv_path, nondyadic_csv_path, level
+):
+    # for any cell constants c, not only the projection: V_T + |M_T - c|^2
+    # is the rule's mean of |A - c|^2
+    mesh = meshes[level]
+    for A in (
+        C.load_sampled_coefficient(sampled_csv_path),
+        C.load_sampled_coefficient(nondyadic_csv_path),
+        C.checkerboard_coefficient(100.0),
+        C.constant_coefficient([[2.0, 0.3], [0.3, 3.0]]),
+    ):
+        A_h = C.project_coefficient(A, mesh)
+        for values in (
+            A_h.values + rng.uniform(-1.0, 1.0, A_h.values.shape),
+            A_h.values * (1.0 + 1e-3 * rng.standard_normal((mesh.num_cells, 1, 1))),
+            rng.uniform(0.5, 3.0, A_h.values.shape),
+        ):
+            c = C.PiecewiseConstantMatrixField(mesh, values)
+            got = C.lp_misfit(A.evaluate, c, 2.0, 1e-6, A.breaks, A.degree)
+            want = _direct_l2_misfit(A, values, mesh)
+            assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "convergence", "rhs": "sin-cos", "p": 2.0, "levels": "1..3,5"},
+        {"kind": "coeff-decay", "p": 2.0, "levels": "0..4"},
+    ],
+)
+def test_sampled_studies_evaluate_each_node_once_per_level(
+    monkeypatch, nondyadic_csv_path, config
+):
+    # the projection row cuts the cells once per level and evaluates the
+    # coefficient at the 6 nodes of each uncut cell and piece, once
+    grid_pieces, load = C._grid_pieces, C.load_sampled_coefficient
+    log = []  # per cut: [level, points evaluated since]
+
+    def cutting(level, breaks):
+        log.append([level, 0])
+        return grid_pieces(level, breaks)
+
+    def loading(path):
+        A = load(path)
+
+        def evaluate(points):
+            log[-1][1] += points.shape[0]
+            return A.evaluate(points)
+
+        return dataclasses.replace(A, evaluate=evaluate)
+
+    monkeypatch.setattr(C, "_grid_pieces", cutting)
+    monkeypatch.setattr(C, "load_sampled_coefficient", loading)
+    cfg = X.config_from_dict({**config, "coeff": "sampled", "coeff_csv": nondyadic_csv_path})
+    X.run_study(cfg)
+    breaks = load(nondyadic_csv_path).breaks
+    want = []
+    for level in cfg.levels:
+        _, parent, _ = grid_pieces(level, breaks)
+        uncut = 2 * 4**level - np.unique(parent).size
+        want.append([level, 6 * (uncut + parent.size)])
+    assert sorted(log) == want
 
 
 def test_log_fixture_with_beta_zero_is_the_identity(meshes):
@@ -1679,7 +1779,11 @@ def test_coefficient_error_takes_the_fixed_rule_only_for_polynomials(
     calls = _quadrature_calls(monkeypatch)
     C.coefficient_error(A, A_h, r)
     if exact:
-        assert calls == {"triangle_means": 0, "polynomial_means": 1, "global_scale_floor": 0}
+        # at r = 2 the moments kernel takes the rule, not polynomial_means
+        polynomial = 0 if r == 2.0 else 1
+        assert calls == {
+            "triangle_means": 0, "polynomial_means": polynomial, "global_scale_floor": 0
+        }
     else:
         assert calls == {"triangle_means": 1, "polynomial_means": 0, "global_scale_floor": 1}
 

@@ -254,6 +254,28 @@ def test_stability_study_reports_the_l2_data_oscillation():
     assert report.metadata["data_oscillation_l2"] == want
 
 
+@pytest.mark.parametrize("coeff, per_level", [("log", 2), ("smooth", 4)])
+def test_stability_study_takes_each_trigonometric_mean_once(monkeypatch, coeff, per_level):
+    # per level: f's cell means (project_rhs, which the oscillation then
+    # reads from f_h) and those of |f|^2; the smooth coefficient adds its
+    # own means, which its error reads as M_K, and those of |A|^2
+    calls = []
+    means = Q._trigonometric_cell_means
+
+    def spy(terms, level):
+        calls.append(level)
+        return means(terms, level)
+
+    monkeypatch.setattr(Q, "_trigonometric_cell_means", spy)
+    X.run_study(
+        X.config_from_dict(
+            {"kind": "stability", "coeff": coeff, "beta": 0.5, "rhs": "sin-cos", "p": 2.1,
+             "levels": "2..4"}
+        )
+    )
+    assert sorted(calls) == [level for level in (2, 3, 4) for _ in range(per_level)]
+
+
 def test_l2_data_oscillation_of_sin_cos_decays_at_first_order(meshes):
     f = X.rhs_fixture(X.ExperimentConfig(kind="stability", rhs="sin-cos"))
     osc = [X.data_oscillation(f, F.project_rhs(f, meshes[level]), 2.0) for level in range(3, 8)]
