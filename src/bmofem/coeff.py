@@ -73,15 +73,25 @@ class CoefficientField:
 @dataclass(frozen=True)
 class RadialProfile:
     """Declares that a scalar field is w(x) = v(|x - centre|) with v
-    strictly monotone, by its centre and three functions of arrays:
-    antiderivative(r, c) = int_0^r (v(s) - c) s ds, level_radius(c), the
-    radius where v = c, positive and finite for every c, and
-    square_antiderivative(r) = int_0^r v(s)^2 s ds."""
+    strictly monotone, by its centre and four functions of arrays:
+    antiderivative(r, c) = P(r, c) = int_0^r (v(s) - c) s ds,
+    level_radius(c), the radius where v = c, positive and finite for every
+    c, square_antiderivative(r) = int_0^r v(s)^2 s ds, and
+    line_integral(d, a, t, c) =
+    int_a^(a+t) P(sqrt(d^2 + s^2), c) d / (d^2 + s^2) ds, the angle integral
+    of P along a line at distance d > 0 from the centre, from signed
+    position a (from the foot of the perpendicular) over a length t >= 0.
+
+    The means of w and of |w - c| over cells and polygons take the line
+    integral (quadrature._radial_line_edges), with no quadrature nodes;
+    int w^2 takes square_antiderivative by the Gauss polar rule
+    (quadrature.radial_polygon_integrals)."""
 
     centre: tuple[float, float]
     antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     level_radius: Callable[[np.ndarray], np.ndarray]
     square_antiderivative: Callable[[np.ndarray], np.ndarray]
+    line_integral: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -454,8 +464,47 @@ def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
         out *= 0.5
         return out
 
+    def line_integral(d, a, t, c):
+        # P(r, c) d / r^2 = d (1 - 2c - log r^2) / 4, and
+        # int_a^b log(d^2 + s^2) ds = [s log(d^2 + s^2)]_a^b - 2t + 2d dphi
+        # with dphi = atan2(d t, d^2 + a b), b = a + t.  The bracket is
+        # t log rf^2 + n log(rf^2 / rn^2), rf and rn the radii at the ends
+        # farther from and nearer to the foot, n the nearer end's position
+        # (a, or -b when b is the nearer end); the log ratio is
+        # log1p(|t (a + b)| / rn^2), with no cancellation for a short far
+        # piece.  Squared radii are held above 1e-300, which changes only
+        # pieces within 1e-150 of x0, whose integrals are below 1e-300.
+        b = a + t
+        a2, b2 = a * a, b * b
+        d2 = d * d
+        near = np.where(b2 >= a2, a, -b)
+        rf2 = np.maximum(a2, b2)
+        rf2 += d2
+        rn2 = np.minimum(a2, b2, out=a2)
+        rn2 += d2
+        ratio = a + b
+        ratio *= t
+        np.abs(ratio, out=ratio)
+        ratio /= np.maximum(rn2, 1e-300, out=rn2)
+        np.log1p(ratio, out=ratio)
+        ratio *= near
+        out = np.log(np.maximum(rf2, 1e-300, out=rf2))
+        out += 2.0 * c
+        np.subtract(3.0, out, out=out)
+        out *= t
+        out -= ratio
+        swept = np.arctan2(d * t, d2 + a * b)
+        swept *= 2.0 * d
+        out -= swept
+        out *= 0.25 * d
+        return out
+
     radial = RadialProfile(
-        (float(x0[0]), float(x0[1])), antiderivative, lambda c: np.exp(-c), square_antiderivative
+        (float(x0[0]), float(x0[1])),
+        antiderivative,
+        lambda c: np.exp(-c),
+        square_antiderivative,
+        line_integral,
     )
     return ScalarField(evaluate, name="log-reciprocal", radial=radial)
 
@@ -992,46 +1041,39 @@ def _radial_square_means(w: ScalarField, los, size, centres=None) -> np.ndarray:
 
 def _radial_means(w: ScalarField, regions, areas, centres=None) -> np.ndarray:
     """Means of w, or with centres c of |w - c|, over regions of the given
-    areas, for a field that declares a radial profile: exact, by the polar
-    rule on the profile's antiderivative P.  regions are polygons (K, M, 2)
-    for quadrature.radial_polygon_integrals, with centres None, one value
-    per polygon or one for all; or a Mesh, whose cells _radial_cell_integrals
-    takes, with centres None or one value for all.
+    areas, for a field that declares a radial profile: exact, from the
+    profile's line integral (quadrature._radial_line_edges).  regions are
+    polygons (K, M, 2), with centres None, one value per polygon or one for
+    all; or a Mesh, whose cells _radial_cell_integrals takes, with centres
+    None or one value for all.
 
-    With rho = level_radius(c), int_0^r |v - c| s ds is sigma P(r) up to
-    rho and sigma (2 P(rho) - P(r)) beyond it, sigma the sign of P(rho);
-    the rule splits each edge where it crosses rho."""
+    With rho = level_radius(c), int_0^r |v - c| s ds is sigma P(r, c) up to
+    rho and sigma (2 P(rho, c) - P(r, c)) beyond it, sigma the sign of
+    P(rho, c); the kernel cuts each edge where it crosses rho."""
     radial = w.radial
-    integrate = (
-        _radial_cell_integrals if isinstance(regions, Mesh) else quadrature.radial_polygon_integrals
-    )
     if centres is None:
-        return integrate(lambda r, ids: radial.antiderivative(r, 0.0), radial.centre, regions) / areas
-    rho = radial.level_radius(centres)
-    twice = 2.0 * radial.antiderivative(rho, centres)
-    sigma = np.sign(twice)
-    each = np.ndim(centres) > 0
-
-    def H(r, ids):
-        c, at, top, sign = centres, rho, twice, sigma
-        if each:
-            c, at, top, sign = c[ids], at[ids], top[ids], sign[ids]
-        p = radial.antiderivative(r, c)
-        np.subtract(top, p, out=p, where=r > at)
-        p *= sign
-        return p
-
-    return integrate(H, radial.centre, regions, rho) / areas
+        level = (0.0, None, None)
+    else:
+        rho = radial.level_radius(centres)
+        level = (centres, rho, 2.0 * radial.antiderivative(rho, centres))
+    if isinstance(regions, Mesh):
+        integrals = _radial_cell_integrals(radial.line_integral, radial.centre, regions, *level)
+    else:
+        integrals = quadrature._radial_line_polygons(
+            radial.line_integral, radial.centre, regions, *level
+        )
+    return integrals / areas
 
 
-def _radial_cell_integrals(H, centre, mesh: Mesh, kinks=None) -> np.ndarray:
-    """quadrature.radial_polygon_integrals over the cells of mesh, with
-    each grid edge integrated once; H and kinks are therefore the same for
-    every cell: H gets edge indices, and kinks is one radius or None.
+def _radial_cell_integrals(line, centre, mesh: Mesh, c=0.0, kinks=None, tops=None) -> np.ndarray:
+    """quadrature._radial_line_polygons over the cells of mesh, with each
+    grid edge integrated once by quadrature._radial_line_edges; c, kinks
+    and tops are therefore one value for every cell (kinks and tops None
+    for the integrals of w).
 
     Grid square (i, j) holds the lower cell (ll, lr, ur) and the upper
     cell (ll, ur, ul) after it, both counterclockwise.  With X, Y and D the
-    quadrature.radial_edge_integrals of the horizontal edges
+    quadrature._radial_line_edges of the horizontal edges
     (i, j) -> (i + 1, j), the vertical ones (i, j) -> (i, j + 1) and the
     diagonals (i, j) -> (i + 1, j + 1), the lower cell's integral is
     X[j, i] + Y[j, i + 1] - D[j, i] and the upper cell's
@@ -1040,7 +1082,7 @@ def _radial_cell_integrals(H, centre, mesh: Mesh, kinks=None) -> np.ndarray:
     n = g.shape[0] - 1
 
     def edges(p, q):
-        return quadrature.radial_edge_integrals(H, centre, p, q, kinks)
+        return quadrature._radial_line_edges(line, centre, p, q, c, kinks, tops)
 
     x = edges(g[:, :-1], g[:, 1:])
     y = edges(g[:-1], g[1:])
@@ -1109,12 +1151,20 @@ def abs_means_pyramid(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> lis
     listed by generation: square quadrature on generation `level`
     (generation_abs_means), then each coarser square as the exact mean of
     its four children."""
-    means = [generation_abs_means(w, level, tol)]
-    for j in range(level, 0, -1):
-        half = 2 ** (j - 1)
-        children = means[0].reshape(half, 2, half, 2)
-        means.insert(0, children.mean(axis=(1, 3)).ravel())
-    return means
+    return _coarser_generations(generation_abs_means(w, level, tol))
+
+
+def _coarser_generations(means: np.ndarray) -> list[np.ndarray]:
+    """From the means over every generation-j dyadic square, indexed
+    ix + iy * 2^j, the means over the squares of generations 0..j, listed
+    by generation: each coarser square's is the mean of its four
+    children's."""
+    out = [means]
+    while out[0].size > 1:
+        half = math.isqrt(out[0].size) // 2
+        children = out[0].reshape(half, 2, half, 2)
+        out.insert(0, children.mean(axis=(1, 3)).ravel())
+    return out
 
 
 def bmo_seminorm_estimate(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL) -> float:

@@ -501,14 +501,34 @@ def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None, ce
     return int(np.count_nonzero(margin > tol)), float(margin.max())
 
 
+def _projected_abs_means(A, level: int):
+    """_project_level's row, and the cell means of |w| it read for
+    A = (1 + beta |w|) I, else a copy of A_h's (1,1) entries, the cell
+    means of |A_11| since A_11 >= alpha > 0; A_h itself is not kept."""
+    A_h, row, cell_means = _project_level(A, level)
+    return row, A_h.values[:, 0, 0].copy() if cell_means is None else cell_means
+
+
+def _square_abs_means(cell_means) -> list:
+    """The |w| means of the dyadic squares of generations 0..level, from
+    the cell means of the level mesh: grid square ix + iy 2^level holds
+    the lower and the upper cell, of equal areas, so its mean is half
+    their sum; each coarser square is the mean of its four children
+    (coeff._coarser_generations)."""
+    base = cell_means[0::2] + cell_means[1::2]
+    base *= 0.5
+    return coeff_mod._coarser_generations(base)
+
+
 def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     """BMO seminorm estimates per depth, the John-Nirenberg distribution
     table, and the maximal-function comparison per level, of w for a
     coefficient (1 + beta |w|) I, such as the log fixture with the
     classical log example w = log(1/|x|), of A's (1,1) entry otherwise.
-    The maximal comparison reads its cell means off the projection: the
-    |w| means that (1 + beta |w|) I projects through, else A_h's (1,1)
-    entries, the cell means of |A_11| since A_11 >= alpha > 0."""
+    Every level is projected first, keeping only its row and its cell
+    means of |w| (_projected_abs_means); the maximal comparison reads them
+    at each level, and its dyadic |w| means come from the finest level's
+    (_square_abs_means), so |w| is integrated once per level."""
     A = coefficient_fixture(cfg)
     w = coeff_mod.coefficient_entry(A) if A.isotropic is None else A.isotropic.w
     _, oscs, fallbacks = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
@@ -516,18 +536,12 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     jn_table = coeff_mod.john_nirenberg_check(
         w, coeff_mod.DyadicSquare(0, 0, 0), JN_LAMBDAS, JN_DEPTH
     )
-    abs_means = coeff_mod.abs_means_pyramid(w, cfg.levels[-1])
-    rows = []
+    rows, cell_means = zip(*(_projected_abs_means(A, level) for level in cfg.levels))
+    abs_means = _square_abs_means(cell_means[-1])
     lemma = []
-    for level in cfg.levels:
-        A_h, row, cell_means = _project_level(A, level)
-        if cell_means is None:
-            cell_means = A_h.values[:, 0, 0]
-        violations, worst = maximal_bound_check(
-            w, level, gen_means=abs_means, cell_means=cell_means
-        )
+    for level, means in zip(cfg.levels, cell_means):
+        violations, worst = maximal_bound_check(w, level, gen_means=abs_means, cell_means=means)
         lemma.append({"level": level, "violations": violations, "worst_margin": worst})
-        rows.append(row)
     return _report(
         cfg,
         rows,

@@ -1,7 +1,7 @@
-"""Composite midpoint quadrature with adaptive refinement, and three fixed
+"""Composite midpoint quadrature with adaptive refinement, and four fixed
 rules for fields that declare their form.
 
-Three kernels are not refined:
+Four kernels are not refined:
 
 * ``polynomial_means``: the 6-point degree-4 rule, exact for a field that
   is a polynomial of degree at most 4 on each triangle.  coeff.cell_means
@@ -14,10 +14,18 @@ Three kernels are not refined:
   triangles between a centre and edges, from the field's radial
   antiderivative by Gauss-Legendre rules along each edge (GAUSS_NODES
   nodes per piece), exact up to a few ulps.  ``radial_polygon_integrals``
-  sums them over each polygon's edges.  For scalars that declare such a
-  profile the BMO diagnostics take it on dyadic squares, and the cell
-  means of |w| and of a coefficient declared (1 + beta |w|) I on the mesh
-  cells, each grid edge integrated once (coeff._radial_cell_integrals).
+  sums them over each polygon's edges.  The package takes it only for
+  int w^2 of the L^2 error (coeff._isotropic_l2_error), whose line
+  integral is not elementary.
+
+* ``_radial_line_edges`` and ``_radial_line_polygons``: the same
+  integrals in closed form, for a profile that declares the line integral
+  of its radial antiderivative, with no nodes: each edge, or each piece
+  of one that crosses the field's kink, is one call of that line
+  integral.  For scalars that declare such a profile the BMO diagnostics
+  take it on dyadic squares, and the cell means of |w| and of a
+  coefficient declared (1 + beta |w|) I on the mesh cells, each grid edge
+  integrated once (coeff._radial_cell_integrals).
 
 * ``_trigonometric_cell_means``: the cell means of a trigonometric
   polynomial on every cell of a mesh level, each term's from one constant
@@ -141,6 +149,8 @@ _GAUSS_W = (
 _PIECE_SPAN = 1.0
 # edges per block of radial_edge_integrals' geometry
 _EDGE_BLOCK = 1 << 12
+# edges per block of the closed-form polar kernel (_radial_line_edges)
+_LINE_BLOCK = 1 << 10
 
 
 def _check_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -706,6 +716,134 @@ def _edge_pieces(p, q, kinks):
     half = np.concatenate([0.5 * span[whole], 0.5 * width])
     offset = np.concatenate([half[: whole.sum()], np.repeat(lo, n) + (k + 0.5) * width])
     return up[owner] + offset, half, d[owner], edge[owner], sign[owner]
+
+
+def _radial_line_polygons(line, centre, polys, c=0.0, kinks=None, tops=None):
+    """radial_polygon_integrals in closed form: the integral of a radial
+    field over each polygon (K, M, 2), as _radial_line_edges gives it for
+    the polygon's edges, with c, kinks and tops one value per polygon or
+    one for all.  Polygons are taken in blocks of _LINE_BLOCK // M, a
+    block's worth of edges; each polygon adds its edges in order, so the
+    blocks change no result.  A non-finite integral raises
+    SingularityError naming the polygon."""
+    polys = np.asarray(polys, dtype=float)
+    count, m = polys.shape[:2]
+    out = np.empty(count)
+    per = max(1, _LINE_BLOCK // m)
+    for first in range(0, count, per):
+        block = slice(first, first + per)
+        p = polys[block] - centre
+        q = np.roll(p, -1, axis=1)
+        level = [v if np.ndim(v) == 0 else np.repeat(v[block], m) for v in (c, kinks, tops)]
+        edges = _line_block(line, p.reshape(-1, 2), q.reshape(-1, 2), *level)
+        edges = edges.reshape(p.shape[:2])
+        cross = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+        out[block] = np.sign(cross.sum(axis=1)) * edges.sum(axis=1)
+        bad = ~np.isfinite(out[block])
+        if bad.any():
+            k = first + int(np.argmax(bad))
+            raise SingularityError(f"non-finite radial integral over polygon {k}: {polys[k].tolist()}")
+    return out
+
+
+def _radial_line_edges(line, centre, starts, ends, c=0.0, kinks=None, tops=None):
+    """radial_edge_integrals in closed form, for a field whose profile
+    declares the line integral of its radial antiderivative
+    P(r, c) = int_0^r (v(s) - c) s ds: line(d, a, t, c) is
+    E = int_a^(a+t) P(sqrt(d^2 + s^2), c) d / (d^2 + s^2) ds, the angle
+    integral of P along a line at distance d > 0 from the centre, from
+    signed position a (from the foot of the perpendicular) over a length
+    t >= 0, for arrays that broadcast together.
+
+    starts and ends (R, C, 2) hold the edges p -> q, and c, kinks and
+    tops are one value for all of them.  Returns (R, C): per edge, its
+    turn's sign times the angle integral of P(r, c) with kinks None, else
+    of int_0^r |v - c| s ds.  That is sigma P(r, c) up to the radius
+    rho = kinks where v = c, and sigma (T - P(r, c)) beyond it, with
+    T = tops = 2 P(rho, c) and sigma its sign: an edge's piece inside rho
+    adds sigma E, and a piece outside it sigma (T dphi - E), dphi the angle
+    the piece sweeps.
+
+    An edge of length L is the piece (0, L) in offsets from p; one that
+    crosses rho is cut where it does.  Every piece is an offset and a
+    length measured from p, never a difference of positions along the
+    line, which would round a short far edge's length.  Edges on a line
+    through the centre give 0.  Edges are taken in blocks of at most
+    _LINE_BLOCK, so besides its output the kernel holds only block-sized
+    arrays; a non-finite integral raises SingularityError naming the edge.
+    """
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    rows, cols = starts.shape[:2]
+    out = np.empty((rows, cols))
+    width = min(cols, _LINE_BLOCK)
+    height = max(1, _LINE_BLOCK // width)
+    for r0 in range(0, rows, height):
+        for c0 in range(0, cols, width):
+            block = (slice(r0, r0 + height), slice(c0, c0 + width))
+            p = (starts[block] - centre).reshape(-1, 2)
+            q = (ends[block] - centre).reshape(-1, 2)
+            sums = _line_block(line, p, q, c, kinks, tops)
+            bad = ~np.isfinite(sums)
+            if bad.any():
+                i = int(np.argmax(bad))
+                edge = starts[block].reshape(-1, 2)[i], ends[block].reshape(-1, 2)[i]
+                raise SingularityError(
+                    f"non-finite radial integral on the edge {edge[0].tolist()} -> {edge[1].tolist()}"
+                )
+            out[block] = sums.reshape(out[block].shape)
+    return out
+
+
+def _line_block(line, p, q, c, kinks, tops):
+    """_radial_line_edges on one block of edges p -> q (E, 2), relative to
+    the centre; c, kinks and tops broadcast to (E,).
+
+    Every edge is first the one piece (0, L), with E and dphi those of the
+    whole edge.  One that crosses rho = kinks is the outer pieces (0, lo)
+    and (hi, L - hi) around the inner piece (lo, hi - lo), lo < hi the
+    offsets -+sqrt(rho^2 - d^2) - a_p from p (a_p the position of p)
+    clipped to [0, L].  Its inner piece adds sigma E_in and its outer ones
+    sigma (T dphi_out - (E - E_in)), dphi_out the sum of their own angles:
+    the whole edge's E less E_in, which scales with d, but no difference
+    of angles, which T does not scale."""
+    ex = q[:, 0] - p[:, 0]
+    ey = q[:, 1] - p[:, 1]
+    # p x q as p x (q - p): p0 q1 - p1 q0 cancels for a short far edge
+    cross = p[:, 0] * ey - p[:, 1] * ex
+    length = np.hypot(ex, ey)
+    with np.errstate(invalid="ignore"):  # 0 / 0 for an empty edge
+        h = cross / length  # signed distance of the edge's line
+        start = p[:, 0] * ex
+        start += p[:, 1] * ey
+        start /= length  # the position of p
+    d = np.abs(h)
+    out = line(d, start, length, c)
+    if kinks is not None:
+        chord = np.sqrt(np.maximum((kinks - d) * (kinks + d), 0.0))  # half the chord inside rho
+        lo = np.clip(-chord - start, 0.0, length)
+        hi = np.clip(chord - start, 0.0, length)
+        inside = (lo == 0.0) & (hi == length)
+        swept = _swept(d, start, length)
+        cut = np.flatnonzero((lo < hi) & ~inside)
+        if cut.size:
+            dk, ak, lo, hi = d[cut], start[cut], lo[cut], hi[cut]
+            inner = line(dk, ak + lo, hi - lo, c if np.ndim(c) == 0 else c[cut])
+            out[cut] -= 2.0 * inner
+            swept[cut] = _swept(dk, ak, lo) + _swept(dk, ak + hi, length[cut] - hi)
+        swept *= tops
+        np.subtract(swept, out, out=out, where=~inside)
+        out *= np.sign(tops)
+    out *= np.sign(h)
+    if not length.all():
+        out[length == 0.0] = 0.0
+    return out
+
+
+def _swept(d, a, t):
+    """The angle that the piece from position a over length t of a line
+    at distance d sweeps about the centre."""
+    return np.arctan2(d * t, d * d + a * (a + t))
 
 
 def global_scale_floor(f, verts, cell_ids=None) -> float:

@@ -922,8 +922,179 @@ def test_polar_cells_integrate_each_grid_edge_once(meshes):
         return radial.antiderivative(r, 0.0)
 
     want = Q.radial_polygon_integrals(H, radial.centre, mesh.cell_coordinates())
-    got = C._radial_cell_integrals(H, radial.centre, mesh)
+    got = C._radial_cell_integrals(radial.line_integral, radial.centre, mesh)
     assert np.all(np.abs(got - want) <= 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The closed form: the log scalar declares the line integral of its radial
+# antiderivative, so the means of w and of |w - c| over cells and polygons
+# take no Gauss node.  The Gauss polar rule with kinks on is the slow path
+# they are checked against.
+
+LOG_RADIAL = C.log_reciprocal_scalar().radial
+
+
+def _gauss_level(radial, c):
+    """(H, kinks) of the Gauss polar rule for the integrals of w (c None)
+    or of |w - c|, c one value or one per polygon id."""
+    if c is None:
+        return (lambda r, ids: radial.antiderivative(r, 0.0)), None
+    c = np.asarray(c, dtype=float)
+    rho = radial.level_radius(c)
+    top = 2.0 * radial.antiderivative(rho, c)
+
+    def H(r, ids):
+        cc, at, tp = (c[ids], rho[ids], top[ids]) if c.ndim else (c, rho, top)
+        p = radial.antiderivative(r, cc)
+        np.subtract(tp, p, out=p, where=r > at)
+        p *= np.sign(tp)
+        return p
+
+    return H, rho
+
+
+def _closed_edges(radial, starts, ends, c=None):
+    """quadrature._radial_line_edges for w (c None) or |w - c|."""
+    if c is None:
+        return Q._radial_line_edges(radial.line_integral, radial.centre, starts, ends)
+    rho = radial.level_radius(c)
+    top = 2.0 * radial.antiderivative(rho, c)
+    return Q._radial_line_edges(radial.line_integral, radial.centre, starts, ends, c, rho, top)
+
+
+def _gauss_cells(radial, mesh, c=None):
+    """The cell integrals of w or |w - c| from the Gauss polar rule on each
+    grid edge, as _radial_cell_integrals assembles them."""
+    H, kinks = _gauss_level(radial, c)
+    g = mesh.grid
+    n = g.shape[0] - 1
+
+    def edges(p, q):
+        return Q.radial_edge_integrals(H, radial.centre, p, q, kinks)
+
+    x, y, d = edges(g[:, :-1], g[:, 1:]), edges(g[:-1], g[1:]), edges(g[:-1, :-1], g[1:, 1:])
+    out = np.empty((n, n, 2))
+    out[..., 0] = x[:-1] + y[:, 1:] - d
+    out[..., 1] = d - x[1:] - y[:, :-1]
+    return out.reshape(-1)
+
+
+LINE_DISTANCES = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0)
+LINE_LENGTHS = (2.0**-12, 2.0**-6, 2.0**-2, 1.0)
+# the edge's first position over its length, and the half chord of the
+# circle where w = c over the length (None: a circle of half the line's
+# distance, which the line misses), for 0, 1 and 2 crossings of the circle
+LINE_CROSSINGS = {
+    "0-inside": (0.5, 2.0),
+    "0-outside": (0.5, 0.25),
+    "0-missed": (0.5, None),
+    "1": (0.0, 0.5),
+    "2": (-0.5, 0.25),
+}
+
+
+def _line_scale(d, a, t, c):
+    """d t (1 + |c| + |log r|), r the edge's farthest radius: the size of
+    the integrand P d / r^2 times the length."""
+    return d * t * (1.0 + abs(c) + abs(math.log(math.hypot(d, max(abs(a), abs(a + t))))))
+
+
+@pytest.mark.parametrize("crossing", sorted(LINE_CROSSINGS))
+def test_closed_form_edges_match_the_gauss_rule(crossing):
+    # |w - c| along the edge from (a, d) to (a + t, d) about the origin,
+    # d from 1e-12 to 2 and t from 2^-12 to 1: within 2e-15 of the scale
+    # d t (1 + |c| + |log r|); reversed, the negated value within as much
+    frac, chord = LINE_CROSSINGS[crossing]
+    for d in LINE_DISTANCES:
+        for t in LINE_LENGTHS:
+            a = frac * t
+            rho = 0.5 * d if chord is None else math.hypot(d, chord * t)
+            c = -math.log(rho)
+            p, q = np.array([[[a, d]]]), np.array([[[a + t, d]]])
+            crossings = sum(a < s < a + t for s in (-chord * t, chord * t)) if chord else 0
+            assert crossings == int(crossing[0])
+            H, kinks = _gauss_level(LOG_RADIAL, c)
+            want = Q.radial_edge_integrals(H, LOG_RADIAL.centre, p, q, kinks)[0, 0]
+            got = _closed_edges(LOG_RADIAL, p, q, c)[0, 0]
+            back = _closed_edges(LOG_RADIAL, q, p, c)[0, 0]
+            scale = _line_scale(d, a, t, c)
+            assert abs(got - want) <= 2e-15 * scale, (d, t)
+            assert abs(back + want) <= 2e-15 * scale, (d, t)
+
+
+def test_closed_form_edges_of_w_match_the_gauss_rule():
+    # w itself, no kink: edges before, across, from, to and beyond the foot
+    # of the perpendicular, within 2e-15 of the scale; reversed, negated
+    for d in LINE_DISTANCES:
+        for t in LINE_LENGTHS:
+            for a in (-3.0 * t, -t, -0.5 * t, 0.0, 2.0 * t):
+                p, q = np.array([[[a, d]]]), np.array([[[a + t, d]]])
+                H, _ = _gauss_level(LOG_RADIAL, None)
+                want = Q.radial_edge_integrals(H, LOG_RADIAL.centre, p, q)[0, 0]
+                scale = _line_scale(d, a, t, 0.0)
+                assert abs(_closed_edges(LOG_RADIAL, p, q)[0, 0] - want) <= 2e-15 * scale
+                assert abs(_closed_edges(LOG_RADIAL, q, p)[0, 0] + want) <= 2e-15 * scale
+
+
+def test_closed_form_edges_near_the_centre_stay_finite():
+    # edges from the centre lie on lines through it and give 0, as in the
+    # Gauss rule; lines 1e-170 from it, where d^2 underflows to 0, give
+    # finite values below 1e-160, with an end at the foot of the
+    # perpendicular too, for w and for |w - c| with the circle crossed
+    starts = np.array([[[0.0, 0.0], [0.0, 0.0], [0.0, 1e-170], [-1.0, 1e-170], [-1.0, 1e-170]]])
+    ends = np.array([[[1.0, 0.5], [0.0, 1.0], [1.0, 1e-170], [0.0, 1e-170], [1.0, 1e-170]]])
+    for c in (None, 0.0, 2.0):
+        got = _closed_edges(LOG_RADIAL, starts, ends, c)[0]
+        assert np.all(got[:2] == 0.0)
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got) <= 1e-160)
+    # the declared line integral itself, at d = 0 and d^2 = 0, from or to
+    # the foot
+    d = np.array([0.0, 1e-170, 1e-170, 1e-170])
+    a = np.array([0.0, 0.0, -1.0, -0.5])
+    values = LOG_RADIAL.line_integral(d, a, np.ones(4), 0.5)
+    assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= 1e-160)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.5, 0.5), (0.3, 0.55), (0.3, 0.7)])
+def test_closed_form_cell_integrals_match_the_gauss_rule(x0):
+    # every cell of levels 0..9, for w and for |w - c| with c = 0 (the |w|
+    # of the projection) and c = 1.5: within 1e-16 plus 2 ulps of the
+    # integral
+    w = C.log_reciprocal_scalar(x0)
+    for level in range(10):
+        mesh = build_uniform_mesh(level)
+        for c in (None, 0.0, 1.5):
+            want = _gauss_cells(w.radial, mesh, c)
+            got = C._radial_means(w, mesh, 1.0, c)
+            assert np.all(np.abs(got - want) <= 1e-16 + 2.0**-51 * np.abs(want)), (level, c)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.5, 0.5), (0.3, 0.55)])
+def test_closed_form_square_means_match_the_gauss_rule(rng, x0):
+    # the squares of generations 0..6: w_Q, |w - w_Q| with each square's
+    # own w_Q, and |w - c| with a random c per square in [-1, 4], all
+    # within 1e-13 absolute, and relative for means above 1 (with c = 3.49
+    # on a generation-6 square by the origin, of mean 3.68, the Gauss rule
+    # is 8.2e-14 off a 40-digit evaluation of the closed form, which is
+    # 3.2e-14 off)
+    w = C.log_reciprocal_scalar(x0)
+    grids = [C._generation_grid(j) for j in range(7)]
+    los = np.concatenate([lo for lo, _ in grids])
+    sizes = np.concatenate([np.full(lo.shape[0], size) for lo, size in grids])
+    polys = los[:, None, :] + C._UNIT_SQUARE * sizes[:, None, None]
+    areas = sizes * sizes
+    means = C._radial_means(w, polys, areas)
+    for c, got in [
+        (None, means),
+        (means, C._radial_means(w, polys, areas, means)),
+        (rng.uniform(-1.0, 4.0, len(polys)), None),
+    ]:
+        if got is None:
+            got = C._radial_means(w, polys, areas, c)
+        H, kinks = _gauss_level(w.radial, c)
+        want = Q.radial_polygon_integrals(H, w.radial.centre, polys, kinks) / areas
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_cell_mean_passes_hold_their_output_and_one_block():

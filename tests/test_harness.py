@@ -384,14 +384,39 @@ def test_log_studies_integrate_the_cells_once_per_level(monkeypatch, config):
     levels = []
     original = C._radial_cell_integrals
 
-    def spy(H, centre, mesh, kinks=None):
+    def spy(line, centre, mesh, *level):
         levels.append(mesh.level)
-        return original(H, centre, mesh, kinks)
+        return original(line, centre, mesh, *level)
 
     monkeypatch.setattr(C, "_radial_cell_integrals", spy)
     cfg = X.config_from_dict(config)
     X.run_study(cfg)
     assert sorted(levels) == sorted(cfg.levels)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..5"},
+        {"kind": "stability", "coeff": "log", "beta": 0.5, "rhs": "sin-cos", "p": 2.1,
+         "levels": "2..3"},
+    ],
+)
+def test_log_studies_take_no_gauss_node_for_w(monkeypatch, config):
+    # the means of w and |w - c| over cells and squares take the profile's
+    # line integral; the Gauss polar rule integrates only w^2 over the unit
+    # square for the L^2 error, one polygon of four edges per level
+    shapes = []
+    original = Q.radial_edge_integrals
+
+    def spy(H, centre, starts, ends, kinks=None, ids=None):
+        shapes.append(np.shape(starts))
+        return original(H, centre, starts, ends, kinks, ids)
+
+    monkeypatch.setattr(Q, "radial_edge_integrals", spy)
+    cfg = X.config_from_dict(config)
+    X.run_study(cfg)
+    assert shapes == [(1, 4, 2)] * len(cfg.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +609,47 @@ def test_bmo_diagnostics_hands_the_check_the_projection_of_a11(monkeypatch, nond
         want = C.project_coefficient(A, build_uniform_mesh(level)).values[:, 0, 0]
         assert np.array_equal(cell_means, want)
     assert all(entry["violations"] == 0 for entry in report.metadata["maximal_bound"])
+
+
+def test_bmo_diagnostics_builds_its_pyramid_from_the_finest_cell_means(monkeypatch):
+    # the log study's dyadic |w| means are the finest level's cell means,
+    # two cells per grid square: abs_means_pyramid's polar square means
+    # within 1e-14 relative, absolute below 1 (the polar rule sums fan
+    # triangles much larger than a small square, so where |w| nearly
+    # vanishes, by r = 1, a generation-5 mean of 0.0075 differs by 8.5e-16)
+    received = []
+    check = X.maximal_bound_check
+
+    def spy(w, level, tol=X.MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
+        received.append(gen_means)
+        return check(w, level, tol, gen_means, cell_means)
+
+    monkeypatch.setattr(X, "maximal_bound_check", spy)
+    cfg = X.config_from_dict(
+        {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..5"}
+    )
+    X.run_study(cfg)
+    want = C.abs_means_pyramid(C.log_reciprocal_scalar(), 5)
+    assert len(received) == 4 and all(got is received[0] for got in received)
+    assert len(received[0]) == len(want) == 6
+    for got, ref in zip(received[0], want):
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(ref, 1.0))
+
+
+def test_bmo_pyramid_of_a_coefficient_entry_is_the_restricted_projection(nondyadic_csv_path):
+    # for A_11 of a sampled grid whose sample lines miss every dyadic line,
+    # the pyramid from the level-5 A_h equals the square means restricted
+    # from the level-7 A_h within 1e-14 relative: both are exact, where the
+    # square rule was 5.8e-6 relative off
+    A = C.load_sampled_coefficient(nondyadic_csv_path)
+    _, cell_means = X._projected_abs_means(A, 5)
+    got = X._square_abs_means(cell_means)
+    fine = C.project_coefficient(A, build_uniform_mesh(7)).values[:, 0, 0]
+    squares = 0.5 * (fine[0::2] + fine[1::2])  # generation 7, ix + iy 2^7
+    for j, means in enumerate(got):
+        b = 2 ** (7 - j)
+        want = squares.reshape(2**j, b, 2**j, b).mean(axis=(1, 3)).ravel()
+        assert np.all(np.abs(means - want) <= 1e-14 * want)
 
 
 @pytest.mark.parametrize(

@@ -847,3 +847,28 @@ def test_radial_polygon_integrals_batch_each_polygons_radii():
     got = Q.radial_polygon_integrals(H, (0.3, 0.55), polys, kinks=np.full(len(polys), 0.5))
     assert np.allclose(got, np.arange(len(polys)) / 4096.0, rtol=1e-12, atol=0)
     assert len(seen) > 1 and all(size <= Q._CHUNK and positive for size, positive in seen)
+
+
+@pytest.mark.parametrize("c", [None, 0.0, 1.5, -0.5])
+def test_closed_form_polygons_match_the_gauss_rule(c):
+    # the polygons above about a log(1/|x - centre|): the centre inside,
+    # outside, at a vertex, inside an edge and 1e-9 from an edge's line,
+    # and a repeated vertex (an empty edge), for w and for |w - c|, within
+    # 1e-15 absolute, either orientation
+    radial = C.log_reciprocal_scalar(tuple(RADIAL_CENTRE)).radial
+    if c is None:
+        H, kinks, level = (lambda r, ids: radial.antiderivative(r, 0.0)), None, ()
+    else:
+        rho = radial.level_radius(c)
+        top = 2.0 * radial.antiderivative(rho, c)
+
+        def H(r, ids):
+            p = radial.antiderivative(r, c)
+            np.subtract(top, p, out=p, where=r > rho)
+            return p
+
+        kinks, level = rho, (c, rho, top)
+    want = Q.radial_polygon_integrals(H, radial.centre, RADIAL_POLYGONS, kinks)
+    for polys in (RADIAL_POLYGONS, RADIAL_POLYGONS[:, ::-1]):
+        got = Q._radial_line_polygons(radial.line_integral, radial.centre, polys, *level)
+        assert np.all(np.abs(got - want) <= 1e-15)
