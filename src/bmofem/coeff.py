@@ -99,7 +99,8 @@ class ScalarField:
     """Scalar field used by the maximal-function diagnostics.  radial, if
     given, declares the field radial (RadialProfile); the dyadic square
     means and oscillations and the cell |w| means of such a field are
-    exact, by the polar rule (_radial_means)."""
+    exact, by the polar rule (_radial_means), and so is its
+    John-Nirenberg table (john_nirenberg_check)."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     name: str = ""
@@ -1181,24 +1182,39 @@ def john_nirenberg_check(
 ) -> list[tuple[float, float]]:
     """Fraction of the square where |w - w_Q| exceeds each lambda.
 
-    Estimated by sampling w at the centers of a 2^depth x 2^depth grid on
-    the square, in row strips of at most quadrature.STRIP_POINTS = _CHUNK
-    points, so that a strip of the depth-12 grid holds four rows.
+    Exact for a field that declares a radial profile, w = v(r) about its
+    centre with v strictly monotone: with w_Q from _radial_square_means
+    and r1, r2 = level_radius(w_Q + lambda), level_radius(w_Q - lambda),
+    the set is {r < min(r1, r2)} joined with {r > max(r1, r2)}, so the fraction
+    is (|Q cap B_min| + |Q| - |Q cap B_max|) / |Q| (_disc_square_areas),
+    clipped to [0, 1]; depth is then only validated.
+
+    Otherwise estimated by sampling w at the centers of a
+    2^depth x 2^depth grid on the square, in row strips of at most
+    quadrature.STRIP_POINTS = _CHUNK points, so that a strip of the
+    depth-12 grid holds four rows, around w_Q by square_means_batch.
     Non-finite samples are skipped; more than 0.1% skipped is an error.
-    The result is monotone nonincreasing in lambda.  The mean w_Q is exact
-    for a field that declares a radial profile (_radial_square_means).
+    Either way the result is monotone nonincreasing in lambda.  Raises
+    ValueError for a depth outside [1, 12] or a lambda that is not
+    positive and finite.
     """
     if not (1 <= depth <= 12):
         raise ValueError(f"depth must be in [1, 12], got {depth}")
     lambdas = [float(lam) for lam in lambdas]
-    if any(lam <= 0 for lam in lambdas):
-        raise ValueError("lambdas must be positive")
-    if w.radial is None:
-        w_q = quadrature.square_means_batch(
-            lambda p, i: w.evaluate(p), [square.lo], square.size, DEFAULT_SQUARE_TOL
-        )[0]
-    else:
+    if not all(0.0 < lam < math.inf for lam in lambdas):
+        raise ValueError(f"lambdas must be positive and finite, got {lambdas}")
+    if w.radial is not None:
+        radial = w.radial
         w_q = _radial_square_means(w, square.lo[None], square.size)[0]
+        lams = np.array(lambdas)
+        radii = np.sort([radial.level_radius(w_q + lams), radial.level_radius(w_q - lams)], axis=0)
+        inside = _disc_square_areas(radial.centre, square.lo, square.size, radii)
+        area = square.size**2
+        fractions = np.clip((inside[0] + (area - inside[1])) / area, 0.0, 1.0)
+        return [(lam, float(f)) for lam, f in zip(lambdas, fractions)]
+    w_q = quadrature.square_means_batch(
+        lambda p, i: w.evaluate(p), [square.lo], square.size, DEFAULT_SQUARE_TOL
+    )[0]
     exceed = [0] * len(lambdas)
     finite_count = 0
     for _, _, vals in quadrature._ladder_strips(w.evaluate, depth, square.lo, square.size):
@@ -1213,3 +1229,38 @@ def john_nirenberg_check(
             f"{skipped} of {total} sample points were non-finite", point=None
         )
     return [(lam, c / finite_count) for lam, c in zip(lambdas, exceed)]
+
+
+def _disc_square_areas(centre, lo, size, r) -> np.ndarray:
+    """Areas of the square [lo, lo + size]^2 inside the discs of radii
+    r >= 0 (an array) about centre, which may lie anywhere.  A disc that
+    misses or covers the square gives exactly 0 or size^2; one that cuts
+    it, the signed sum of the four rectangles between centre and the
+    square's corners.  The rectangle [0, a] x [0, b] meets the quarter
+    disc in area a b when a <= x0 = sqrt(r^2 - b^2)_+, else
+    b x0 + F(a) - F(x0) with F(x) = (x sqrt(r^2 - x^2) + r^2 asin(x / r)) / 2,
+    held at F(r) for x > r."""
+    r = np.asarray(r, dtype=float)
+    u = np.array([lo[0] + size, lo[0]]) - centre[0]
+    v = np.array([lo[1] + size, lo[1]]) - centre[1]
+    near = np.hypot(*np.clip(centre, lo, lo + size) - np.asarray(centre))
+    far = np.hypot(*np.maximum(np.abs(u), np.abs(v)))
+    # the signed sum would leave rounding of the rectangles' size where the
+    # disc misses or covers the square, and r^2 may overflow there
+    areas = np.where(r <= near, 0.0, size * size)
+    cut = (near < r) & (r < far)
+    rc = r[cut]
+    r2 = rc * rc
+    # the rectangle to corner (u[i], v[j]) counts with sign (-1)^(i + j)
+    signs = np.outer(np.sign(u) * [1.0, -1.0], np.sign(v) * [1.0, -1.0]).ravel()
+    a = np.repeat(np.abs(u), 2)[:, None]
+    b = np.tile(np.abs(v), 2)[:, None]
+    x0 = np.sqrt(np.maximum(r2 - b * b, 0.0))
+
+    def F(x):
+        return 0.5 * (
+            x * np.sqrt(np.maximum(r2 - x * x, 0.0)) + r2 * np.arcsin(np.minimum(x / rc, 1.0))
+        )
+
+    areas[cut] = signs @ np.where(a <= x0, a * b, b * x0 + F(a) - F(x0))
+    return areas

@@ -32,7 +32,7 @@ RHS_NAMES = ("constant", "sin-cos", "grad-sinsin")
 
 HODGE_SUITE_FIELDS = 50
 BMO_DIAG_DEPTH = 6
-JN_DEPTH = 10
+JN_DEPTH = 10  # the sampler's grid; a scalar with a radial profile takes exact areas
 JN_LAMBDAS = (1.0, 2.0, 3.0, 4.0)
 MAXIMAL_GRID = 17
 MAXIMAL_BOUND_CONSTANT = 2.0  # containing-square to cell measure ratio

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmofem import coeff as C
@@ -592,11 +592,10 @@ def test_declared_scalar_square_means_never_sample_it(monkeypatch):
     spy = dataclasses.replace(w, evaluate=evaluate)
     C.dyadic_oscillations(spy, 6)
     C.generation_abs_means(spy, 5)
-    assert calls == []
-    # the John-Nirenberg table samples the field, but its w_Q is exact
+    # the John-Nirenberg table and its w_Q are exact too
     monkeypatch.setattr(Q, "square_means_batch", None)
     table = C.john_nirenberg_check(spy, C.DyadicSquare(0, 0, 0), [1.0], 4)
-    assert sum(calls) == 4**4
+    assert calls == []
     assert table == C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], 4)
 
 
@@ -1175,10 +1174,10 @@ def test_jn_log_matches_closed_form_tail():
     fractions = [frac for _, frac in table]
     # monotone nonincreasing
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
-    # exponential tail with rate exactly 2
+    # exponential tail with rate exactly 2, from the disc-square areas
     for lam, frac in table:
         exact = LOG_UNIT_SQUARE_OSC * math.exp(-2.0 * lam)
-        assert frac == pytest.approx(exact, rel=2e-2)
+        assert abs(frac - exact) <= 1e-14
     slopes = np.diff(np.log(fractions))
     assert max(abs(slopes)) / min(abs(slopes)) <= 3.0
 
@@ -1187,11 +1186,64 @@ def test_jn_rejects_bad_inputs():
     w = C.log_reciprocal_scalar()
     with pytest.raises(ValueError):
         C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.0], 4)
+    # on the exact path and on the sampler
+    for field in (w, UNDECLARED_LOG):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                C.john_nirenberg_check(field, C.DyadicSquare(0, 0, 0), [bad, 1.0], 4)
     for depth in (0, 13):
         with pytest.raises(ValueError, match="depth"):
             C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], depth)
     with pytest.raises(ValueError):
         C.DyadicSquare(1, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "x0, square, lambdas",
+    [
+        # the radii where w = w_Q + lambda (0.31 .. 0.051) cut the square,
+        # and those where w = w_Q - lambda at 0.2 and 0.5 (0.46, 0.62); at
+        # 1 and 2 they pass its far corner (0.92 away)
+        ((0.3, 0.6), C.DyadicSquare(0, 0, 0), [0.2, 0.5, 1.0, 2.0]),
+        ((0.5, 0.5), C.DyadicSquare(1, 1, 0), [0.05, 0.2, 0.5, 1.0, 2.0]),
+        # the centre outside the square
+        ((1.3, -0.2), C.DyadicSquare(0, 0, 0), [0.05, 0.2, 0.5, 1.0]),
+        ((0.3, 0.6), C.DyadicSquare(1, 1, 0), [0.05, 0.2, 0.5, 1.0]),
+    ],
+)
+def test_jn_disc_square_areas_match_the_sampler(x0, square, lambdas):
+    w = C.log_reciprocal_scalar(x0)
+    table = C.john_nirenberg_check(w, square, lambdas, 4)
+    sampled = C.john_nirenberg_check(dataclasses.replace(w, radial=None), square, lambdas, 12)
+    assert [lam for lam, _ in table] == lambdas
+    # the depth-12 grid's sampling error, measured below 4e-6
+    assert max(abs(a - b) for (_, a), (_, b) in zip(table, sampled)) <= 2e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x0=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+    level=st.integers(0, 8),
+    corner=st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True)),
+    first=st.floats(1e-3, 10.0),
+    gaps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6),
+)
+# the annulus covers the square at every lambda, and its four rectangles
+# reach 2.1 from the centre: their signed sum alone leaves 7e-15 of
+# rounding at lambda = 0.125
+@example(x0=(1.5, 1.5), level=2, corner=(0.0, 0.0), first=0.1, gaps=[0.25] * 5)
+def test_jn_disc_square_fractions_are_a_distribution(x0, level, corner, first, gaps):
+    # fractions in [0, 1], nonincreasing over lambdas whose relative gaps
+    # are at least 1e-6
+    n = 2**level
+    square = C.DyadicSquare(level, int(corner[0] * n), int(corner[1] * n))
+    lambdas = [first]
+    for g in gaps:
+        lambdas.append(lambdas[-1] * (1.0 + g))
+    table = C.john_nirenberg_check(C.log_reciprocal_scalar(x0), square, lambdas, 4)
+    fractions = [f for _, f in table]
+    assert all(0.0 <= f <= 1.0 for f in fractions)
+    assert all(b <= a for a, b in zip(fractions, fractions[1:]))
 
 
 def test_jn_skip_policy_errors_on_many_bad_samples():
@@ -1334,11 +1386,20 @@ def test_min_eigenvalues_neither_overflow_nor_cancel(tmp_path):
     entries=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
     exponent=st.integers(-300, 300),
 )
+@example(entries=[0.0, 2.225073858507e-311, 2.225073858507e-311], exponent=2)
+@example(entries=[0.0, 2.2250738585e-313, 2.2250738585e-313], exponent=1)
 def test_min_eigenvalues_match_eigvalsh(entries, exponent):
     a, b, c = np.array(entries) * 10.0**exponent
-    want = np.linalg.eigvalsh(np.array([[a, b], [b, c]]) / 10.0**exponent)[0] * 10.0**exponent
+    # eigvalsh scaled by a power of two, exact for subnormal values too:
+    # scaled back by 10^exponent, the rounding of a subnormal eigenvalue
+    # was magnified past the bound (4.5 spacings at exponent 1)
+    k = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    want = math.ldexp(np.linalg.eigvalsh(np.ldexp(np.array([[a, b], [b, c]]), -k))[0], k)
     got = C._min_eigenvalues(np.array([[[a, b], [b, c]]]))[0]
-    assert abs(got - want) <= 1e-15 * max(abs(a), abs(b), abs(c))
+    # a relative bound, floored at a few subnormal spacings: below 2.2e-308
+    # the bound 1e-15 * max would lie under the spacing itself
+    floor = 4 * np.finfo(float).smallest_subnormal
+    assert abs(got - want) <= 1e-15 * max(abs(a), abs(b), abs(c)) + floor
 
 
 def test_shipped_and_generated_sampled_grids_declare_a_valid_alpha(
@@ -1498,8 +1559,9 @@ def _jn_all_at_once(w, square, lambdas, depth):
 @pytest.mark.parametrize(
     "w, square",
     [
-        (C.log_reciprocal_scalar(), C.DyadicSquare(0, 0, 0)),
-        (C.log_reciprocal_scalar((0.5, 0.5)), C.DyadicSquare(1, 1, 0)),
+        (UNDECLARED_LOG, C.DyadicSquare(0, 0, 0)),
+        (dataclasses.replace(C.log_reciprocal_scalar((0.5, 0.5)), radial=None),
+         C.DyadicSquare(1, 1, 0)),
         (C.ScalarField(_wave, "wave"), C.DyadicSquare(2, 1, 3)),
         # one column of 1024 is non-finite and skipped
         (C.ScalarField(lambda p: np.where(p[:, 0] < 1e-3, np.nan, _wave(p)), "holed"),
