@@ -429,7 +429,12 @@ def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
     """log(1/|x - x0|): the classical unbounded BMO function, declared
     radial about x0: int_0^r (-log s - c) s ds = r^2 (1 - 2c - 2 log r) / 4,
     -log r = c at r = e^(-c), and
-    int_0^r (log s)^2 s ds = r^2 ((log r - 1/2)^2 + 1/4) / 2."""
+    int_0^r (log s)^2 s ds = r^2 ((log r - 1/2)^2 + 1/4) / 2.
+
+    The level radius holds c in [-700, 700], so that it stays positive and
+    finite: a disc about x0 of radius e^-700 (area below 1e-607) or e^700
+    (1e304) meets a bounded region as one of radius e^(-c) beyond them
+    does, up to rounding."""
     x0 = np.asarray(x0, dtype=float)
 
     def evaluate(points):
@@ -503,7 +508,7 @@ def log_reciprocal_scalar(x0=(0.0, 0.0)) -> ScalarField:
     radial = RadialProfile(
         (float(x0[0]), float(x0[1])),
         antiderivative,
-        lambda c: np.exp(-c),
+        lambda c: np.exp(-np.clip(c, -700.0, 700.0)),
         square_antiderivative,
         line_integral,
     )
@@ -1045,8 +1050,9 @@ def _radial_means(w: ScalarField, regions, areas, centres=None) -> np.ndarray:
     areas, for a field that declares a radial profile: exact, from the
     profile's line integral (quadrature._radial_line_edges).  regions are
     polygons (K, M, 2), with centres None, one value per polygon or one for
-    all; or a Mesh, whose cells _radial_cell_integrals takes, with centres
-    None or one value for all.
+    all; or a Mesh, whose cells _radial_cell_integrals takes, or a
+    generation j, whose dyadic squares _radial_square_integrals takes, both
+    with centres None or one value for all.
 
     With rho = level_radius(c), int_0^r |v - c| s ds is sigma P(r, c) up to
     rho and sigma (2 P(rho, c) - P(r, c)) beyond it, sigma the sign of
@@ -1059,6 +1065,8 @@ def _radial_means(w: ScalarField, regions, areas, centres=None) -> np.ndarray:
         level = (centres, rho, 2.0 * radial.antiderivative(rho, centres))
     if isinstance(regions, Mesh):
         integrals = _radial_cell_integrals(radial.line_integral, radial.centre, regions, *level)
+    elif isinstance(regions, int):
+        integrals = _radial_square_integrals(radial.line_integral, radial.centre, regions, *level)
     else:
         integrals = quadrature._radial_line_polygons(
             radial.line_integral, radial.centre, regions, *level
@@ -1079,15 +1087,10 @@ def _radial_cell_integrals(line, centre, mesh: Mesh, c=0.0, kinks=None, tops=Non
     diagonals (i, j) -> (i + 1, j + 1), the lower cell's integral is
     X[j, i] + Y[j, i + 1] - D[j, i] and the upper cell's
     D[j, i] - X[j + 1, i] - Y[j, i]."""
-    g = mesh.grid  # g[j, i] is vertex (i, j)
+    g = mesh.grid
     n = g.shape[0] - 1
-
-    def edges(p, q):
-        return quadrature._radial_line_edges(line, centre, p, q, c, kinks, tops)
-
-    x = edges(g[:, :-1], g[:, 1:])
-    y = edges(g[:-1], g[1:])
-    d = edges(g[:-1, :-1], g[1:, 1:])
+    x, y = _radial_axis_edges(line, centre, g, c, kinks, tops)
+    d = quadrature._radial_line_edges(line, centre, g[:-1, :-1], g[1:, 1:], c, kinks, tops)
     out = np.empty((n, n, 2))
     lower, upper = out[..., 0], out[..., 1]
     np.add(x[:-1], y[:, 1:], out=lower)
@@ -1095,6 +1098,29 @@ def _radial_cell_integrals(line, centre, mesh: Mesh, c=0.0, kinks=None, tops=Non
     np.subtract(d, x[1:], out=upper)
     upper -= y[:, :-1]
     return out.reshape(-1)
+
+
+def _radial_square_integrals(line, centre, level: int, c=0.0, kinks=None, tops=None) -> np.ndarray:
+    """The integrals over the dyadic squares of generation `level`, indexed
+    ix + iy 2^level, with each grid edge integrated once: with X and Y as
+    in _radial_cell_integrals, square (i, j)'s is
+    X[j, i] + Y[j, i + 1] - X[j + 1, i] - Y[j, i], its two cells' with no
+    diagonal."""
+    x, y = _radial_axis_edges(line, centre, Mesh(level).grid, c, kinks, tops)
+    out = np.subtract(x[:-1], x[1:])
+    out += y[:, 1:]
+    out -= y[:, :-1]
+    return out.reshape(-1)
+
+
+def _radial_axis_edges(line, centre, g, c, kinks, tops):
+    """quadrature._radial_line_edges of the horizontal edges
+    (i, j) -> (i + 1, j), X (n + 1, n), and of the vertical ones
+    (i, j) -> (i, j + 1), Y (n, n + 1), of the vertex grid g, where g[j, i]
+    is vertex (i, j); both are indexed [j, i]."""
+    x = quadrature._radial_line_edges(line, centre, g[:, :-1], g[:, 1:], c, kinks, tops)
+    y = quadrature._radial_line_edges(line, centre, g[:-1], g[1:], c, kinks, tops)
+    return x, y
 
 
 def generation_oscillation_means(w: ScalarField, level: int, tol=DEFAULT_OSC_TOL):
@@ -1118,30 +1144,36 @@ def dyadic_oscillations(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL):
     handed to the per-square rule (both passes together).
 
     A field that declares a radial profile takes the exact polar rule
-    (_radial_square_means) instead of the pyramid, for all generations in
-    one batch: tol is not used and no square falls back."""
+    instead of the pyramid: tol is not used and no square falls back.  Its
+    means need no per-square c, so the generation-depth squares take one
+    pass over that grid's edges (_radial_means of the generation) and each
+    coarser square is the mean of its four children
+    (_coarser_generations); the oscillations, each about its own square's
+    mean, take the polygon rule (_radial_square_means) on all generations
+    in one batch."""
     if w.radial is None:
         means, fb_means = quadrature.dyadic_means(w.evaluate, depth, tol)
         oscs, fb_oscs = quadrature.dyadic_means(w.evaluate, depth, tol, centres=means)
         return means, oscs, [a + b for a, b in zip(fb_means, fb_oscs)]
     if not (0 <= depth <= MAX_BMO_DEPTH):
         raise ValueError(f"depth must be in [0, {MAX_BMO_DEPTH}], got {depth}")
+    means = _coarser_generations(_radial_means(w, depth, 4.0**-depth))
     grids = [_generation_grid(j) for j in range(depth + 1)]
     los = np.concatenate([lo for lo, _ in grids])
     sizes = np.concatenate([np.full(lo.shape[0], size) for lo, size in grids])
-    means = _radial_square_means(w, los, sizes)
-    oscs = _radial_square_means(w, los, sizes, means)
+    oscs = _radial_square_means(w, los, sizes, np.concatenate(means))
     splits = np.cumsum([4**j for j in range(depth)])
-    return np.split(means, splits), np.split(oscs, splits), [0] * (depth + 1)
+    return means, np.split(oscs, splits), [0] * (depth + 1)
 
 
 def generation_abs_means(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> np.ndarray:
     """Average of |w| over every generation-`level` dyadic square, indexed
     ix + iy * 2^level: exact for a field that declares a radial profile
-    (_radial_square_means, tol not used), else by square_means_batch."""
-    los, size = _generation_grid(level)
+    (_radial_means of the generation, tol not used), else by
+    square_means_batch."""
     if w.radial is not None:
-        return _radial_square_means(w, los, size, 0.0)
+        return _radial_means(w, level, 4.0**-level, 0.0)
+    los, size = _generation_grid(level)
     return quadrature.square_means_batch(
         lambda p, i: np.abs(w.evaluate(p)), los, size, tol
     )

@@ -465,40 +465,50 @@ def run_hodge_suite(cfg: ExperimentConfig) -> StudyReport:
     return _report(cfg, rows, fields_per_level=HODGE_SUITE_FIELDS, residuals=residuals)
 
 
-def maximal_bound_check(w, level: int, tol=MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
-    """At every point x of a 17x17 grid, verify that the largest average of
-    |w| over the cells containing x is at most 2 times the largest average
-    of |w| over the dyadic squares of generations 0..level containing x,
-    plus tol.
+def maximal_bound_check(w, levels, tol=MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
+    """For each of the strictly increasing levels, verify at every point x
+    of a 17x17 grid that the largest average of |w| over the level mesh's
+    cells containing x is at most 2 times the largest average of |w| over
+    the dyadic squares of generations 0..level containing x, plus tol.
 
     The constant 2 is the measure ratio between a cell and its containing
     grid square, which for this mesh family is itself a dyadic square, so
     the dyadic family at depth = level always contains it.  gen_means[j]
-    holds the |w| averages of the generation-j squares for j = 0..level (or
-    deeper), as coeff.abs_means_pyramid builds them; by default that
-    pyramid is built for this level.  cell_means holds the |w| averages
-    of the level mesh's cells, coeff.cell_abs_means by default.  The
+    holds the |w| averages of the generation-j squares for j = 0..max(levels)
+    (or deeper), as coeff.abs_means_pyramid builds them; by default that
+    pyramid is built for the last level.  cell_means holds, per level, the
+    |w| averages of its mesh's cells, coeff.cell_abs_means by default.  The
     closed generation-j squares containing x are the grid squares of the
-    level-j mesh cells containing x, so one containment rule serves both
-    maxima, for all points at once.  Returns (violations, worst_margin).
+    level-j mesh cells containing x, so one containment pass per generation
+    serves both maxima, for all points and levels at once: the squares'
+    maximum runs over the generations, and a level reads its cells from its
+    own generation's pass.  Returns [(violations, worst_margin)] per level.
     """
+    levels = list(levels)
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be nonempty and strictly increasing, got {levels}")
     if cell_means is None:
-        cell_means = coeff_mod.cell_abs_means(w, build_uniform_mesh(level))
+        cell_means = [coeff_mod.cell_abs_means(w, build_uniform_mesh(level)) for level in levels]
+    if len(cell_means) != len(levels):
+        raise ValueError(f"{len(cell_means)} cell mean arrays for {len(levels)} levels")
     if gen_means is None:
-        gen_means = coeff_mod.abs_means_pyramid(w, level)
+        gen_means = coeff_mod.abs_means_pyramid(w, levels[-1])
+    cells_at = dict(zip(levels, cell_means))
     grid = np.linspace(0.0, 1.0, MAXIMAL_GRID)
     points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=2).reshape(-1, 2)
 
     def masked_max(values, cells, mask):
         return np.where(mask, values[cells], -np.inf).max(axis=1)
 
-    mm = masked_max(cell_means, *coeff_mod.cells_containing_points(level, points))
     dm = np.full(len(points), -np.inf)
-    for j in range(level + 1):
+    out = []
+    for j in range(levels[-1] + 1):
         cells, mask = coeff_mod.cells_containing_points(j, points)
         dm = np.maximum(dm, masked_max(gen_means[j], cells // 2, mask))
-    margin = mm - MAXIMAL_BOUND_CONSTANT * dm
-    return int(np.count_nonzero(margin > tol)), float(margin.max())
+        if j in cells_at:
+            margin = masked_max(cells_at[j], cells, mask) - MAXIMAL_BOUND_CONSTANT * dm
+            out.append((int(np.count_nonzero(margin > tol)), float(margin.max())))
+    return out
 
 
 def _projected_abs_means(A, level: int):
@@ -526,8 +536,8 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     coefficient (1 + beta |w|) I, such as the log fixture with the
     classical log example w = log(1/|x|), of A's (1,1) entry otherwise.
     Every level is projected first, keeping only its row and its cell
-    means of |w| (_projected_abs_means); the maximal comparison reads them
-    at each level, and its dyadic |w| means come from the finest level's
+    means of |w| (_projected_abs_means); one maximal comparison reads them
+    for all levels, and its dyadic |w| means come from the finest level's
     (_square_abs_means), so |w| is integrated once per level."""
     A = coefficient_fixture(cfg)
     w = coeff_mod.coefficient_entry(A) if A.isotropic is None else A.isotropic.w
@@ -537,11 +547,13 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
         w, coeff_mod.DyadicSquare(0, 0, 0), JN_LAMBDAS, JN_DEPTH
     )
     rows, cell_means = zip(*(_projected_abs_means(A, level) for level in cfg.levels))
-    abs_means = _square_abs_means(cell_means[-1])
-    lemma = []
-    for level, means in zip(cfg.levels, cell_means):
-        violations, worst = maximal_bound_check(w, level, gen_means=abs_means, cell_means=means)
-        lemma.append({"level": level, "violations": violations, "worst_margin": worst})
+    checks = maximal_bound_check(
+        w, cfg.levels, gen_means=_square_abs_means(cell_means[-1]), cell_means=cell_means
+    )
+    lemma = [
+        {"level": level, "violations": violations, "worst_margin": worst}
+        for level, (violations, worst) in zip(cfg.levels, checks)
+    ]
     return _report(
         cfg,
         rows,

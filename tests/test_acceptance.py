@@ -255,8 +255,10 @@ def test_c10_maximal_function_bound():
     ]
     worst = -np.inf
     for w in scalars:
-        for level in (2, 3, 4):
-            violations, margin = X.maximal_bound_check(w, level)
+        levels = (2, 3, 4)
+        checks = X.maximal_bound_check(w, levels)
+        assert len(checks) == len(levels)
+        for level, (violations, margin) in zip(levels, checks):
             worst = max(worst, margin)
             assert violations == 0, f"{w.name} level {level}"
     _report(10, f"maximal-function bound: zero violations, worst margin {worst:.2e}")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -624,6 +625,48 @@ def test_polar_rule_keeps_its_buffers_small():
     assert peak <= 12 * chunk + 20 * squares * 8
 
 
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, 0.6), (1.3, -0.2)])
+def test_polar_dyadic_means_from_the_finest_edges_match_the_polygon_rule(x0):
+    # the means of every generation, from one pass over the finest grid's
+    # edges and the four-children sums, against each square's own polygon
+    # rule: within 1e-13 relative, floor 1, at every depth (measured: at
+    # most 5.9e-14, at generation 7 of depth 8; a 30-digit reference puts
+    # the polygon rule farther off there than the edge pass); the |w|
+    # means of generation_abs_means take the same pass
+    w = C.log_reciprocal_scalar(x0)
+    for depth in range(C.MAX_BMO_DEPTH + 1):
+        means, _, _ = C.dyadic_oscillations(w, depth)
+        assert len(means) == depth + 1
+        for j, got in enumerate(means):
+            want = C._radial_square_means(w, *C._generation_grid(j))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (depth, j)
+    for level in range(C.MAX_BMO_DEPTH + 1):
+        want = C._radial_square_means(w, *C._generation_grid(level), 0.0)
+        got = C.generation_abs_means(w, level)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want)), level
+
+
+def test_polar_dyadic_oscillations_take_one_polygon_pass(monkeypatch):
+    # the means come from the generation-6 grid edges alone; only the
+    # oscillations, each about its own square's mean, take the polygon rule
+    polygons, edge_shapes = [], []
+    polygon_rule, edge_rule = Q._radial_line_polygons, Q._radial_line_edges
+
+    def polygon_spy(line, centre, polys, *level):
+        polygons.append(len(polys))
+        return polygon_rule(line, centre, polys, *level)
+
+    def edge_spy(line, centre, starts, ends, *level):
+        edge_shapes.append(starts.shape[:2])
+        return edge_rule(line, centre, starts, ends, *level)
+
+    monkeypatch.setattr(Q, "_radial_line_polygons", polygon_spy)
+    monkeypatch.setattr(Q, "_radial_line_edges", edge_spy)
+    C.dyadic_oscillations(C.log_reciprocal_scalar(), 6)
+    assert polygons == [sum(4**j for j in range(7))]
+    assert edge_shapes == [(65, 64), (64, 65)]
+
+
 # ---------------------------------------------------------------------------
 # The polar rule on cells: log_singular_coefficient declares itself
 # (1 + beta |w|) I, so its cell means and L^2 error are exact.
@@ -1180,6 +1223,19 @@ def test_jn_log_matches_closed_form_tail():
         assert abs(frac - exact) <= 1e-14
     slopes = np.diff(np.log(fractions))
     assert max(abs(slopes)) / min(abs(slopes)) <= 3.0
+
+
+@pytest.mark.parametrize("lam", [700.0, 800.0, 1e4])
+def test_jn_huge_lambda_keeps_the_level_radius_finite(lam):
+    # w_Q -+ lambda beyond +-709 took e^(-c) to 0 or inf, with an overflow
+    # warning; the held radius gives the same empty tail with none
+    w = C.log_reciprocal_scalar()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [lam], 4)
+        radii = w.radial.level_radius(np.array([-lam, lam]))
+    assert table == [(lam, 0.0)]
+    assert np.all(np.isfinite(radii)) and np.all(radii > 0.0)
 
 
 def test_jn_rejects_bad_inputs():

@@ -575,7 +575,7 @@ def test_bmo_diagnostics_maximal_bound_matches_its_own_cell_means():
     w = C.log_reciprocal_scalar()
     pyramid = C.abs_means_pyramid(w, 5)
     for entry, level in zip(lemma, range(2, 6)):
-        violations, worst = X.maximal_bound_check(w, level, gen_means=pyramid)
+        [(violations, worst)] = X.maximal_bound_check(w, [level], gen_means=pyramid)
         assert entry["level"] == level
         assert entry["violations"] == violations
         assert abs(entry["worst_margin"] - worst) <= 1e-12
@@ -589,9 +589,9 @@ def test_bmo_diagnostics_hands_the_check_the_projection_of_a11(monkeypatch, nond
     received = []
     check = X.maximal_bound_check
 
-    def spy(w, level, tol=X.MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
-        received.append((level, cell_means))
-        return check(w, level, tol, gen_means, cell_means)
+    def spy(w, levels, tol=X.MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
+        received.extend(zip(levels, cell_means))
+        return check(w, levels, tol, gen_means, cell_means)
 
     def refuse(*args, **kwargs):
         raise AssertionError("cell_abs_means called")
@@ -620,9 +620,9 @@ def test_bmo_diagnostics_builds_its_pyramid_from_the_finest_cell_means(monkeypat
     received = []
     check = X.maximal_bound_check
 
-    def spy(w, level, tol=X.MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
-        received.append(gen_means)
-        return check(w, level, tol, gen_means, cell_means)
+    def spy(w, levels, tol=X.MAXIMAL_BOUND_TOL, gen_means=None, cell_means=None):
+        received.append((list(levels), gen_means))
+        return check(w, levels, tol, gen_means, cell_means)
 
     monkeypatch.setattr(X, "maximal_bound_check", spy)
     cfg = X.config_from_dict(
@@ -630,9 +630,11 @@ def test_bmo_diagnostics_builds_its_pyramid_from_the_finest_cell_means(monkeypat
     )
     X.run_study(cfg)
     want = C.abs_means_pyramid(C.log_reciprocal_scalar(), 5)
-    assert len(received) == 4 and all(got is received[0] for got in received)
-    assert len(received[0]) == len(want) == 6
-    for got, ref in zip(received[0], want):
+    # one call, so one pyramid, for the four levels
+    assert [levels for levels, _ in received] == [[2, 3, 4, 5]]
+    pyramid = received[0][1]
+    assert len(pyramid) == len(want) == 6
+    for got, ref in zip(pyramid, want):
         assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(ref, 1.0))
 
 
@@ -705,13 +707,13 @@ def test_maximal_bound_check_level1_oracle():
     # the value is the one the per-point mesh_maximal and dyadic_maximal
     # (removed) gave on the same 17x17 grid.
     w = C.ScalarField(lambda p: p[:, 0], "x")
-    assert X.maximal_bound_check(w, 1) == (0, -0.6666666666666667)
+    assert X.maximal_bound_check(w, [1]) == [(0, -0.6666666666666667)]
 
 
 def test_maximal_bound_check_accepts_a_deeper_pyramid():
     w = C.log_reciprocal_scalar()
-    own = X.maximal_bound_check(w, 2)
-    shared = X.maximal_bound_check(w, 2, gen_means=C.abs_means_pyramid(w, 4))
+    [own] = X.maximal_bound_check(w, [2])
+    [shared] = X.maximal_bound_check(w, [2], gen_means=C.abs_means_pyramid(w, 4))
     assert shared[0] == own[0] == 0
     assert shared[1] == pytest.approx(own[1], abs=2 * X.MAXIMAL_BOUND_TOL)
 
@@ -762,14 +764,91 @@ def test_maximal_bound_check_matches_per_point_loop(name):
     shared = C.abs_means_pyramid(w, 6)
     for level in range(6):
         own = C.abs_means_pyramid(w, level)
-        assert X.maximal_bound_check(w, level) == _maximal_bound_per_point(w, level, own)
+        assert X.maximal_bound_check(w, [level]) == [_maximal_bound_per_point(w, level, own)]
         ref = _maximal_bound_per_point(w, level, shared)
-        assert X.maximal_bound_check(w, level, gen_means=shared) == ref
+        assert X.maximal_bound_check(w, [level], gen_means=shared) == [ref]
         # every worst margin here is negative: 1.5 times it counts violations
         tol = 1.5 * ref[1]
         assert X.maximal_bound_check(
-            w, level, tol, gen_means=shared
-        ) == _maximal_bound_per_point(w, level, shared, tol)
+            w, [level], tol, gen_means=shared
+        ) == [_maximal_bound_per_point(w, level, shared, tol)]
+
+
+def _maximal_bound_per_level(level, gen_means, cell_means, tol=X.MAXIMAL_BOUND_TOL):
+    """The former one-level maximal_bound_check, which found the containing
+    cells anew for every level and generation: the reference for the
+    shared per-generation pass."""
+    grid = np.linspace(0.0, 1.0, X.MAXIMAL_GRID)
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=2).reshape(-1, 2)
+
+    def masked_max(values, cells, mask):
+        return np.where(mask, values[cells], -np.inf).max(axis=1)
+
+    mm = masked_max(cell_means, *C.cells_containing_points(level, points))
+    dm = np.full(len(points), -np.inf)
+    for j in range(level + 1):
+        cells, mask = C.cells_containing_points(j, points)
+        dm = np.maximum(dm, masked_max(gen_means[j], cells // 2, mask))
+    margin = mm - X.MAXIMAL_BOUND_CONSTANT * dm
+    return int(np.count_nonzero(margin > tol)), float(margin.max())
+
+
+@pytest.mark.parametrize("coeff", ["log", "sampled"])
+def test_shared_maximal_margins_equal_per_level_containment(coeff, nondyadic_csv_path):
+    # the study's inputs for levels 2..5: the projection's |w| cell means
+    # (A_h's (1,1) entries for the sampled grid) and the pyramid from the
+    # finest of them; one pass per generation gives every level's
+    # violations and worst margin bit for bit, also at a tol that counts
+    # violations
+    cfg = X.config_from_dict(
+        {"kind": "bmo-diagnostics", "coeff": coeff, "beta": 0.5,
+         "coeff_csv": nondyadic_csv_path, "levels": "2..5"}
+    )
+    A = X.coefficient_fixture(cfg)
+    w = C.coefficient_entry(A) if A.isotropic is None else A.isotropic.w
+    cell_means = [X._projected_abs_means(A, level)[1] for level in cfg.levels]
+    pyramid = X._square_abs_means(cell_means[-1])
+    want = [
+        _maximal_bound_per_level(level, pyramid, means)
+        for level, means in zip(cfg.levels, cell_means)
+    ]
+    got = X.maximal_bound_check(w, cfg.levels, gen_means=pyramid, cell_means=cell_means)
+    assert got == want
+    tol = 1.5 * max(margin for _, margin in want)
+    counted = [
+        _maximal_bound_per_level(level, pyramid, means, tol)
+        for level, means in zip(cfg.levels, cell_means)
+    ]
+    assert any(violations > 0 for violations, _ in counted)
+    got = X.maximal_bound_check(w, cfg.levels, tol, gen_means=pyramid, cell_means=cell_means)
+    assert got == counted
+
+
+def test_bmo_study_finds_containing_cells_once_per_generation(monkeypatch):
+    # levels 2..5 share one pass per generation 0..5: 6 containment calls,
+    # where one per level and one per level and generation made 22
+    generations = []
+    original = C.cells_containing_points
+
+    def spy(level, points):
+        generations.append(level)
+        return original(level, points)
+
+    monkeypatch.setattr(C, "cells_containing_points", spy)
+    cfg = X.config_from_dict(
+        {"kind": "bmo-diagnostics", "coeff": "log", "beta": 0.5, "levels": "2..5"}
+    )
+    X.run_study(cfg)
+    assert generations == [0, 1, 2, 3, 4, 5]
+
+
+def test_maximal_bound_check_refuses_bad_levels():
+    w = C.ScalarField(lambda p: p[:, 0], "x")
+    for levels in ([], [3, 2], [2, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            X.maximal_bound_check(w, levels)
+    with pytest.raises(ValueError, match="2 cell mean arrays for 1 levels"):
+        X.maximal_bound_check(w, [1], cell_means=[np.ones(8), np.ones(8)])
 
 
 def test_study_csv_bytes_reproducible(tmp_path):
