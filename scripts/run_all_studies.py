@@ -84,6 +84,10 @@ CONFIGS = [
      "levels": "2..4", "out": "bmo_checkerboard.csv"},
     {"kind": "bmo-diagnostics", "coeff": "smooth", "levels": "2..4",
      "out": "bmo_smooth.csv"},
+    # a coefficient entry on cut cells: its tables are A_h's, off the
+    # dyadic sample lines of the 10x10 grid
+    {"kind": "bmo-diagnostics", "coeff": "sampled", "coeff_csv": SAMPLED_GRID,
+     "levels": "2..5", "out": "bmo_sampled.csv"},
 ]
 
 

@@ -1125,8 +1125,8 @@ def _radial_axis_edges(line, centre, g, c, kinks, tops):
 
 def generation_oscillation_means(w: ScalarField, level: int, tol=DEFAULT_OSC_TOL):
     """For every generation-`level` dyadic square Q: (average of w on Q,
-    average of |w - w_Q| on Q), by per-square quadrature.  The reference
-    that dyadic_oscillations is tested against."""
+    average of |w - w_Q| on Q), by per-square quadrature: dyadic_oscillations
+    of a field with no radial profile."""
     los, size = _generation_grid(level)
     means = quadrature.square_means_batch(lambda p, i: w.evaluate(p), los, size, tol)
 
@@ -1139,31 +1139,29 @@ def generation_oscillation_means(w: ScalarField, level: int, tol=DEFAULT_OSC_TOL
 
 def dyadic_oscillations(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL):
     """For every dyadic generation j = 0..depth: the averages of w on each
-    generation-j square Q, the averages of |w - w_Q| on Q (both indexed
-    ix + iy * 2^j), and the number of generation-j squares the pyramid
-    handed to the per-square rule (both passes together).
+    generation-j square Q and the averages of |w - w_Q| on Q, both indexed
+    ix + iy * 2^j.
 
-    A field that declares a radial profile takes the exact polar rule
-    instead of the pyramid: tol is not used and no square falls back.  Its
-    means need no per-square c, so the generation-depth squares take one
-    pass over that grid's edges (_radial_means of the generation) and each
-    coarser square is the mean of its four children
-    (_coarser_generations); the oscillations, each about its own square's
-    mean, take the polygon rule (_radial_square_means) on all generations
-    in one batch."""
-    if w.radial is None:
-        means, fb_means = quadrature.dyadic_means(w.evaluate, depth, tol)
-        oscs, fb_oscs = quadrature.dyadic_means(w.evaluate, depth, tol, centres=means)
-        return means, oscs, [a + b for a, b in zip(fb_means, fb_oscs)]
+    A field that declares a radial profile takes the exact polar rule, and
+    tol is not used.  Its means need no per-square c, so the
+    generation-depth squares take one pass over that grid's edges
+    (_radial_means of the generation) and each coarser square is the mean
+    of its four children (_coarser_generations); the oscillations, each
+    about its own square's mean, take the polygon rule
+    (_radial_square_means) on all generations in one batch.  Any other
+    field takes generation_oscillation_means per generation."""
     if not (0 <= depth <= MAX_BMO_DEPTH):
         raise ValueError(f"depth must be in [0, {MAX_BMO_DEPTH}], got {depth}")
+    if w.radial is None:
+        means, oscs = zip(*(generation_oscillation_means(w, j, tol) for j in range(depth + 1)))
+        return list(means), list(oscs)
     means = _coarser_generations(_radial_means(w, depth, 4.0**-depth))
     grids = [_generation_grid(j) for j in range(depth + 1)]
     los = np.concatenate([lo for lo, _ in grids])
     sizes = np.concatenate([np.full(lo.shape[0], size) for lo, size in grids])
     oscs = _radial_square_means(w, los, sizes, np.concatenate(means))
     splits = np.cumsum([4**j for j in range(depth)])
-    return means, np.split(oscs, splits), [0] * (depth + 1)
+    return means, np.split(oscs, splits)
 
 
 def generation_abs_means(w: ScalarField, level: int, tol=DEFAULT_SQUARE_TOL) -> np.ndarray:
@@ -1205,7 +1203,7 @@ def bmo_seminorm_estimate(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL) -> fl
     0..depth; a lower bound for the BMO seminorm, nondecreasing in depth."""
     if not (1 <= depth <= MAX_BMO_DEPTH):
         raise ValueError(f"depth must be in [1, {MAX_BMO_DEPTH}], got {depth}")
-    _, oscs, _ = dyadic_oscillations(w, depth, tol)
+    _, oscs = dyadic_oscillations(w, depth, tol)
     return max(float(o.max()) for o in oscs)
 
 

@@ -32,7 +32,7 @@ RHS_NAMES = ("constant", "sin-cos", "grad-sinsin")
 
 HODGE_SUITE_FIELDS = 50
 BMO_DIAG_DEPTH = 6
-JN_DEPTH = 10  # the sampler's grid; a scalar with a radial profile takes exact areas
+JN_DEPTH = 10  # the sampler's grid; the log fixture's table is exact and samples nothing
 JN_LAMBDAS = (1.0, 2.0, 3.0, 4.0)
 MAXIMAL_GRID = 17
 MAXIMAL_BOUND_CONSTANT = 2.0  # containing-square to cell measure ratio
@@ -530,6 +530,23 @@ def _square_abs_means(cell_means) -> list:
     return coeff_mod._coarser_generations(base)
 
 
+def _cell_field_tables(cell_means, pyramid):
+    """Exact BMO tables of the field m that is cell_means[K] on cell K of
+    level L, pyramid = _square_abs_means(cell_means): m's mean oscillations
+    on the squares Q of generations j <= min(L, BMO_DIAG_DEPTH), each the
+    mean of |m_K - M_Q| over Q's 2 4^(L - j) cells of one area, and its
+    John-Nirenberg table on [0, 1]^2 at JN_LAMBDAS, a count of cells."""
+    level = len(pyramid) - 1
+    oscs = []
+    for j, means in enumerate(pyramid[: BMO_DIAG_DEPTH + 1]):
+        n, b = 2**j, 2 ** (level - j)
+        cells = cell_means.reshape(n, b, n, b, 2)
+        oscs.append(np.abs(cells - means.reshape(n, 1, n, 1, 1)).mean(axis=(1, 3, 4)).ravel())
+    dev = np.abs(cell_means - pyramid[0][0])
+    table = [(lam, int(np.count_nonzero(dev > lam)) / dev.size) for lam in JN_LAMBDAS]
+    return oscs, table
+
+
 def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     """BMO seminorm estimates per depth, the John-Nirenberg distribution
     table, and the maximal-function comparison per level, of w for a
@@ -538,18 +555,30 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     Every level is projected first, keeping only its row and its cell
     means of |w| (_projected_abs_means); one maximal comparison reads them
     for all levels, and its dyadic |w| means come from the finest level's
-    (_square_abs_means), so |w| is integrated once per level."""
+    (_square_abs_means), so |w| is integrated once per level.
+
+    The seminorm and John-Nirenberg tables of w = log(1/|x|) are exact
+    from its radial profile; those of a (1,1) entry are its finest A_h's,
+    the coefficient the scheme solves with (_cell_field_tables).  A square
+    deeper than the finest level L lies in one level-L grid square, whose
+    diagonal halves it or misses it (oscillation 0), so each deeper
+    generation's largest oscillation is generation L's."""
     A = coefficient_fixture(cfg)
-    w = coeff_mod.coefficient_entry(A) if A.isotropic is None else A.isotropic.w
-    _, oscs, fallbacks = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
-    seminorm_by_depth = [float(v) for v in np.maximum.accumulate([o.max() for o in oscs])]
-    jn_table = coeff_mod.john_nirenberg_check(
-        w, coeff_mod.DyadicSquare(0, 0, 0), JN_LAMBDAS, JN_DEPTH
-    )
     rows, cell_means = zip(*(_projected_abs_means(A, level) for level in cfg.levels))
-    checks = maximal_bound_check(
-        w, cfg.levels, gen_means=_square_abs_means(cell_means[-1]), cell_means=cell_means
-    )
+    pyramid = _square_abs_means(cell_means[-1])
+    if A.isotropic is None:
+        w = coeff_mod.coefficient_entry(A)
+        oscs, jn_table = _cell_field_tables(cell_means[-1], pyramid)
+    else:
+        w = A.isotropic.w
+        _, oscs = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
+        jn_table = coeff_mod.john_nirenberg_check(
+            w, coeff_mod.DyadicSquare(0, 0, 0), JN_LAMBDAS, JN_DEPTH
+        )
+    largest = [o.max() for o in oscs]
+    largest += largest[-1:] * (BMO_DIAG_DEPTH + 1 - len(largest))
+    seminorm_by_depth = [float(v) for v in np.maximum.accumulate(largest)]
+    checks = maximal_bound_check(w, cfg.levels, gen_means=pyramid, cell_means=cell_means)
     lemma = [
         {"level": level, "violations": violations, "worst_margin": worst}
         for level, (violations, worst) in zip(cfg.levels, checks)
@@ -561,7 +590,6 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
         seminorm_by_depth=seminorm_by_depth,
         john_nirenberg=[list(t) for t in jn_table],
         maximal_bound=lemma,
-        dyadic_fallbacks=fallbacks,
     )
 
 

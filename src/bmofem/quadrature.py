@@ -53,14 +53,6 @@ only in their levels:
 * ``square_means_batch``: averages of scalars over axis aligned squares
   on tensor midpoint grids of 16..MAX_SQUARE_GRID points per side, floor 1.
 
-* ``dyadic_means``: averages of a scalar f, or with centres c of
-  |f - c_Q|, over every dyadic square Q of generations 0..depth at once.
-  It samples the field once on each global midpoint grid 2^g x 2^g, in
-  bounded row strips; each strip's block of centres is subtracted by
-  broadcasting, and block sums give each square its 16/32/64-per-side
-  grid means.  The rule runs on those three levels, and only squares it
-  leaves in rest go to ``square_means_batch``.
-
 Cell sums reduce one value column at a time, and so do norms: every
 Euclidean norm over a cell's or node's value axes in the package is
 ``_flat_norm``, which adds the squared columns left to right and takes one
@@ -78,8 +70,8 @@ its transposed view.  A batch holds at most _CHUNK points: whole
 regions, or, when one square's grid is larger, a block of its grid rows;
 a triangle level whose added nodes for one cell exceed the chunk is
 evaluated in halves, split where numpy's pairwise sum splits, until each
-part fits.  The ladder's strips hold at most STRIP_POINTS = _CHUNK
-points.  Every mean sums the nodes of one region only, a square's by grid
+part fits.  ``_ladder_strips``, the John-Nirenberg sampler's grid, comes
+in row strips of at most STRIP_POINTS = _CHUNK points.  Every mean sums the nodes of one region only, a square's by grid
 rows and then the row sums, so the batch size changes no result.
 ``triangle_means`` refines blocks of at most _CHUNK cells, one after the
 other, so besides its output it holds only block-sized arrays.
@@ -101,14 +93,8 @@ MAX_SQUARE_GRID = 1024
 STALL_RATIO = 0.45
 ADAPTIVE_NODE_CAP = 200_000
 _CHUNK = 1 << 14
-# not tied to _CHUNK: the ladder sums each strip inside a square before
-# adding it to the square's sum, so the strip size rounds the ladder's means
+# the sampler's row strips: one row of its finest grid, 2^12, must fit
 STRIP_POINTS = _CHUNK
-# the shared ladder's grids are 16, 32 and 64 = MIN_SQUARE_GRID * 2^k per
-# square side, k < _RUNGS; one row of the finest grid must fit a strip
-_RUNG0 = MIN_SQUARE_GRID.bit_length() - 1
-_RUNGS = 3
-MAX_LADDER_DEPTH = STRIP_POINTS.bit_length() - 1 - (_RUNG0 + _RUNGS - 1)
 
 POLYNOMIAL_DEGREE = 4
 
@@ -1009,7 +995,8 @@ def square_means_batch(f, los, size, tol, square_ids=None):
 
 
 def _ladder_strips(f, g, lo=(0.0, 0.0), size=1.0):
-    """Samples of f on the midpoint grid 2^g x 2^g of the square with lower
+    """coeff.john_nirenberg_check's sampler: samples of f on the midpoint
+    grid 2^g x 2^g of the square with lower
     corner lo and side size (the unit square by default), in row strips of
     at most STRIP_POINTS = _CHUNK points, so 2^g <= STRIP_POINTS: yields
     (first row, points, values with shape (rows, 2^g)).  Values are not
@@ -1024,78 +1011,3 @@ def _ladder_strips(f, g, lo=(0.0, 0.0), size=1.0):
     for r0 in range(0, n, rows):
         np.add(lo[1], t[r0 : r0 + rows, None], out=planar[1])
         yield r0, pts, np.asarray(f(pts), dtype=float).reshape(rows, n)
-
-
-def _add_ladder_sums(sums, f, g, centres):
-    """Add the samples of f on grid g, or with centres their distances
-    |f - centres[j][Q]|, to the block sums of every generation j < len(sums)
-    whose ladder holds grid g.  A function of its own so that the grid's
-    strip buffers are freed before the next grid is sampled."""
-    depth = len(sums) - 1
-    gens = range(max(0, g - _RUNG0 - _RUNGS + 1), min(depth, g - _RUNG0) + 1)
-    for r0, pts, values in _ladder_strips(f, g):
-        _check_finite(values.ravel(), pts)
-        rows = values.shape[0]
-        for j in gens:
-            b = 2 ** (g - j)  # nodes per square side
-            # a strip holds whole squares, or lies inside one row of them
-            k = min(rows, b)
-            first = r0 // b
-            # (square row, row within it, square column, column within it)
-            vals = values.reshape(rows // k, k, 2**j, b)
-            if centres is not None:
-                c = centres[j].reshape(2**j, 2**j)[first : first + rows // k]
-                vals = np.subtract(vals, c[:, None, :, None])
-                np.abs(vals, out=vals)
-            block = vals.sum(axis=3).sum(axis=1)
-            sums[j][g - j - _RUNG0, first : first + rows // k] += block
-
-
-def dyadic_means(f, depth, tol, centres=None):
-    """Means over every dyadic square of generations 0..depth.
-
-    f(points (N,2)) -> (N,) is sampled once on each global midpoint grid
-    2^g x 2^g, g = 4..depth+6.  A generation-j square holds a 2^(g-j)-point
-    per side block of grid g, so block sums give it the 16, 32 and 64 per
-    side grid means of ``square_means_batch`` on the same nodes.  Those
-    three levels refine by the rule of ``_refine`` with floor 1; squares
-    that do not settle on them go to ``square_means_batch``, which redoes
-    them from its first grid.
-
-    centres, if given, holds one value per square of each generation
-    (centres[j] indexed like means[j]), and the integrand on a
-    generation-j square Q is |f - centres[j][Q]|: the mean oscillation
-    when centres are the means of f.  The samples of f are reused for every
-    generation they serve; each strip's block of centres is subtracted by
-    broadcasting.
-
-    Returns (means, fallbacks): means[j] is indexed ix + iy * 2^j, and
-    fallbacks[j] counts the generation-j squares finished by
-    ``square_means_batch``.
-    """
-    if not (0 <= depth <= MAX_LADDER_DEPTH):
-        raise ValueError(f"depth must be in [0, {MAX_LADDER_DEPTH}], got {depth}")
-    # sums[j][k]: sums over the (16 * 2^k)^2 ladder nodes of each generation-j square
-    sums = [np.zeros((_RUNGS, 2**j, 2**j)) for j in range(depth + 1)]
-    for g in range(_RUNG0, depth + _RUNG0 + _RUNGS):
-        _add_ladder_sums(sums, f, g, centres)
-
-    def integrand(j):
-        if centres is None:
-            return lambda p, ids: f(p)
-        return lambda p, ids: np.abs(np.asarray(f(p), dtype=float) - centres[j][ids])
-
-    means = []
-    fallbacks = []
-    for j in range(depth + 1):
-        ladder = [sums[j][k].ravel() / 4.0 ** (k + _RUNG0) for k in range(_RUNGS)]
-        out, rest = _refine(
-            lambda k, idx, prev: ladder[k][idx], 4**j, range(_RUNGS), tol, 1.0, stall_after=0
-        )
-        if rest.size:
-            n = 2**j
-            los = np.column_stack([rest % n, rest // n]) * (1.0 / n)
-            out[rest] = square_means_batch(integrand(j), los, 1.0 / n, tol, square_ids=rest)
-        means.append(out)
-        fallbacks.append(int(rest.size))
-    return means, fallbacks

@@ -295,27 +295,26 @@ def test_coefficient_error_r_range(meshes):
 # maximal functions
 
 
-def _cells_containing_barycentric(mesh, x):
-    """The former cells_containing: a 2x2 barycentric solve per candidate
-    cell in the grid squares around x."""
-    x = np.asarray(x, dtype=float)
+def _cells_containing_barycentric(mesh, points):
+    """The former cells_containing, for a batch of points: a 2x2
+    barycentric solve per pair of a point and a candidate cell in the grid
+    squares around it, all pairs in one np.linalg.solve.  Returns one
+    sorted list of cells per point."""
+    points = np.asarray(points, dtype=float)
     n = 2**mesh.level
-    h = 1.0 / n
-    gx, gy = x / h
-    cand_i = {int(math.floor(gx)), int(math.ceil(gx)) - 1}
-    cand_j = {int(math.floor(gy)), int(math.ceil(gy)) - 1}
-    out = []
-    for i in cand_i:
-        for j in cand_j:
-            if not (0 <= i < n and 0 <= j < n):
-                continue
-            for cell in (2 * (j * n + i), 2 * (j * n + i) + 1):
-                tri = mesh.vertices[mesh.cells[cell]]
-                d = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-                ab = np.linalg.solve(d, x - tri[0])
-                if ab[0] >= -1e-12 and ab[1] >= -1e-12 and ab.sum() <= 1 + 1e-12:
-                    out.append(cell)
-    return sorted(set(out))
+    g = points / (1.0 / n)
+    # candidate columns i and rows j, then (point, i, j, lower/upper cell)
+    cand = np.stack([np.floor(g), np.ceil(g) - 1], axis=1).astype(int)
+    i, j = cand[:, :, None, None, 0], cand[:, None, :, None, 1]
+    valid = (0 <= i) & (i < n) & (0 <= j) & (j < n)
+    cells = 2 * (j * n + i) + np.arange(2)
+    tri = mesh.vertices[mesh.cells[np.where(valid, cells, 0)]]
+    d = np.stack([tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :]], axis=-1)
+    rhs = points[:, None, None, None, :] - tri[..., 0, :]
+    ab = np.linalg.solve(d, rhs[..., None])[..., 0]
+    inside = valid & (ab[..., 0] >= -1e-12) & (ab[..., 1] >= -1e-12) & (ab.sum(axis=-1) <= 1 + 1e-12)
+    cells, inside = cells.reshape(len(points), -1), inside.reshape(len(points), -1)
+    return [sorted(set(c[m].tolist())) for c, m in zip(cells, inside)]
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -331,8 +330,8 @@ def test_cells_containing_matches_barycentric_tests(meshes, level):
             np.random.default_rng(level).random((200, 2)),
         ]
     )
-    for x in points:
-        assert C.cells_containing(mesh, x) == _cells_containing_barycentric(mesh, x), x
+    for x, want in zip(points, _cells_containing_barycentric(mesh, points)):
+        assert C.cells_containing(mesh, x) == want, x
 
 
 def test_cells_containing_rejects_a_point_outside_the_unit_square(meshes):
@@ -352,7 +351,7 @@ def test_bmo_constant_zero():
 def test_bmo_half_indicator():
     # w_Q = 1/2 on the unit square and |w - 1/2| = 1/2 everywhere
     w = C.ScalarField(lambda p: (p[:, 0] < 0.5).astype(float), "half")
-    # every sum on the shared ladder is exact for 0/1 data
+    # every grid sum of the square rule is exact for 0/1 data
     assert C.bmo_seminorm_estimate(w, 1) == 0.5
 
 
@@ -399,8 +398,8 @@ def _wave(p):
     return np.sin(3.0 * p[:, 0]) + np.cos(2.0 * p[:, 1])
 
 
-# the log scalar without its radial declaration, so that the dyadic
-# ladder and the square rule still meet a kinked, singular field
+# the log scalar without its radial declaration, so that the square rule
+# still meets a kinked, singular field
 UNDECLARED_LOG = C.ScalarField(C.log_reciprocal_scalar().evaluate, "log-reciprocal")
 
 PYRAMID_FIELDS = {
@@ -417,21 +416,12 @@ def test_dyadic_oscillations_match_per_square_quadrature(name):
     tol = C.DEFAULT_OSC_TOL
     ref_means, ref_oscs = zip(*(C.generation_oscillation_means(w, j, tol) for j in range(5)))
     for depth in range(5):
-        means, oscs, fallbacks = C.dyadic_oscillations(w, depth, tol)
-        assert len(means) == len(oscs) == len(fallbacks) == depth + 1
+        means, oscs = C.dyadic_oscillations(w, depth, tol)
+        assert len(means) == len(oscs) == depth + 1
         for j in range(depth + 1):
             for got, want in ((means[j], ref_means[j]), (oscs[j], ref_oscs[j])):
                 assert got.shape == want.shape == (4**j,)
                 assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
-
-
-def test_dyadic_oscillations_fall_back_only_where_squares_do_not_settle():
-    # log(1/|x|) leaves the pyramid only at the singular corner and where
-    # |w - w_Q| has a kink; the half indicator never leaves it
-    _, _, fallbacks = C.dyadic_oscillations(UNDECLARED_LOG, 3)
-    assert 1 <= sum(fallbacks) < sum(4**j for j in range(4))
-    _, _, fallbacks = C.dyadic_oscillations(PYRAMID_FIELDS["half"], 3)
-    assert fallbacks == [0, 0, 0, 0]
 
 
 def _fine_grid_abs_mean(w, lo, size, n=4096):
@@ -473,29 +463,6 @@ def test_abs_means_pyramid_matches_direct_quadrature(name):
     assert disputed <= 2
 
 
-def test_dyadic_means_evaluates_each_grid_once_in_bounded_strips():
-    rec = RecordingField(_wave)
-    means, fallbacks = Q.dyadic_means(rec.evaluate, 6, C.DEFAULT_OSC_TOL)
-    assert fallbacks == [0] * 7
-    assert max(rec.batches) <= Q._CHUNK
-    assert rec.column_major == {True}
-    assert sum(rec.batches) == sum(4**g for g in range(4, 13))
-    assert means[0][0] == pytest.approx(
-        (1.0 - math.cos(3.0)) / 3.0 + math.sin(2.0) / 2.0, abs=C.DEFAULT_OSC_TOL
-    )
-
-
-def test_dyadic_means_do_not_depend_on_the_strip_size(monkeypatch):
-    w = UNDECLARED_LOG
-    means, oscs, fallbacks = C.dyadic_oscillations(w, 3)
-    # 2^10-point strips: from 64 rows down to 2 rows, inside one square
-    monkeypatch.setattr(Q, "STRIP_POINTS", 1 << 10)
-    s_means, s_oscs, s_fallbacks = C.dyadic_oscillations(w, 3)
-    assert s_fallbacks == fallbacks
-    for got, want in zip(s_means + s_oscs, means + oscs):
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
-
-
 def test_dyadic_oscillations_name_a_singular_ladder_node():
     # non-finite at (1/32, 1/32), the first node of the 16 x 16 grid
     c = 1.0 / 32.0
@@ -525,13 +492,14 @@ def test_bmo_kernels_keep_their_point_buffers_small():
     # and temporary (2), |w| (1); under one more for the refinement's
     # per-square arrays over 1024 squares
     assert _traced_peak(lambda: C.generation_abs_means(w, 5)) <= 8 * chunk
-    # a fallback square's row block: planar nodes (2), the field's result
-    # and temporary (2), the gathered centres, distances and their absolute
-    # values (3); plus 10 floats per square of generations 0..6: the
-    # ladder's sums (3), means and centres (2), and the finest generation's
-    # ladder means and refinement arrays
+    # generation_oscillation_means per generation, so square_means_batch's
+    # batches: of the oscillation pass, planar nodes (2), its ids (1), the
+    # field's result and temporary (2), the gathered centres, distances and
+    # their absolute values (3); plus 10 floats per square of generations
+    # 0..6: the means and oscillations kept (2), and the finest
+    # generation's corners, ids and refinement arrays
     squares = sum(4**j for j in range(7))
-    assert _traced_peak(lambda: C.dyadic_oscillations(w, 6)) <= 7 * chunk + 10 * squares * 8
+    assert _traced_peak(lambda: C.dyadic_oscillations(w, 6)) <= 8 * chunk + 10 * squares * 8
     # a strip: planar nodes (2), its values (1), their finite subset,
     # deviations and absolute deviations (3), with masks under one more
     square = C.DyadicSquare(0, 0, 0)
@@ -541,7 +509,7 @@ def test_bmo_kernels_keep_their_point_buffers_small():
 
 # ---------------------------------------------------------------------------
 # The polar rule: log_reciprocal_scalar declares its radial profile, so its
-# dyadic square means and oscillations are exact, with no fallback.
+# dyadic square means and oscillations are exact.
 
 
 @pytest.fixture(scope="module")
@@ -551,8 +519,7 @@ def polar_pyramid():
 
 
 def test_polar_corner_squares_match_the_closed_forms(polar_pyramid):
-    means, oscs, fallbacks = polar_pyramid
-    assert fallbacks == [0] * (C.MAX_BMO_DEPTH + 1)
+    means, oscs = polar_pyramid
     assert abs(oscs[0][0] - LOG_UNIT_SQUARE_OSC) <= 1e-13
     for j in range(C.MAX_BMO_DEPTH + 1):
         # on [0, 2^-j]^2, log(1/|x|) is j ln 2 plus its unit-square values
@@ -570,7 +537,7 @@ def test_polar_top_row_matches_square_quadrature(polar_pyramid):
 
 
 def test_polar_rule_settles_the_kinked_squares(polar_pyramid):
-    means, oscs, _ = polar_pyramid
+    means, oscs = polar_pyramid
     # [0, 1/16] x [3/16, 1/4]: |w - w_Q| has a kink inside it, where the
     # cell rule missed its tolerance by 9.6e-5 (an 8192^2 midpoint grid
     # gives 0.0703282)
@@ -602,12 +569,13 @@ def test_declared_scalar_square_means_never_sample_it(monkeypatch):
 
 @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.5, 0.5), (0.3, 0.55)])
 def test_polar_rule_matches_the_ladder(x0):
-    # the ladder falls back on the squares that hold the singularity, and
-    # at (0.3, 0.55) that lies inside them
+    # against the per-square rule that an undeclared scalar takes, which
+    # goes adaptive on the squares that hold the singularity; at
+    # (0.3, 0.55) that lies inside them
     w = C.log_reciprocal_scalar(x0)
     tol = C.DEFAULT_OSC_TOL
-    means, oscs, _ = C.dyadic_oscillations(w, 4)
-    l_means, l_oscs, _ = C.dyadic_oscillations(C.ScalarField(w.evaluate, "undeclared"), 4)
+    means, oscs = C.dyadic_oscillations(w, 4)
+    l_means, l_oscs = zip(*(C.generation_oscillation_means(w, j, tol) for j in range(5)))
     for got, want in zip(means + oscs, l_means + l_oscs):
         assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
     if x0 == (0.0, 0.0):
@@ -635,7 +603,7 @@ def test_polar_dyadic_means_from_the_finest_edges_match_the_polygon_rule(x0):
     # means of generation_abs_means take the same pass
     w = C.log_reciprocal_scalar(x0)
     for depth in range(C.MAX_BMO_DEPTH + 1):
-        means, _, _ = C.dyadic_oscillations(w, depth)
+        means, _ = C.dyadic_oscillations(w, depth)
         assert len(means) == depth + 1
         for j, got in enumerate(means):
             want = C._radial_square_means(w, *C._generation_grid(j))
@@ -1173,14 +1141,12 @@ def test_cell_mean_passes_hold_their_output_and_one_block():
 
 
 def test_bmo_depths_fit_the_chunk_sized_ladder():
-    # bmo_seminorm_estimate accepts every depth up to MAX_BMO_DEPTH, so the
-    # ladder must reach it with strips of at most a chunk
+    # john_nirenberg_check accepts every depth up to 12, so its sampler's
+    # strips must hold a row of that grid and at most a chunk
     assert Q.STRIP_POINTS <= Q._CHUNK
-    assert C.MAX_BMO_DEPTH <= Q.MAX_LADDER_DEPTH
-    finest = Q.MAX_LADDER_DEPTH + Q._RUNG0 + Q._RUNGS - 1
-    # the finest ladder grid, and the John-Nirenberg grid at depth 12: the
-    # first strip holds at least one whole row and at most a chunk
-    for g in (finest, 12):
+    # the John-Nirenberg grids of depths 10 and 12: the first strip holds
+    # at least one whole row and at most a chunk
+    for g in (10, 12):
         rec = RecordingField(_wave)
         r0, pts, values = next(Q._ladder_strips(rec.evaluate, g))
         assert values.shape[1] == 2**g
@@ -1188,10 +1154,11 @@ def test_bmo_depths_fit_the_chunk_sized_ladder():
 
 
 def test_dyadic_means_depth_range():
-    with pytest.raises(ValueError):
-        Q.dyadic_means(_wave, -1, 1e-5)
-    with pytest.raises(ValueError):
-        Q.dyadic_means(_wave, Q.MAX_LADDER_DEPTH + 1, 1e-5)
+    # dyadic_oscillations of a scalar with no radial profile
+    w = PYRAMID_FIELDS["wave"]
+    for depth in (-1, C.MAX_BMO_DEPTH + 1):
+        with pytest.raises(ValueError, match="depth"):
+            C.dyadic_oscillations(w, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,8 @@ def test_trigonometric_studies_take_no_quadrature(monkeypatch, request, config):
     # coefficients, with no quadrature at all, and of the piecewise
     # polynomial ones, by the fixed rule.  Nothing refines, so no study
     # depends on a projection tolerance, and the maximal check of
-    # bmo-diagnostics reads its cell means off the projection
+    # bmo-diagnostics reads its cell means off the projection; so do the
+    # seminorm and John-Nirenberg tables of a coefficient entry
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature called")
 
@@ -361,6 +362,10 @@ def test_trigonometric_studies_take_no_quadrature(monkeypatch, request, config):
     for name in refused if declared else refused[:2]:
         monkeypatch.setattr(Q, name, refuse)
     monkeypatch.setattr(C, "cell_abs_means", refuse)
+    if config["kind"] == "bmo-diagnostics" and config["coeff"] != "log":
+        for module, name in ((Q, "square_means_batch"), (Q, "_ladder_strips"),
+                             (C, "dyadic_oscillations"), (C, "john_nirenberg_check")):
+            monkeypatch.setattr(module, name, refuse)
     if "coeff_csv" in config:
         config = {**config, "coeff_csv": request.getfixturevalue(config["coeff_csv"])}
     report = X.run_study(X.config_from_dict(config))
@@ -561,8 +566,6 @@ def test_bmo_diagnostics_study_constant_scalar():
     assert report.metadata["maximal_bound"][0]["violations"] == 0
     jn = report.metadata["john_nirenberg"]
     assert all(frac == 0.0 for _, frac in jn)
-    # a constant settles on the shared ladder in every generation
-    assert report.metadata["dyadic_fallbacks"] == [0] * (X.BMO_DIAG_DEPTH + 1)
 
 
 def test_bmo_diagnostics_maximal_bound_matches_its_own_cell_means():
@@ -652,6 +655,83 @@ def test_bmo_pyramid_of_a_coefficient_entry_is_the_restricted_projection(nondyad
         b = 2 ** (7 - j)
         want = squares.reshape(2**j, b, 2**j, b).mean(axis=(1, 3)).ravel()
         assert np.all(np.abs(means - want) <= 1e-14 * want)
+
+
+def _entry_config(name, nondyadic_csv_path, levels):
+    """A bmo-diagnostics config of a coefficient entry, by fixture name."""
+    coeff = {"coeff": name, "kappa": 100.0}
+    if name == "sampled-nondyadic":
+        coeff = {"coeff": "sampled", "coeff_csv": nondyadic_csv_path}
+    return X.config_from_dict({"kind": "bmo-diagnostics", "levels": levels, **coeff})
+
+
+def _entry_tables(cell_means):
+    """_cell_field_tables of cell means, with their own pyramid."""
+    return X._cell_field_tables(cell_means, X._square_abs_means(cell_means))
+
+
+@pytest.mark.parametrize("name", ["smooth", "checkerboard", "sampled-nondyadic"])
+def test_projection_tables_obey_the_jensen_bound(name, nondyadic_csv_path):
+    # every square of generations 0..4 is a union of level-4 cells, so A_h's
+    # mean on it is A's and, by Jensen, A_h's mean oscillation is at most
+    # A's: both against the per-square rule on A's (1,1) entry
+    A = X.coefficient_fixture(_entry_config(name, nondyadic_csv_path, [4]))
+    _, cell_means = X._projected_abs_means(A, 4)
+    pyramid = X._square_abs_means(cell_means)
+    oscs, _ = X._cell_field_tables(cell_means, pyramid)
+    assert len(oscs) == 5
+    w, tol = C.coefficient_entry(A), C.DEFAULT_OSC_TOL
+    for j in range(5):
+        ref_means, ref_oscs = C.generation_oscillation_means(w, j, tol)
+        assert np.all(np.abs(pyramid[j] - ref_means) <= tol * np.maximum(1.0, np.abs(ref_means)))
+        assert np.all(oscs[j] <= ref_oscs + tol * np.maximum(1.0, ref_oscs))
+
+
+def test_checkerboard_tables_are_the_closed_form():
+    # A_h is kappa or 1 on whole quadrants: every cell lies (kappa - 1) / 2
+    # from the unit square's mean (kappa + 1) / 2, exactly
+    meta = X.run_study(_entry_config("checkerboard", None, "2..4")).metadata
+    assert meta["seminorm_by_depth"] == [49.5] * (X.BMO_DIAG_DEPTH + 1)
+    assert meta["john_nirenberg"] == [[lam, 1.0] for lam in X.JN_LAMBDAS]
+
+
+@pytest.mark.parametrize("name", ["smooth", "sampled-nondyadic"])
+def test_generations_past_the_finest_level_repeat_its_largest_oscillation(
+    name, nondyadic_csv_path
+):
+    # the level-2 A_h copied onto level 4 is the same field: its tables
+    # there, from generations 0..4, equal the level-2 study's, which takes
+    # generations 3..6 as generation 2
+    cfg = _entry_config(name, nondyadic_csv_path, [2])
+    _, coarse = X._projected_abs_means(X.coefficient_fixture(cfg), 2)
+    corners = build_uniform_mesh(4).cell_coordinates()
+    cells, mask = C.cells_containing_points(2, corners.mean(axis=1))
+    assert np.all(mask.sum(axis=1) == 1)
+    fine = coarse[cells[mask]]
+    oscs, table = _entry_tables(fine)
+    coarse_oscs, coarse_table = _entry_tables(coarse)
+    for got, want in zip(oscs, coarse_oscs):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    largest = np.maximum.accumulate([o.max() for o in oscs])
+    want = list(largest) + [largest[-1]] * (X.BMO_DIAG_DEPTH - 4)
+    meta = X.run_study(cfg).metadata
+    np.testing.assert_allclose(meta["seminorm_by_depth"], want, rtol=1e-14, atol=0.0)
+    assert table == coarse_table
+    assert meta["john_nirenberg"] == [list(t) for t in coarse_table]
+
+
+def test_log_projection_tables_meet_the_polar_maximum():
+    # A_11 = 1 + beta |w| for w = log(1/|x|): its level-9 A_h oscillates at
+    # most beta times w's exact polar maximum, which sits on the squares at
+    # the singular corner, where |w| = w, and within 1e-6 of it
+    beta = 0.5
+    A_h = C.project_coefficient(C.log_singular_coefficient(beta), build_uniform_mesh(9))
+    oscs, _ = _entry_tables(A_h.values[:, 0, 0].copy())
+    got = max(o.max() for o in oscs)
+    _, polar = C.dyadic_oscillations(C.log_reciprocal_scalar(), X.BMO_DIAG_DEPTH)
+    want = beta * max(o.max() for o in polar)
+    assert abs(want / beta - 0.3762050) <= 1e-7
+    assert want - 1e-6 <= got <= want
 
 
 @pytest.mark.parametrize(

@@ -231,63 +231,6 @@ def test_square_means_batch_refinement_pins(name, monkeypatch):
     assert got[0].tolist() == pytest.approx(values, rel=1e-13)
 
 
-DYADIC_PIN = {
-    "evals": 349440,
-    "fallbacks": [0, 0, 0, 0],
-    "sums": [0.36802824640536325, 1.4721129853110124, 5.888451941166439, 23.55380776464635],
-    "osc_evals": 741120,
-    "osc_fallbacks": [1, 3, 5, 9],
-    "osc_sums": [0.37620308663009916, 0.7983514297963391, 1.651907950378026, 3.3640436449756708],
-}
-
-
-def test_dyadic_means_of_log_refinement_pins():
-    # the means of log(1/|x|) all settle on the ladder; the oscillations
-    # |w - w_Q| are kinked and some squares fall back to square_means_batch
-    g = _Counted(_log_reciprocal)
-    means, fallbacks = Q.dyadic_means(g, 3, 1e-5)
-    assert (g.evals, fallbacks) == (DYADIC_PIN["evals"], DYADIC_PIN["fallbacks"])
-    assert [m.sum() for m in means] == pytest.approx(DYADIC_PIN["sums"], rel=1e-13)
-    g = _Counted(_log_reciprocal)
-    oscs, fallbacks = Q.dyadic_means(g, 3, 1e-5, centres=means)
-    assert (g.evals, fallbacks) == (DYADIC_PIN["osc_evals"], DYADIC_PIN["osc_fallbacks"])
-    assert [o.sum() for o in oscs] == pytest.approx(DYADIC_PIN["osc_sums"], rel=1e-13)
-
-
-def _wave40(p):
-    return np.sin(40.0 * p[:, 0] + 7.0 * p[:, 1])
-
-
-def test_dyadic_means_without_centres_fall_back_to_square_means(monkeypatch):
-    # the 16/32/64 ladder under-resolves sin(40 x + 7 y) on the coarse
-    # squares, so their plain means go to square_means_batch, which must
-    # give exactly what it gives those squares on its own
-    calls = []
-    real = Q.square_means_batch
-
-    def spy(f, los, size, tol, square_ids=None):
-        out = real(f, los, size, tol, square_ids)
-        calls.append((size, square_ids, out))
-        return out
-
-    monkeypatch.setattr(Q, "square_means_batch", spy)
-    tol = 1e-5
-    means, fallbacks = Q.dyadic_means(_wave40, 2, tol)
-    monkeypatch.undo()
-    assert fallbacks == [1, 3, 0]
-    assert [ids.size for _, ids, _ in calls] == [1, 3]
-    for j in range(3):
-        n = 2**j
-        k = np.arange(4**j)
-        los = np.column_stack([k % n, k // n]) * (1.0 / n)
-        ref = square_means_batch(lambda p, i: _wave40(p), los, 1.0 / n, tol)
-        assert np.all(np.abs(means[j] - ref) <= tol * np.maximum(1.0, np.abs(ref)))
-        for size, ids, out in calls:
-            if size == 1.0 / n:
-                assert np.array_equal(means[j][ids], ref[ids])
-                assert np.array_equal(out, ref[ids])
-
-
 @pytest.mark.parametrize("shape", ["triangle", "square"])
 def test_adaptive_rule_stops_at_the_node_cap(shape, monkeypatch):
     # both pins reach the adaptive rule, which needs more than 8 leaves
@@ -321,7 +264,7 @@ def _chunk_sensitive_results(sampled_path):
 
     sampled = C.load_sampled_coefficient(sampled_path)  # cut cells
     S_h = C.project_coefficient(sampled, build_uniform_mesh(3))  # by the fixed rule
-    means, oscs, fallbacks = C.dyadic_oscillations(C.log_reciprocal_scalar(), 3)
+    means, oscs = C.dyadic_oscillations(C.log_reciprocal_scalar(), 3)
     return [
         S_h.values,
         # refined piece by piece: |A - A_h|^3 is no polynomial
@@ -337,7 +280,6 @@ def _chunk_sensitive_results(sampled_path):
         ),
         *means,
         *oscs,
-        np.array(fallbacks),
     ]
 
 
