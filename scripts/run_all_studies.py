@@ -3,7 +3,8 @@
 
 Beside each CSV goes `<csv stem>.meta.json`: the study's metadata without
 its wall-clock times, and with the config echo's `out` path left out, so
-two runs into different directories give byte-identical files.  This is
+two runs into different directories give byte-identical files.  The last
+two lines printed are the battery's wall time and its peak RSS.  This is
 the scripted equivalent of a handful of `bmofem run` invocations; edit the
 CONFIGS list to explore other fixtures or exponents.
 """
@@ -111,6 +112,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="directory for the CSVs")
     args = parser.parse_args()
+    battery_start = time.perf_counter()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     script = pathlib.Path(__file__).with_name("make_sampled_coefficient.py")
@@ -155,6 +157,7 @@ def main():
         elif cfg.kind == "bmo-diagnostics":
             summary = f"seminorm estimate {report.metadata['seminorm_by_depth'][-1]:.5f}"
         print(f"{data['out']}: {summary}  [{elapsed:.1f}s]")
+    print(f"wall time of the battery: {time.perf_counter() - battery_start:.1f}s")
     # ru_maxrss is in KiB on Linux
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS of the battery: {peak_mb:.0f} MB")

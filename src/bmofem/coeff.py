@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import InvariantError, SingularityError
+from .errors import InvariantError
 from .mesh import Mesh, triangle_areas
 
 P_RANGE = (1.1, 10.0)  # Lebesgue exponents of every norm and study
@@ -99,7 +99,7 @@ class ScalarField:
     """Scalar field used by the maximal-function diagnostics.  radial, if
     given, declares the field radial (RadialProfile); the dyadic square
     means and oscillations and the cell |w| means of such a field are
-    exact, by the polar rule (_radial_means), and so is its
+    exact, by the polar rule (_radial_means), and only such a field has a
     John-Nirenberg table (john_nirenberg_check)."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -534,26 +534,6 @@ def _validate_rel_tol(rel_tol):
         raise ValueError(f"rel_tol must be in [{lo}, {hi}], got {rel_tol}")
 
 
-def _clip(poly, s):
-    """One Sutherland-Hodgman step: clip convex polygons poly (P, M, 2) to
-    where s >= 0, s (P, M) the signed distances of their vertices from one
-    line.  Returns the polygons, padded to a common width, and their vertex
-    counts (P,).
-    """
-    s_next = np.roll(s, -1, axis=1)
-    keep = s >= 0
-    cross = ((s > 0) & (s_next < 0)) | ((s < 0) & (s_next > 0))
-    t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
-    hit = poly + t[..., None] * (np.roll(poly, -1, axis=1) - poly)
-    # vertex k, then the crossing on the edge leaving it
-    width = 2 * poly.shape[1]
-    mask = np.stack([keep, cross], axis=2).reshape(len(poly), width)
-    count = mask.sum(axis=1)
-    order = np.argsort(~mask, axis=1, kind="stable")[:, : count.max(initial=0)]
-    cand = np.stack([poly, hit], axis=2).reshape(len(poly), width, 2)
-    return np.take_along_axis(cand, order[..., None], axis=1), count
-
-
 def _grid_pieces(level, breaks):
     """Cut the cells of the level-`level` mesh along axis-parallel breaklines.
 
@@ -562,11 +542,15 @@ def _grid_pieces(level, breaks):
     grid column (or row) floor(t) when t is no integer, and then cuts both
     cells of every square there.  In square-local units (u, v) in [0, 1]^2
     such a square splits into the rectangles between its breaklines; each
-    is clipped once to the cell's side of the diagonal (the lower cell
-    u >= v, the upper v >= u), and the convex polygon left, of at most 5
-    vertices, is fan-triangulated.  Local crossing points and areas are
-    accurate to a few ulps of the square, and the power-of-two scale 1 / n
-    maps them back.
+    is cut by the diagonal u = v into the cell's part: for the lower cell
+    (u >= v) of [u0, u1] x [v0, v1], with a = max(u0, v0) and
+    b = min(u1, v1), the counterclockwise pentagon (a, v0), (u1, v0),
+    (u1, b), (max(u0, b), b), (a, min(a, v1)), whose vertices repeat where
+    the diagonal misses a corner, empty when u1 <= v0; for the upper cell,
+    the mirror of the lower cell's part of the mirrored rectangle.  Each is
+    fan-triangulated from its first vertex.  Crossing points are exact and
+    areas accurate to a few ulps of the square, and the power-of-two scale
+    1 / n maps them back.
 
     Returns (pieces (K, 3, 2), parent (K,), areas (K,)), ordered by parent:
     the pieces of the cut cells only, each inside one rectangle, every
@@ -575,8 +559,8 @@ def _grid_pieces(level, breaks):
     A rectangle corner within _SNAP_TOL of the diagonal (|u - v| <= _SNAP_TOL)
     is moved onto it.  Such a corner lies on the diagonal but for rounding
     of the breaklines (0.3 and 0.55 give u = v = 1/5 at level 2, but not
-    bit for bit); left where it is, the clip cuts it off as slivers of
-    area down to 1e-33, each costing a full quadrature.  Dropping the
+    bit for bit); left where it is, it leaves slivers of area down to
+    1e-33, each costing a full quadrature.  Dropping the
     slivers instead would lose up to 7e-15 of a cell's area at level 7.
     """
     n = 2**level
@@ -596,18 +580,29 @@ def _grid_pieces(level, breaks):
     k = np.arange(cell.size) - np.repeat(np.cumsum(rects) - rects, rects)
     j, i = np.divmod(cell // 2, n)
     x, y = fx[i] + k % nx[i], fy[j] + k // nx[i]
-    us = np.stack([u0[x], u1[x], u1[x], u0[x]], axis=1)
-    vs = np.stack([v0[y], v0[y], v1[y], v1[y]], axis=1)
+    u0, u1, v0, v1 = u0[x], u1[x], v0[y], v1[y]
     # a corner that only rounding of the breaklines keeps off the diagonal
     # goes onto it, as does each rectangle that shares it
-    vs = np.where(np.abs(us - vs) <= _SNAP_TOL, us, vs)
-    side = np.where(cell % 2, -1.0, 1.0)[:, None]
-    poly, count = _clip(np.stack([us, vs], axis=2), side * (us - vs))
+    v0, v1 = (
+        np.where(np.abs(v - u0) <= _SNAP_TOL, u0, np.where(np.abs(v - u1) <= _SNAP_TOL, u1, v))
+        for v in (v0, v1)
+    )
+    # the lower cell's pentagon in (s, t) = (u, v); the upper cell's part
+    # is the lower one's of the mirrored rectangle, (s, t) = (v, u)
+    upper = cell % 2 == 1
+    s0, s1, t0, t1 = (np.where(upper, p, q) for p, q in ((v0, u0), (v1, u1), (u0, v0), (u1, v1)))
+    a, b = np.maximum(s0, t0), np.minimum(s1, t1)
+    ps = np.stack([a, s1, s1, np.maximum(s0, b), a], axis=1)
+    pt = np.stack([t0, t0, b, b, np.minimum(a, t1)], axis=1)
+    poly = np.stack([ps, pt], axis=2)
+    # mirrored back, the upper cell's pentagon turns clockwise: reverse it
+    # after its first vertex
+    poly[upper] = poly[upper][:, [0, 4, 3, 2, 1], ::-1]
     fan = np.stack(
         [np.broadcast_to(poly[:, :1], poly[:, 2:].shape), poly[:, 1:-1], poly[:, 2:]], axis=2
     )
     areas = triangle_areas(fan)
-    ok = (np.arange(2, poly.shape[1]) < count[:, None]) & (areas > 0)
+    ok = (areas > 0) & (s1 > t0)[:, None]
     pair = np.broadcast_to(np.arange(cell.size)[:, None], ok.shape)[ok]
     corner = np.stack([i, j], axis=1)[pair, None, :]
     return (fan[ok] + corner) / n, cell[pair], areas[ok] / (n * n)
@@ -1208,57 +1203,31 @@ def bmo_seminorm_estimate(w: ScalarField, depth: int, tol=DEFAULT_OSC_TOL) -> fl
 
 
 def john_nirenberg_check(
-    w: ScalarField, square: DyadicSquare, lambdas, depth: int
+    w: ScalarField, square: DyadicSquare, lambdas
 ) -> list[tuple[float, float]]:
-    """Fraction of the square where |w - w_Q| exceeds each lambda.
-
-    Exact for a field that declares a radial profile, w = v(r) about its
-    centre with v strictly monotone: with w_Q from _radial_square_means
-    and r1, r2 = level_radius(w_Q + lambda), level_radius(w_Q - lambda),
-    the set is {r < min(r1, r2)} joined with {r > max(r1, r2)}, so the fraction
+    """Fraction of the square where |w - w_Q| exceeds each lambda, exact
+    for a field that declares a radial profile, w = v(r) about its centre
+    with v strictly monotone: with w_Q from _radial_square_means and
+    r1, r2 = level_radius(w_Q + lambda), level_radius(w_Q - lambda), the
+    set is {r < min(r1, r2)} joined with {r > max(r1, r2)}, so the fraction
     is (|Q cap B_min| + |Q| - |Q cap B_max|) / |Q| (_disc_square_areas),
-    clipped to [0, 1]; depth is then only validated.
-
-    Otherwise estimated by sampling w at the centers of a
-    2^depth x 2^depth grid on the square, in row strips of at most
-    quadrature.STRIP_POINTS = _CHUNK points, so that a strip of the
-    depth-12 grid holds four rows, around w_Q by square_means_batch.
-    Non-finite samples are skipped; more than 0.1% skipped is an error.
-    Either way the result is monotone nonincreasing in lambda.  Raises
-    ValueError for a depth outside [1, 12] or a lambda that is not
+    clipped to [0, 1], monotone nonincreasing in lambda.  Raises
+    ValueError for a field with no radial profile or a lambda that is not
     positive and finite.
     """
-    if not (1 <= depth <= 12):
-        raise ValueError(f"depth must be in [1, 12], got {depth}")
+    if w.radial is None:
+        raise ValueError(f"john_nirenberg_check needs a radial profile, {w.name!r} declares none")
     lambdas = [float(lam) for lam in lambdas]
     if not all(0.0 < lam < math.inf for lam in lambdas):
         raise ValueError(f"lambdas must be positive and finite, got {lambdas}")
-    if w.radial is not None:
-        radial = w.radial
-        w_q = _radial_square_means(w, square.lo[None], square.size)[0]
-        lams = np.array(lambdas)
-        radii = np.sort([radial.level_radius(w_q + lams), radial.level_radius(w_q - lams)], axis=0)
-        inside = _disc_square_areas(radial.centre, square.lo, square.size, radii)
-        area = square.size**2
-        fractions = np.clip((inside[0] + (area - inside[1])) / area, 0.0, 1.0)
-        return [(lam, float(f)) for lam, f in zip(lambdas, fractions)]
-    w_q = quadrature.square_means_batch(
-        lambda p, i: w.evaluate(p), [square.lo], square.size, DEFAULT_SQUARE_TOL
-    )[0]
-    exceed = [0] * len(lambdas)
-    finite_count = 0
-    for _, _, vals in quadrature._ladder_strips(w.evaluate, depth, square.lo, square.size):
-        dev = np.abs(vals[np.isfinite(vals)] - w_q)
-        finite_count += dev.size
-        for i, lam in enumerate(lambdas):
-            exceed[i] += int(np.count_nonzero(dev > lam))
-    total = 4**depth
-    skipped = total - finite_count
-    if skipped > 1e-3 * total:
-        raise SingularityError(
-            f"{skipped} of {total} sample points were non-finite", point=None
-        )
-    return [(lam, c / finite_count) for lam, c in zip(lambdas, exceed)]
+    radial = w.radial
+    w_q = _radial_square_means(w, square.lo[None], square.size)[0]
+    lams = np.array(lambdas)
+    radii = np.sort([radial.level_radius(w_q + lams), radial.level_radius(w_q - lams)], axis=0)
+    inside = _disc_square_areas(radial.centre, square.lo, square.size, radii)
+    area = square.size**2
+    fractions = np.clip((inside[0] + (area - inside[1])) / area, 0.0, 1.0)
+    return [(lam, float(f)) for lam, f in zip(lambdas, fractions)]
 
 
 def _disc_square_areas(centre, lo, size, r) -> np.ndarray:

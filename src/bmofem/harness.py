@@ -32,7 +32,6 @@ RHS_NAMES = ("constant", "sin-cos", "grad-sinsin")
 
 HODGE_SUITE_FIELDS = 50
 BMO_DIAG_DEPTH = 6
-JN_DEPTH = 10  # the sampler's grid; the log fixture's table is exact and samples nothing
 JN_LAMBDAS = (1.0, 2.0, 3.0, 4.0)
 MAXIMAL_GRID = 17
 MAXIMAL_BOUND_CONSTANT = 2.0  # containing-square to cell measure ratio
@@ -572,9 +571,7 @@ def run_bmo_diagnostics(cfg: ExperimentConfig) -> StudyReport:
     else:
         w = A.isotropic.w
         _, oscs = coeff_mod.dyadic_oscillations(w, BMO_DIAG_DEPTH)
-        jn_table = coeff_mod.john_nirenberg_check(
-            w, coeff_mod.DyadicSquare(0, 0, 0), JN_LAMBDAS, JN_DEPTH
-        )
+        jn_table = coeff_mod.john_nirenberg_check(w, coeff_mod.DyadicSquare(0, 0, 0), JN_LAMBDAS)
     largest = [o.max() for o in oscs]
     largest += largest[-1:] * (BMO_DIAG_DEPTH + 1 - len(largest))
     seminorm_by_depth = [float(v) for v in np.maximum.accumulate(largest)]

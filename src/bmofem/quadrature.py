@@ -70,9 +70,8 @@ its transposed view.  A batch holds at most _CHUNK points: whole
 regions, or, when one square's grid is larger, a block of its grid rows;
 a triangle level whose added nodes for one cell exceed the chunk is
 evaluated in halves, split where numpy's pairwise sum splits, until each
-part fits.  ``_ladder_strips``, the John-Nirenberg sampler's grid, comes
-in row strips of at most STRIP_POINTS = _CHUNK points.  Every mean sums the nodes of one region only, a square's by grid
-rows and then the row sums, so the batch size changes no result.
+part fits.  Every mean sums the nodes of one region only, a square's by
+grid rows and then the row sums, so the batch size changes no result.
 ``triangle_means`` refines blocks of at most _CHUNK cells, one after the
 other, so besides its output it holds only block-sized arrays.
 """
@@ -93,8 +92,6 @@ MAX_SQUARE_GRID = 1024
 STALL_RATIO = 0.45
 ADAPTIVE_NODE_CAP = 200_000
 _CHUNK = 1 << 14
-# the sampler's row strips: one row of its finest grid, 2^12, must fit
-STRIP_POINTS = _CHUNK
 
 POLYNOMIAL_DEGREE = 4
 
@@ -992,22 +989,3 @@ def square_means_batch(f, los, size, tol, square_ids=None):
             1.0,
         )
     return means
-
-
-def _ladder_strips(f, g, lo=(0.0, 0.0), size=1.0):
-    """coeff.john_nirenberg_check's sampler: samples of f on the midpoint
-    grid 2^g x 2^g of the square with lower
-    corner lo and side size (the unit square by default), in row strips of
-    at most STRIP_POINTS = _CHUNK points, so 2^g <= STRIP_POINTS: yields
-    (first row, points, values with shape (rows, 2^g)).  Values are not
-    checked for finiteness.  All strips share one points buffer: the next
-    strip overwrites its y column."""
-    n = 2**g
-    t = (np.arange(n) + 0.5) * (size / n)
-    rows = min(n, STRIP_POINTS // n)
-    planar = np.empty((2, rows, n))
-    np.add(lo[0], t, out=planar[0])
-    pts = planar.reshape(2, -1).T
-    for r0 in range(0, n, rows):
-        np.add(lo[1], t[r0 : r0 + rows, None], out=planar[1])
-        yield r0, pts, np.asarray(f(pts), dtype=float).reshape(rows, n)

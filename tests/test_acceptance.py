@@ -270,7 +270,7 @@ def test_c11_bmo_diagnostics():
     increment = estimates[1] - estimates[0]
     assert increment <= 0.1 * estimates[0]
 
-    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0, 2.0, 3.0, 4.0], 10)
+    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0, 2.0, 3.0, 4.0])
     fractions = [frac for _, frac in table]
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
     slopes = np.abs(np.diff(np.log(fractions)))

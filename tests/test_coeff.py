@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bmofem import coeff as C
@@ -379,21 +379,6 @@ def test_bmo_seminorm_estimate_depth_range(depth):
         C.bmo_seminorm_estimate(C.log_reciprocal_scalar(), depth)
 
 
-class RecordingField:
-    """Scalar field that records the size of every evaluate batch and
-    whether each was column-major."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.batches = []
-        self.column_major = set()
-
-    def evaluate(self, points):
-        self.batches.append(points.shape[0])
-        self.column_major.add(points.flags.f_contiguous)
-        return self.fn(points)
-
-
 def _wave(p):
     return np.sin(3.0 * p[:, 0]) + np.cos(2.0 * p[:, 1])
 
@@ -410,11 +395,55 @@ PYRAMID_FIELDS = {
 }
 
 
+WAVE_GRID = 2048
+
+
+def _generation_references(name, depth):
+    """(means, oscillations) of PYRAMID_FIELDS[name] on generations
+    0..depth by rules independent of dyadic_oscillations: per-square
+    quadrature for the log scalar's polar rule; for the others, which take
+    that quadrature, closed forms, and for the wave its separable means
+    with oscillations on a WAVE_GRID^2 midpoint grid."""
+    if name == "log":
+        w = PYRAMID_FIELDS[name]
+        return zip(*(C.generation_oscillation_means(w, j) for j in range(depth + 1)))
+    if name == "wave":
+        t = (np.arange(WAVE_GRID) + 0.5) / WAVE_GRID
+        rows = [t[r0 : r0 + 256] for r0 in range(0, WAVE_GRID, 256)]
+        values = np.concatenate(
+            [_wave(np.column_stack([np.tile(t, y.size), np.repeat(y, WAVE_GRID)])) for y in rows]
+        ).reshape(WAVE_GRID, WAVE_GRID)
+    means, oscs = [], []
+    for j in range(depth + 1):
+        n = 2**j
+        lo, hi = np.arange(n) / n, np.arange(1, n + 1) / n  # square sides, both axes
+        if name == "half":
+            # f, each square's share left of x = 1/2, the same in every row
+            f = np.tile(np.clip((0.5 - lo) * n, 0.0, 1.0), n)
+            mean, osc = f, 2.0 * f * (1.0 - f)
+        elif name == "checkerboard":
+            # kappa = 5 on the lower-left and upper-right quadrants, 1
+            # elsewhere: from generation 1 on, each square lies in one
+            right, top = np.meshgrid(lo >= 0.5, lo >= 0.5)
+            mean = np.where(right ^ top, 1.0, 5.0).ravel() if j else np.array([3.0])
+            osc = np.zeros(n * n) if j else np.array([2.0])
+        else:
+            mx = (np.cos(3.0 * lo) - np.cos(3.0 * hi)) * n / 3.0
+            my = (np.sin(2.0 * hi) - np.sin(2.0 * lo)) * n / 2.0
+            grid = my[:, None] + mx  # [iy, ix]
+            b = WAVE_GRID // n
+            dev = np.abs(values.reshape(n, b, n, b) - grid[:, None, :, None])
+            mean, osc = grid.ravel(), dev.mean(axis=(1, 3)).ravel()
+        means.append(mean)
+        oscs.append(osc)
+    return means, oscs
+
+
 @pytest.mark.parametrize("name", sorted(PYRAMID_FIELDS))
 def test_dyadic_oscillations_match_per_square_quadrature(name):
     w = PYRAMID_FIELDS[name]
     tol = C.DEFAULT_OSC_TOL
-    ref_means, ref_oscs = zip(*(C.generation_oscillation_means(w, j, tol) for j in range(5)))
+    ref_means, ref_oscs = _generation_references(name, 4)
     for depth in range(5):
         means, oscs = C.dyadic_oscillations(w, depth, tol)
         assert len(means) == len(oscs) == depth + 1
@@ -500,11 +529,6 @@ def test_bmo_kernels_keep_their_point_buffers_small():
     # generation's corners, ids and refinement arrays
     squares = sum(4**j for j in range(7))
     assert _traced_peak(lambda: C.dyadic_oscillations(w, 6)) <= 8 * chunk + 10 * squares * 8
-    # a strip: planar nodes (2), its values (1), their finite subset,
-    # deviations and absolute deviations (3), with masks under one more
-    square = C.DyadicSquare(0, 0, 0)
-    jn = lambda: C.john_nirenberg_check(w, square, [0.5, 1.0, 2.0, 3.0], 10)
-    assert _traced_peak(jn) <= 7 * chunk
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +586,9 @@ def test_declared_scalar_square_means_never_sample_it(monkeypatch):
     C.generation_abs_means(spy, 5)
     # the John-Nirenberg table and its w_Q are exact too
     monkeypatch.setattr(Q, "square_means_batch", None)
-    table = C.john_nirenberg_check(spy, C.DyadicSquare(0, 0, 0), [1.0], 4)
+    table = C.john_nirenberg_check(spy, C.DyadicSquare(0, 0, 0), [1.0])
     assert calls == []
-    assert table == C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], 4)
+    assert table == C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0])
 
 
 @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.5, 0.5), (0.3, 0.55)])
@@ -1140,19 +1164,6 @@ def test_cell_mean_passes_hold_their_output_and_one_block():
         assert _traced_peak(run) <= output + 6 * cell + 64 * chunk
 
 
-def test_bmo_depths_fit_the_chunk_sized_ladder():
-    # john_nirenberg_check accepts every depth up to 12, so its sampler's
-    # strips must hold a row of that grid and at most a chunk
-    assert Q.STRIP_POINTS <= Q._CHUNK
-    # the John-Nirenberg grids of depths 10 and 12: the first strip holds
-    # at least one whole row and at most a chunk
-    for g in (10, 12):
-        rec = RecordingField(_wave)
-        r0, pts, values = next(Q._ladder_strips(rec.evaluate, g))
-        assert values.shape[1] == 2**g
-        assert rec.batches == [values.size] and values.size <= Q._CHUNK
-
-
 def test_dyadic_means_depth_range():
     # dyadic_oscillations of a scalar with no radial profile
     w = PYRAMID_FIELDS["wave"]
@@ -1165,22 +1176,16 @@ def test_dyadic_means_depth_range():
 # John-Nirenberg distribution check
 
 
-def test_jn_constant_zero_fractions():
-    w = C.ScalarField(lambda p: np.full(p.shape[0], 1.0), "const")
-    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.5, 1.0], 6)
-    assert all(frac == 0.0 for _, frac in table)
-
-
 def test_jn_tiny_lambda_is_full_measure():
     w = C.log_reciprocal_scalar()
-    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1e-15], 8)
+    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1e-15])
     assert table[0][1] >= 0.999
 
 
 def test_jn_log_matches_closed_form_tail():
     w = C.log_reciprocal_scalar()
     lambdas = [1.0, 2.0, 3.0, 4.0]
-    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), lambdas, 10)
+    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), lambdas)
     fractions = [frac for _, frac in table]
     # monotone nonincreasing
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
@@ -1199,7 +1204,7 @@ def test_jn_huge_lambda_keeps_the_level_radius_finite(lam):
     w = C.log_reciprocal_scalar()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [lam], 4)
+        table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [lam])
         radii = w.radial.level_radius(np.array([-lam, lam]))
     assert table == [(lam, 0.0)]
     assert np.all(np.isfinite(radii)) and np.all(radii > 0.0)
@@ -1208,17 +1213,33 @@ def test_jn_huge_lambda_keeps_the_level_radius_finite(lam):
 def test_jn_rejects_bad_inputs():
     w = C.log_reciprocal_scalar()
     with pytest.raises(ValueError):
-        C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.0], 4)
-    # on the exact path and on the sampler
-    for field in (w, UNDECLARED_LOG):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                C.john_nirenberg_check(field, C.DyadicSquare(0, 0, 0), [bad, 1.0], 4)
-    for depth in (0, 13):
-        with pytest.raises(ValueError, match="depth"):
-            C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], depth)
+        C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [bad, 1.0])
+    # a scalar with no radial profile has no exact table: refused, by name
+    with pytest.raises(ValueError, match="'log-reciprocal'"):
+        C.john_nirenberg_check(UNDECLARED_LOG, C.DyadicSquare(0, 0, 0), [1.0])
     with pytest.raises(ValueError):
         C.DyadicSquare(1, 2, 0)
+
+
+def _sampled_jn_fractions(w, square, lambdas, depth):
+    """Reference John-Nirenberg fractions: the share of the centres of a
+    2^depth x 2^depth grid on the square where |w - w_Q| > lambda, with
+    w_Q by the square rule, sampled a chunk of grid rows at a time."""
+    w_q = Q.square_means_batch(
+        lambda p, i: w.evaluate(p), [square.lo], square.size, C.DEFAULT_SQUARE_TOL
+    )[0]
+    n = 2**depth
+    t = (np.arange(n) + 0.5) * (square.size / n)
+    rows = max(1, Q._CHUNK // n)
+    exceed = np.zeros(len(lambdas))
+    for r0 in range(0, n, rows):
+        xx, yy = np.meshgrid(square.lo[0] + t, square.lo[1] + t[r0 : r0 + rows])
+        dev = np.abs(w.evaluate(np.column_stack([xx.ravel(), yy.ravel()])) - w_q)
+        exceed += np.count_nonzero(dev[:, None] > np.asarray(lambdas), axis=0)
+    return exceed / n**2
 
 
 @pytest.mark.parametrize(
@@ -1236,11 +1257,11 @@ def test_jn_rejects_bad_inputs():
 )
 def test_jn_disc_square_areas_match_the_sampler(x0, square, lambdas):
     w = C.log_reciprocal_scalar(x0)
-    table = C.john_nirenberg_check(w, square, lambdas, 4)
-    sampled = C.john_nirenberg_check(dataclasses.replace(w, radial=None), square, lambdas, 12)
+    table = C.john_nirenberg_check(w, square, lambdas)
+    sampled = _sampled_jn_fractions(w, square, lambdas, 12)
     assert [lam for lam, _ in table] == lambdas
     # the depth-12 grid's sampling error, measured below 4e-6
-    assert max(abs(a - b) for (_, a), (_, b) in zip(table, sampled)) <= 2e-5
+    assert max(abs(a - b) for (_, a), b in zip(table, sampled)) <= 2e-5
 
 
 @settings(max_examples=200, deadline=None)
@@ -1263,21 +1284,10 @@ def test_jn_disc_square_fractions_are_a_distribution(x0, level, corner, first, g
     lambdas = [first]
     for g in gaps:
         lambdas.append(lambdas[-1] * (1.0 + g))
-    table = C.john_nirenberg_check(C.log_reciprocal_scalar(x0), square, lambdas, 4)
+    table = C.john_nirenberg_check(C.log_reciprocal_scalar(x0), square, lambdas)
     fractions = [f for _, f in table]
     assert all(0.0 <= f <= 1.0 for f in fractions)
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
-
-
-def test_jn_skip_policy_errors_on_many_bad_samples():
-    w = C.ScalarField(lambda p: np.where(p[:, 0] < 0.3, np.nan, 1.0), "broken")
-    with pytest.raises(SingularityError):
-        C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], 6)
-    # two sample columns of 1024 are non-finite, but no node of the mean's
-    # quadrature: 0.2 % of the samples are skipped
-    w = C.ScalarField(lambda p: np.where(p[:, 0] < 2e-3, np.nan, 1.0), "holed")
-    with pytest.raises(SingularityError, match="2048 of 1048576 sample points were non-finite"):
-        C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [1.0], 10)
 
 
 # ---------------------------------------------------------------------------
@@ -1566,48 +1576,6 @@ def test_sampled_study_imports_no_scipy(nondyadic_csv_path, tmp_path):
     assert (tmp_path / "convergence.csv").exists()
 
 
-def _jn_all_at_once(w, square, lambdas, depth):
-    """Reference: every sample point evaluated in one batch."""
-    w_q = Q.square_means_batch(
-        lambda p, i: w.evaluate(p), [square.lo], square.size, C.DEFAULT_SQUARE_TOL
-    )[0]
-    n = 2**depth
-    t = (np.arange(n) + 0.5) * (square.size / n)
-    xx, yy = np.meshgrid(square.lo[0] + t, square.lo[1] + t, indexing="xy")
-    vals = np.asarray(w.evaluate(np.column_stack([xx.ravel(), yy.ravel()])))
-    dev = np.abs(vals[np.isfinite(vals)] - w_q)
-    return [(float(lam), float(np.mean(dev > lam))) for lam in lambdas]
-
-
-@pytest.mark.parametrize(
-    "w, square",
-    [
-        (UNDECLARED_LOG, C.DyadicSquare(0, 0, 0)),
-        (dataclasses.replace(C.log_reciprocal_scalar((0.5, 0.5)), radial=None),
-         C.DyadicSquare(1, 1, 0)),
-        (C.ScalarField(_wave, "wave"), C.DyadicSquare(2, 1, 3)),
-        # one column of 1024 is non-finite and skipped
-        (C.ScalarField(lambda p: np.where(p[:, 0] < 1e-3, np.nan, _wave(p)), "holed"),
-         C.DyadicSquare(0, 0, 0)),
-    ],
-)
-def test_jn_strips_match_all_at_once_table(w, square):
-    lambdas = [0.05, 1.0, 2.0, 3.0, 4.0]
-    table = C.john_nirenberg_check(w, square, lambdas, 10)
-    assert table == _jn_all_at_once(w, square, lambdas, 10)
-
-
-def test_jn_depth_12_samples_in_bounded_strips():
-    rec = RecordingField(lambda p: p[:, 0] + p[:, 1])
-    w = C.ScalarField(rec.evaluate, "x+y")
-    table = C.john_nirenberg_check(w, C.DyadicSquare(0, 0, 0), [0.5], 12)
-    assert max(rec.batches) <= Q._CHUNK
-    assert rec.column_major == {True}
-    assert sum(rec.batches) >= 4**12
-    # |x + y - 1| > 1/2 on two corner triangles of total area 1/4
-    assert table[0][1] == pytest.approx(0.25, abs=1e-3)
-
-
 # ---------------------------------------------------------------------------
 # breaklines: cells cut along the sample lines
 
@@ -1798,18 +1766,19 @@ def _cut_cell_means(field, pieces, parent, areas):
     return cut, sums / np.add.reduceat(areas, first)[:, None, None]
 
 
-@pytest.mark.parametrize("grid", sorted(CUT_GRIDS))
-@pytest.mark.parametrize("level", range(8))
-def test_grid_cut_matches_the_four_pass_clip(meshes, sampled_grid_csv, grid, level):
-    A = C.load_sampled_coefficient(sampled_grid_csv(*CUT_GRIDS[grid]))
-    pieces, parent, areas = C._grid_pieces(level, A.breaks)
-    old = _four_pass_pieces(meshes[level].cell_coordinates(), A.breaks)
-    assert np.all(np.diff(parent) >= 0) and np.all(areas > 0)
+def _assert_cut_matches_the_four_pass_clip(mesh, A):
+    """The grid cut of A's breaklines against _four_pass_pieces: the same
+    cut cells, tiled by pieces of at least 1e-12 of a cell, and the same
+    cut-cell means of A, bilinear on each piece, within 1e-14."""
+    pieces, parent, areas = C._grid_pieces(mesh.level, A.breaks)
+    old = _four_pass_pieces(mesh.cell_coordinates(), A.breaks)
+    assert np.all(np.diff(parent) >= 0)
     cut = np.unique(parent)
     assert np.array_equal(cut, np.unique(old[1]))
     if cut.size == 0:  # the checkerboard's lines are mesh lines from level 1
         return
-    cell_area = 0.5 / 4**level
+    cell_area = 0.5 / 4**mesh.level
+    assert np.all(areas > 1e-12 * cell_area)
     for part in np.split(areas, np.flatnonzero(np.diff(parent)) + 1):
         assert abs(math.fsum(part) - cell_area) <= 1e-15 * cell_area
     field = lambda p, ids: A.evaluate(p)
@@ -1817,6 +1786,45 @@ def test_grid_cut_matches_the_four_pass_clip(meshes, sampled_grid_csv, grid, lev
     _, want = _cut_cell_means(field, *old)
     err = np.linalg.norm(got - want, axis=(1, 2))
     assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("grid", sorted(CUT_GRIDS))
+@pytest.mark.parametrize("level", range(8))
+def test_grid_cut_matches_the_four_pass_clip(meshes, sampled_grid_csv, grid, level):
+    A = C.load_sampled_coefficient(sampled_grid_csv(*CUT_GRIDS[grid]))
+    _assert_cut_matches_the_four_pass_clip(meshes[level], A)
+
+
+def _grid_fractions(breaks, n):
+    """Where breaks fall inside their level-n grid columns, with the grid
+    lines 0 and 1: the u (or v) values of the cut rectangles' corners."""
+    t = np.asarray(breaks) * n
+    return np.unique(np.concatenate([t - np.floor(t), [0.0, 1.0]]))
+
+
+_BREAKS = st.lists(
+    st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=3, unique=True
+).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.integers(0, 5), xs=_BREAKS, ys=_BREAKS)
+# a break corner 5e-14 off the diagonal at level 2, 2e-13 in square units:
+# 0.3 * 4 and 0.55 * 4 share their fraction, and the snap puts it on
+@example(level=2, xs=[0.3], ys=[0.55 + 5e-14])
+def test_grid_cut_matches_the_four_pass_clip_on_drawn_breaks(
+    meshes, sampled_grid_csv, level, xs, ys
+):
+    n = 2**level
+    fx, fy = _grid_fractions(xs, n), _grid_fractions(ys, n)
+    # no rectangle thinner than 1e-5 of its square, and every corner on a
+    # diagonal (up to the snap) or 1e-5 off it: nearer ones legitimately
+    # cut off pieces below 1e-12 of the cell
+    off = np.abs(fx[:, None] - fy)
+    assume(min(np.diff(fx).min(), np.diff(fy).min()) >= 1e-5)
+    assume(np.all((off <= C._SNAP_TOL) | (off >= 1e-5)))
+    A = C.load_sampled_coefficient(sampled_grid_csv([0.0, *xs, 1.0], [0.0, *ys, 1.0]))
+    _assert_cut_matches_the_four_pass_clip(meshes[level], A)
 
 
 @pytest.mark.parametrize(

@@ -363,8 +363,8 @@ def test_trigonometric_studies_take_no_quadrature(monkeypatch, request, config):
         monkeypatch.setattr(Q, name, refuse)
     monkeypatch.setattr(C, "cell_abs_means", refuse)
     if config["kind"] == "bmo-diagnostics" and config["coeff"] != "log":
-        for module, name in ((Q, "square_means_batch"), (Q, "_ladder_strips"),
-                             (C, "dyadic_oscillations"), (C, "john_nirenberg_check")):
+        for module, name in ((Q, "square_means_batch"), (C, "dyadic_oscillations"),
+                             (C, "john_nirenberg_check")):
             monkeypatch.setattr(module, name, refuse)
     if "coeff_csv" in config:
         config = {**config, "coeff_csv": request.getfixturevalue(config["coeff_csv"])}

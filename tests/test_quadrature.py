@@ -359,9 +359,9 @@ def test_default_chunk_is_cache_sized():
 
 
 # ---------------------------------------------------------------------------
-# Grid nodes.  The ladder strips and the square grids write their nodes into
-# one planar buffer by broadcasting corner plus offsets; the points fields
-# receive must equal, bit for bit, the tile/repeat construction below.
+# Grid nodes.  The square grids write their nodes into one planar buffer by
+# broadcasting corner plus offsets; the points fields receive must equal,
+# bit for bit, the tile/repeat construction below.
 
 
 class _PointRecorder:
@@ -375,17 +375,6 @@ class _PointRecorder:
         self.points.append(np.array(p))
         self.ids.append(None if ids is None else np.array(ids))
         return p[:, 0] + p[:, 1]
-
-
-def _tile_repeat_strips(g, lo, size):
-    n = 2**g
-    t = (np.arange(n) + 0.5) * (size / n)
-    xs, ys = lo[0] + t, lo[1] + t
-    rows = min(n, Q.STRIP_POINTS // n)
-    return [
-        np.stack([np.tile(xs, rows), np.repeat(ys[r0 : r0 + rows], n)]).T
-        for r0 in range(0, n, rows)
-    ]
 
 
 def _tile_repeat_square_grids(los, size, n, square_ids):
@@ -403,30 +392,6 @@ def _tile_repeat_square_grids(los, size, n, square_ids):
         for lo in [los[start : start + per]]
         for by in [np.repeat(t[r0 : r0 + rows], n) for r0 in range(0, n, rows)]
     ]
-
-
-@pytest.mark.parametrize(
-    "g, lo, size",
-    [
-        (4, None, None),
-        (10, None, None),
-        (12, None, None),  # 64 strips of 64 rows
-        (7, (0.375, 0.125), 0.125),
-        (11, np.array([0.5, 0.0]), 0.5),
-    ],
-)
-def test_ladder_strip_nodes_match_tile_repeat(g, lo, size):
-    rec = _PointRecorder()
-    args = () if lo is None else (lo, size)
-    strips = list(Q._ladder_strips(rec, g, *args))
-    want = _tile_repeat_strips(g, (0.0, 0.0) if lo is None else lo, 1.0 if size is None else size)
-    assert len(rec.points) == len(strips) == len(want)
-    for (r0, pts, values), got, ref in zip(strips, rec.points, want):
-        assert got.flags.f_contiguous
-        assert np.array_equal(got, ref)
-        assert np.array_equal(values, (ref[:, 0] + ref[:, 1]).reshape(values.shape))
-    rows = want[0].shape[0] >> g
-    assert [r0 for r0, _, _ in strips] == list(range(0, 2**g, rows))
 
 
 @pytest.mark.parametrize(
